@@ -7,6 +7,10 @@ is sound because multiplication distributes over the idempotent addition
 and is therefore monotone, and the closure rule r -> r^w + r^(w+1) is
 monotone as well.
 
+Values are ints ordered by bit inclusion: powerset masks, or product
+values packed one component per bit field (see semiring.py), so the
+antichains compare with x | y == y and sort by plain int order.
+
 Finite base class, with canonical morphism eta into N: the pointed
 saturation is the least subset of N x R containing the letter pairs
 (eta(a), rho(a)) and the identity pair, closed under componentwise
@@ -20,6 +24,13 @@ its image monoid for the base class, and pour the union of the kernel
 members back into S.  The optimal imprint additionally absorbs the
 values rho(w) of single words and closes under product again.
 
+The product and jump rules run semi-naively: a maximal element that was
+already in an earlier snapshot had its products with every other such
+element and its jump inserted back then, and the represented set only
+grows, so each round pairs only the new maxima with all maxima.  The
+inserts that succeed, hence traces and round counts, are the same as
+with all pairs every round.
+
 A covering instance (L0, L1..Ln) is reduced to the product of the
 canonical rating maps of all the languages; it is coverable exactly when
 no optimal value meets every accepting set at once.
@@ -27,8 +38,7 @@ no optimal value meets every accepting set at once.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
 from .errors import InputError, ResourceLimitError
@@ -44,20 +54,29 @@ from .semiring import (
 
 
 class Antichain:
-    """Maximal elements of a downward closed set of semiring values."""
+    """Maximal elements of a downward closed set of bitmask values."""
 
     def __init__(self, sr: Semiring) -> None:
+        if not sr.bit_inclusion_order:
+            raise InputError(
+                f"{type(sr).__name__} values are not ordered by bit inclusion; "
+                "antichains need bitmask values"
+            )
         self.sr = sr
         self.elems: list = []
 
     def covers(self, x) -> bool:
-        return any(self.sr.leq(x, y) for y in self.elems)
+        for y in self.elems:
+            if x | y == y:
+                return True
+        return False
 
     def insert(self, x) -> bool:
         """Add x; returns True when the represented set grows."""
-        if self.covers(x):
-            return False
-        self.elems = [y for y in self.elems if not self.sr.leq(y, x)]
+        for y in self.elems:
+            if x | y == y:
+                return False
+        self.elems = [y for y in self.elems if x | y != x]
         self.elems.append(x)
         return True
 
@@ -74,6 +93,15 @@ def _trace_add(trace, rule, value, sr, n=None):
         if n is not None:
             entry["class_element"] = n
         trace.append(entry)
+
+
+def _split_fresh(snapshot: list, seen: set) -> tuple[list, list]:
+    """Flags marking the snapshot items absent from `seen`, and those
+    items in snapshot order; `seen` then takes them in."""
+    flags = [item not in seen for item in snapshot]
+    fresh = [item for item, new in zip(snapshot, flags) if new]
+    seen.update(fresh)
+    return flags, fresh
 
 
 @dataclass
@@ -106,6 +134,7 @@ def saturate_finite(
     if eta.alphabet != rho.alphabet:
         raise InputError("the class morphism must use the rating map's alphabet")
     sr = rho.semiring
+    mul = sr.mul
     n_monoid = eta.codomain
     trace = [] if want_trace else None
     chains: dict[int, Antichain] = {}
@@ -124,6 +153,8 @@ def saturate_finite(
         insert(eta.letter_images[i], rho.letter_images[i], "letter")
 
     idem = {e for e in range(n_monoid.size) if n_monoid.mul[e][e] == e}
+    # (n, r) maxima of earlier snapshots, whose products and jumps are in
+    seen: set[tuple[int, int]] = set()
     rounds = 0
     changed = True
     while changed:
@@ -132,11 +163,13 @@ def saturate_finite(
         snapshot = [
             (n, r) for n in sorted(chains) for r in chains[n].snapshot()
         ]
-        for n1, r1 in snapshot:
-            for n2, r2 in snapshot:
-                if insert(n_monoid.mul[n1][n2], sr.mul(r1, r2), "product"):
+        flags, fresh = _split_fresh(snapshot, seen)
+        for (n1, r1), new in zip(snapshot, flags):
+            row = n_monoid.mul[n1]
+            for n2, r2 in snapshot if new else fresh:
+                if insert(row[n2], mul(r1, r2), "product"):
                     changed = True
-        for n, r in snapshot:
+        for n, r in fresh:
             if n in idem:
                 if insert(n, sr.sf_closure_of(r), "closure"):
                     changed = True
@@ -156,16 +189,47 @@ class GroupSaturation:
     chain: Antichain
     rounds: int
     trace: list | None
+    # maxima of earlier snapshots, whose products and jumps are in the chain
+    seen: set = field(default_factory=set, repr=False)
 
     def contains(self, r) -> bool:
         return self.chain.covers(r)
 
 
-def _max_reduce(sr: Semiring, values) -> tuple:
-    chain = Antichain(sr)
-    for v in sorted(set(values)):
-        chain.insert(v)
-    return tuple(chain.snapshot())
+def _close_products(chain: Antichain, insert, sr: Semiring, seen: set, jump: bool) -> bool:
+    """Close the chain under product, and under the jump when `jump` is
+    set, semi-naively; returns True when the chain grew."""
+    mul = sr.mul
+    grew = False
+    inner = True
+    while inner:
+        inner = False
+        snapshot = chain.snapshot()
+        flags, fresh = _split_fresh(snapshot, seen)
+        for r1, new in zip(snapshot, flags):
+            for r2 in snapshot if new else fresh:
+                if insert(mul(r1, r2), "product"):
+                    inner = grew = True
+        if jump:
+            for r in fresh:
+                if insert(sr.sf_closure_of(r), "closure"):
+                    inner = grew = True
+    return grew
+
+
+def _max_reduce(values) -> tuple:
+    """The maximal elements of some bitmask values, ascending.  A value
+    strictly below another in bit inclusion is also a smaller int, so a
+    descending scan only ever checks a value against kept ones."""
+    kept: list[int] = []
+    for v in sorted(set(values), reverse=True):
+        for k in kept:
+            if v | k == k:
+                break
+        else:
+            kept.append(v)
+    kept.reverse()
+    return tuple(kept)
 
 
 def _mu_image_monoid(
@@ -175,35 +239,59 @@ def _mu_image_monoid(
 
     Elements are antichains of semiring values; the product is the
     setwise product reduced to its maxima, which tracks the downward
-    closure of the honest setwise product.
+    closure of the honest setwise product.  A maximal antichain names its
+    downward closure uniquely and products of downward closures are
+    associative, so the table follows from the right Cayley graph found
+    by the closure: x * y is x walked along the letters of y's shortest
+    word (Froidure & Pin 1997).
     """
-    sr = rho.semiring
-    one = (sr.one,)
+    mul = rho.semiring.mul
+    # value -> its products with the members of each letter set
+    right_products: dict[int, list[set]] = {}
 
-    def amul(xs: tuple, ys: tuple) -> tuple:
-        return _max_reduce(sr, (sr.mul(x, y) for x in xs for y in ys))
+    def times_letter(xs: tuple, i: int) -> tuple:
+        values = set()
+        for v in xs:
+            rows = right_products.get(v)
+            if rows is None:
+                rows = right_products[v] = [{mul(v, g) for g in gs} for gs in letter_sets]
+            values |= rows[i]
+        return _max_reduce(values)
 
+    one = (rho.semiring.one,)
     index: dict[tuple, int] = {one: 0}
     order: list[tuple] = [one]
-    queue = deque([one])
-    while queue:
-        xs = queue.popleft()
-        for g in letter_sets:
-            ys = amul(xs, g)
-            if ys not in index:
+    # order[y] = order[parent[y]] * letter_sets[last[y]], on a shortest word
+    parent = [0]
+    last = [0]
+    right: list[list[int]] = []
+    for x, xs in enumerate(order):
+        row = []
+        for i in range(len(letter_sets)):
+            ys = times_letter(xs, i)
+            y = index.get(ys)
+            if y is None:
                 if len(order) >= cap:
                     raise ResourceLimitError(
                         f"group step exceeded the cap of {cap} set values"
                     )
-                index[ys] = len(order)
+                y = index[ys] = len(order)
                 order.append(ys)
-                queue.append(ys)
-    mul = tuple(tuple(index[amul(x, y)] for y in order) for x in order)
-    monoid = FiniteMonoid(len(order), 0, mul)
+                parent.append(x)
+                last.append(i)
+            row.append(y)
+        right.append(row)
+    table = []
+    for x in range(len(order)):
+        row = [x]
+        for y in range(1, len(order)):
+            row.append(right[row[parent[y]]][last[y]])
+        table.append(tuple(row))
+    monoid = FiniteMonoid(len(order), 0, tuple(table))
     return Morphism(
         alphabet=rho.alphabet,
         codomain=monoid,
-        letter_images=tuple(index[amul(one, g)] for g in letter_sets),
+        letter_images=tuple(right[0]),
         image=frozenset(range(len(order))),
         labels=tuple(order),
     )
@@ -213,12 +301,12 @@ def _group_step(
     g: GroupClass, rho: RatingMap, chain: Antichain, config: Config
 ) -> list:
     """Values contributed by the group rule for the current set."""
-    sr = rho.semiring
+    mul = rho.semiring.mul
     maxima = chain.snapshot()
     letter_sets = []
     for img in rho.letter_images:
-        prods = [sr.mul(sr.mul(s, img), t) for s in maxima for t in maxima]
-        letter_sets.append(_max_reduce(sr, prods))
+        lefts = [mul(s, img) for s in maxima]
+        letter_sets.append(_max_reduce(mul(s, t) for s in lefts for t in maxima))
     mu = _mu_image_monoid(rho, letter_sets, cap=config.powerset2_cap)
     kernel = group_kernel(g, mu, config=config)
     values = set()
@@ -231,35 +319,24 @@ def saturate_group(
     g: GroupClass, rho: RatingMap, config: Config = DEFAULT, want_trace: bool = False
 ) -> GroupSaturation:
     sr = rho.semiring
-    trace = [] if want_trace else None
-    chain = Antichain(sr)
+    sat = GroupSaturation(rho, Antichain(sr), 0, [] if want_trace else None)
 
     def insert(r, rule: str) -> bool:
-        if chain.insert(r):
-            _trace_add(trace, rule, r, sr)
+        if sat.chain.insert(r):
+            _trace_add(sat.trace, rule, r, sr)
             return True
         return False
 
-    rounds = 0
     changed = True
     while changed:
         changed = False
-        rounds += 1
-        for r in _group_step(g, rho, chain, config):
+        sat.rounds += 1
+        for r in _group_step(g, rho, sat.chain, config):
             if insert(r, "group"):
                 changed = True
-        inner = True
-        while inner:
-            inner = False
-            snapshot = chain.snapshot()
-            for r1 in snapshot:
-                for r2 in snapshot:
-                    if insert(sr.mul(r1, r2), "product"):
-                        inner = changed = True
-            for r in snapshot:
-                if insert(sr.sf_closure_of(r), "closure"):
-                    inner = changed = True
-    return GroupSaturation(rho, chain, rounds, trace)
+        if _close_products(sat.chain, insert, sr, sat.seen, jump=True):
+            changed = True
+    return sat
 
 
 def _opt_chain_group(
@@ -279,14 +356,7 @@ def _opt_chain_group(
     insert(sr.one, "word")
     for img in rho.letter_images:
         insert(img, "word")
-    inner = True
-    while inner:
-        inner = False
-        snapshot = sat.chain.snapshot()
-        for r1 in snapshot:
-            for r2 in snapshot:
-                if insert(sr.mul(r1, r2), "product"):
-                    inner = True
+    _close_products(sat.chain, insert, sr, sat.seen, jump=False)
     return sat
 
 
@@ -303,15 +373,23 @@ def opt_group(g: GroupClass, rho: RatingMap, config: Config = DEFAULT) -> list:
 class CoverInstance:
     rho: RatingMap
     languages: list[RecognizedLanguage]
+    # per language, its accepting set shifted to the language's bit field
+    accepting_masks: tuple[int, ...] = field(init=False, repr=False)
 
-    def is_bad(self, value: tuple) -> bool:
-        """True when the value meets the accepting set of every language;
-        such a value defeats every candidate cover."""
-        for part, lang in zip(value, self.languages):
+    def __post_init__(self) -> None:
+        masks = []
+        for lang, offset in zip(self.languages, self.rho.semiring.offsets):
             mask = 0
             for s in lang.accepting:
                 mask |= 1 << s
-            if not part & mask:
+            masks.append(mask << offset)
+        self.accepting_masks = tuple(masks)
+
+    def is_bad(self, value: int) -> bool:
+        """True when the value meets the accepting set of every language;
+        such a value defeats every candidate cover."""
+        for mask in self.accepting_masks:
+            if not value & mask:
                 return False
         return True
 

@@ -5,10 +5,16 @@ Three concrete carriers:
   * TableSemiring: explicit addition and multiplication tables over ints.
   * PowersetSemiring: subsets of a finite monoid as int bitmasks, with
     union as addition and setwise product as multiplication.
-  * ProductSemiring: tuples with componentwise operations.
+  * ProductSemiring: a product of powerset semirings, each value packed
+    into one int.  Component i is a bitmask at a fixed bit offset, with
+    component 0 in the highest bits, so int order is the lexicographic
+    order of the component tuples.  Addition is bitwise or on the whole
+    int and multiplication works per component.
 
 Addition is idempotent, so x <= y iff x + y = y is a partial order and
-every element has a finite downset.
+every element has a finite downset.  For powerset and product values
+that order is bit inclusion, x | y == y, which is what the covering
+solvers' antichains rely on.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ class Semiring:
 
     zero = None
     one = None
+    # True when values are int bitmasks ordered by bit inclusion
+    bit_inclusion_order = False
 
     def add(self, x, y):
         raise NotImplementedError
@@ -105,6 +113,8 @@ class TableSemiring(Semiring):
 class PowersetSemiring(Semiring):
     """Subsets of a finite monoid, encoded as bitmasks."""
 
+    bit_inclusion_order = True
+
     def __init__(self, monoid: FiniteMonoid, cap: int = 16) -> None:
         if monoid.size > cap:
             raise ResourceLimitError(
@@ -177,41 +187,78 @@ class PowersetSemiring(Semiring):
 
 
 class ProductSemiring(Semiring):
+    """Product of powerset semirings with each value packed into one int.
+
+    Component i takes as many bits as its monoid has elements, at
+    `offsets[i]`; component 0 sits in the highest bits.
+    """
+
+    bit_inclusion_order = True
+
     def __init__(self, components) -> None:
         self.components = tuple(components)
         if not self.components:
             raise InputError("product semiring needs at least one component")
-        self.zero = tuple(c.zero for c in self.components)
-        self.one = tuple(c.one for c in self.components)
-        self._mul_cache: dict[tuple, tuple] = {}
+        for c in self.components:
+            if not isinstance(c, PowersetSemiring):
+                raise InputError("product semiring components must be powerset semirings")
+        offsets = []
+        shift = 0
+        for c in reversed(self.components):
+            offsets.append(shift)
+            shift += c.monoid.size
+        self.offsets = tuple(reversed(offsets))
+        self._fields = tuple(
+            (c, offset, (1 << c.monoid.size) - 1)
+            for c, offset in zip(self.components, self.offsets)
+        )
+        self.zero = 0
+        self.one = self.pack(c.one for c in self.components)
+        self._mul_cache: dict[tuple[int, int], int] = {}
+
+    def pack(self, parts) -> int:
+        """The int holding one bitmask per component."""
+        value = 0
+        for part, offset in zip(parts, self.offsets):
+            value |= part << offset
+        return value
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The component bitmasks of a packed value."""
+        return tuple((x >> offset) & mask for _, offset, mask in self._fields)
 
     def add(self, x, y):
-        return tuple(c.add(a, b) for c, a, b in zip(self.components, x, y))
+        return x | y
 
     def mul(self, x, y):
         key = (x, y)
         cached = self._mul_cache.get(key)
         if cached is None:
-            cached = tuple(c.mul(a, b) for c, a, b in zip(self.components, x, y))
+            cached = 0
+            for c, offset, mask in self._fields:
+                cached |= c.mul((x >> offset) & mask, (y >> offset) & mask) << offset
             self._mul_cache[key] = cached
         return cached
 
     def leq(self, x, y) -> bool:
-        return all(c.leq(a, b) for c, a, b in zip(self.components, x, y))
+        return x | y == y
 
     def elements(self):
-        return itertools.product(*(c.elements() for c in self.components))
+        return (
+            self.pack(parts)
+            for parts in itertools.product(*(c.elements() for c in self.components))
+        )
 
     def downset_of(self, x):
         return [
-            tuple(parts)
+            self.pack(parts)
             for parts in itertools.product(
-                *(c.downset_of(a) for c, a in zip(self.components, x))
+                *(c.downset_of(a) for c, a in zip(self.components, self.unpack(x)))
             )
         ]
 
     def element_to_json(self, x):
-        return [c.element_to_json(a) for c, a in zip(self.components, x)]
+        return [c.element_to_json(a) for c, a in zip(self.components, self.unpack(x))]
 
 
 def validate_semiring(sr: Semiring, elements=None) -> str | None:
@@ -307,9 +354,9 @@ def product_rating_map(maps) -> RatingMap:
     for rm in maps[1:]:
         if rm.alphabet != alphabet:
             raise InputError("all rating maps must share one alphabet")
-    sr = ProductSemiring(tuple(rm.semiring for rm in maps))
+    sr = ProductSemiring(rm.semiring for rm in maps)
     letters = tuple(
-        tuple(rm.letter_images[i] for rm in maps) for i in range(len(alphabet))
+        sr.pack(rm.letter_images[i] for rm in maps) for i in range(len(alphabet))
     )
     return RatingMap(sr, alphabet, letters)
 

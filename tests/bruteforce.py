@@ -8,8 +8,12 @@ algorithms under test.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from sfclosure.automata import Dfa, accepts
+from sfclosure.errors import ResourceLimitError
+from sfclosure.monoid import FiniteMonoid, Morphism
+from sfclosure.oracles import group_kernel
 
 
 def words_up_to(alphabet, maxlen: int):
@@ -212,3 +216,210 @@ def naive_ltl(formula, word: str, position: int) -> bool:
         raise TypeError(type(node).__name__)
 
     return at(formula, position)
+
+
+# ---------------------------------------------------------------------------
+# Covering: the saturations over plain tuples of bitmasks, all pairs of
+# maxima every round, with setwise products read off the monoid tables.
+
+
+class TupleProduct:
+    """Product of the powerset semirings of some monoids, on tuples with
+    one bitmask per monoid."""
+
+    def __init__(self, monoids) -> None:
+        self.monoids = tuple(monoids)
+        self.one = tuple(1 << m.identity for m in self.monoids)
+
+    @staticmethod
+    def _members(mask: int) -> list[int]:
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        out = []
+        for m, a, b in zip(self.monoids, x, y):
+            mask = 0
+            for i in self._members(a):
+                for j in self._members(b):
+                    mask |= 1 << m.mul[i][j]
+            out.append(mask)
+        return tuple(out)
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return tuple(a | b for a, b in zip(x, y))
+
+    @staticmethod
+    def leq(x: tuple, y: tuple) -> bool:
+        return all(a | b == b for a, b in zip(x, y))
+
+    def sf_closure_of(self, x: tuple) -> tuple:
+        # the first idempotent power of x is its idempotent power x^w
+        w = x
+        while self.mul(w, w) != w:
+            w = self.mul(w, x)
+        return self.add(w, self.mul(w, x))
+
+    def to_json(self, x: tuple) -> list:
+        return [self._members(a) for a in x]
+
+
+class TupleAntichain:
+    def __init__(self, product: TupleProduct) -> None:
+        self.product = product
+        self.elems: list = []
+
+    def covers(self, x) -> bool:
+        return any(self.product.leq(x, y) for y in self.elems)
+
+    def insert(self, x) -> bool:
+        if self.covers(x):
+            return False
+        self.elems = [y for y in self.elems if not self.product.leq(y, x)]
+        self.elems.append(x)
+        return True
+
+    def snapshot(self) -> list:
+        return sorted(self.elems)
+
+
+def tuple_rating(languages):
+    """The product of the languages' canonical rating maps: the tuple
+    semiring and the tuple image of each letter."""
+    product = TupleProduct(lang.morphism.codomain for lang in languages)
+    width = len(languages[0].morphism.alphabet)
+    letters = [
+        tuple(1 << lang.morphism.letter_images[i] for lang in languages)
+        for i in range(width)
+    ]
+    return product, letters
+
+
+def naive_saturate_finite(eta, languages):
+    """Pointed saturation for a finite class with morphism eta: the maxima
+    per class element, the round count and the trace."""
+    product, letters = tuple_rating(languages)
+    n_monoid = eta.codomain
+    trace = []
+    chains: dict[int, TupleAntichain] = {}
+
+    def insert(n, r, rule) -> bool:
+        chain = chains.setdefault(n, TupleAntichain(product))
+        if chain.insert(r):
+            trace.append({"rule": rule, "value": product.to_json(r), "class_element": n})
+            return True
+        return False
+
+    insert(n_monoid.identity, product.one, "seed")
+    for i, img in enumerate(letters):
+        insert(eta.letter_images[i], img, "letter")
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        snapshot = [(n, r) for n in sorted(chains) for r in chains[n].snapshot()]
+        for n1, r1 in snapshot:
+            for n2, r2 in snapshot:
+                if insert(n_monoid.mul[n1][n2], product.mul(r1, r2), "product"):
+                    changed = True
+        for n, r in snapshot:
+            if n_monoid.mul[n][n] == n:
+                if insert(n, product.sf_closure_of(r), "closure"):
+                    changed = True
+    maxima = {n: chain.snapshot() for n, chain in chains.items()}
+    return maxima, rounds, trace
+
+
+def _tuple_max_reduce(product, values) -> tuple:
+    chain = TupleAntichain(product)
+    for v in sorted(set(values)):
+        chain.insert(v)
+    return tuple(chain.snapshot())
+
+
+def _naive_mu_image(product, alphabet, letter_sets, cap: int):
+    """Image monoid of a -> letter_sets[a] with every product of two
+    elements computed as a reduced setwise product."""
+    def amul(xs, ys):
+        return _tuple_max_reduce(product, (product.mul(x, y) for x in xs for y in ys))
+
+    one = (product.one,)
+    index = {one: 0}
+    order = [one]
+    queue = deque([one])
+    while queue:
+        xs = queue.popleft()
+        for g in letter_sets:
+            ys = amul(xs, g)
+            if ys not in index:
+                if len(order) >= cap:
+                    raise ResourceLimitError(f"group step exceeded the cap of {cap}")
+                index[ys] = len(order)
+                order.append(ys)
+                queue.append(ys)
+    mul = tuple(tuple(index[amul(x, y)] for y in order) for x in order)
+    return Morphism(
+        alphabet=alphabet,
+        codomain=FiniteMonoid(len(order), 0, mul),
+        letter_images=tuple(index[amul(one, g)] for g in letter_sets),
+        image=frozenset(range(len(order))),
+        labels=tuple(order),
+    )
+
+
+def naive_opt_group(cls, languages, config):
+    """Group saturation followed by the word values and product closure:
+    the maxima of the optimal imprint, the round count and the trace."""
+    product, letters = tuple_rating(languages)
+    alphabet = languages[0].morphism.alphabet
+    chain = TupleAntichain(product)
+    trace = []
+
+    def insert(r, rule) -> bool:
+        if chain.insert(r):
+            trace.append({"rule": rule, "value": product.to_json(r)})
+            return True
+        return False
+
+    def close_products(jump: bool) -> bool:
+        grew = False
+        inner = True
+        while inner:
+            inner = False
+            snapshot = chain.snapshot()
+            for r1 in snapshot:
+                for r2 in snapshot:
+                    if insert(product.mul(r1, r2), "product"):
+                        inner = grew = True
+            if jump:
+                for r in snapshot:
+                    if insert(product.sf_closure_of(r), "closure"):
+                        inner = grew = True
+        return grew
+
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        maxima = chain.snapshot()
+        letter_sets = [
+            _tuple_max_reduce(product, [
+                product.mul(product.mul(s, img), t) for s in maxima for t in maxima
+            ])
+            for img in letters
+        ]
+        mu = _naive_mu_image(product, alphabet, letter_sets, config.powerset2_cap)
+        values = set()
+        for k in group_kernel(cls, mu, config=config):
+            values.update(mu.labels[k])
+        for r in sorted(values):
+            if insert(r, "group"):
+                changed = True
+        if close_products(jump=True):
+            changed = True
+    insert(product.one, "word")
+    for img in letters:
+        insert(img, "word")
+    close_products(jump=False)
+    return chain.snapshot(), rounds, trace

@@ -1,12 +1,18 @@
 import dataclasses
+import functools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bruteforce import TupleAntichain, naive_opt_group, naive_saturate_finite, tuple_rating
 from conftest import recognized
-from sfclosure.automata import compile_pattern, make_alphabet
-from sfclosure.config import DEFAULT
+from sfclosure.automata import Dfa, compile_pattern, make_alphabet, minimize
+from sfclosure.config import DEFAULT, Config
 from sfclosure.covering import (
     Antichain,
+    _opt_chain_group,
     is_coverable,
     is_separable,
     opt_finite,
@@ -15,11 +21,10 @@ from sfclosure.covering import (
     saturate_finite,
     saturate_group,
 )
-from sfclosure.errors import InputError
-from sfclosure.membership import sf_membership
-from sfclosure.monoid import idempotents
+from sfclosure.errors import InputError, ResourceLimitError
+from sfclosure.monoid import idempotents, syntactic_morphism
 from sfclosure.oracles import GR, MOD, st_class
-from sfclosure.semiring import PowersetSemiring, rho_alpha
+from sfclosure.semiring import PowersetSemiring, TableSemiring, rho_alpha, validate_semiring
 
 AB = make_alphabet("ab")
 A = make_alphabet("a")
@@ -111,6 +116,20 @@ class TestAntichain:
         assert chain.snapshot() == [3]
         assert len(chain) == 1
 
+    def test_refuses_values_not_ordered_by_bits(self):
+        # the chain 0 < 1 < 2 with max and min: a lawful semiring in which
+        # 1 <= 2, although 1 | 2 != 2
+        table = range(3)
+        sr = TableSemiring(
+            3,
+            [[max(x, y) for y in table] for x in table],
+            [[min(x, y) for y in table] for x in table],
+            0, 2,
+        )
+        assert validate_semiring(sr) is None and sr.leq(1, 2)
+        with pytest.raises(InputError):
+            Antichain(sr)
+
 
 class TestCoverable:
     def test_cover_multiple_avoided(self):
@@ -159,3 +178,77 @@ def test_finite_saturation_is_closed(corpus):
         instance = reduce_cover_instance(dfa, [dfa])
         sat = saturate_finite(st, instance.rho)
         assert closure_residual_finite(st, instance.rho, sat) == []
+
+
+@functools.lru_cache(maxsize=None)
+def small_languages() -> tuple:
+    """Distinct minimal DFAs over {a, b} whose syntactic monoids have at
+    most 8 elements: a few fixed patterns, then seeded random automata."""
+    rng = random.Random(20261018)
+    out = []
+    candidates = [compile_pattern(p, AB) for p in ("(ab)*", "~%a~%", "a*b", "(aa)*", "b~%")]
+    while len(out) < 40:
+        if candidates:
+            dfa = candidates.pop()
+        else:
+            states = rng.randint(1, 4)
+            dfa = Dfa(
+                AB, states, 0,
+                frozenset(q for q in range(states) if rng.random() < 0.5),
+                tuple(tuple(rng.randrange(states) for _ in AB) for _ in range(states)),
+            )
+        dfa = minimize(dfa)
+        if dfa in out:
+            continue
+        try:
+            syntactic_morphism(dfa, cap=8)
+        except ResourceLimitError:
+            continue
+        out.append(dfa)
+    return tuple(out)
+
+
+ORACLE_CONFIG = Config(powerset2_cap=64, trace=True)
+
+
+@settings(max_examples=100)
+@given(
+    picks=st.lists(st.integers(0, 39), min_size=2, max_size=3),
+    cls_name=st.sampled_from(["st", "mod", "gr"]),
+)
+def test_packed_semi_naive_matches_naive_tuple_saturation(picks, cls_name):
+    dfas = [small_languages()[i] for i in picks]
+    instance = reduce_cover_instance(dfas[0], dfas[1:])
+    unpack = instance.rho.semiring.unpack
+    languages = instance.languages
+    if cls_name == "st":
+        cls = st_class(AB)
+        sat = saturate_finite(cls, instance.rho, want_trace=True)
+        maxima, rounds, trace = naive_saturate_finite(cls.eta, languages)
+        assert {n: [unpack(r) for r in chain.snapshot()]
+                for n, chain in sat.chains.items()} == maxima
+        merged = TupleAntichain(tuple_rating(languages)[0])
+        for n in sorted(maxima):
+            for r in maxima[n]:
+                merged.insert(r)
+        maxima = merged.snapshot()
+    else:
+        cls = MOD if cls_name == "mod" else GR
+        try:
+            maxima, rounds, trace = naive_opt_group(cls, languages, ORACLE_CONFIG)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+            return
+        sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+        assert [unpack(r) for r in sat.chain.snapshot()] == maxima
+    assert sat.rounds == rounds
+    assert sat.trace == trace
+    # a cover exists iff no maximum meets every accepting set
+    bad = any(
+        all(part & sum(1 << s for s in lang.accepting)
+            for part, lang in zip(value, languages))
+        for value in maxima
+    )
+    report = is_coverable(cls, dfas[0], dfas[1:], config=ORACLE_CONFIG)
+    assert (report.answer, report.opt_size, report.rounds) == (not bad, len(maxima), rounds)

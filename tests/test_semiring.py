@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from bruteforce import words_up_to
@@ -70,11 +73,58 @@ def test_product_semiring_laws_and_downsets():
     srb = PowersetSemiring(recognized("~%a~%", AB).morphism.codomain)
     sr = ProductSemiring([sra, srb])
     assert validate_semiring(sr) is None
-    pair = (sra.one, srb.one)
+    pair = sr.pack((sra.one, srb.one))
     down = sr.downset_of(pair)
-    assert set(down) == {(x, y) for x in sra.downset_of(sra.one)
-                         for y in srb.downset_of(srb.one)}
+    assert {sr.unpack(v) for v in down} == {(x, y) for x in sra.downset_of(sra.one)
+                                            for y in srb.downset_of(srb.one)}
     assert downset(sr, [pair]) == sorted(down)
+
+
+def three_component_product():
+    # fields of 3, 6 and 2 bits at offsets 8, 2 and 0
+    return ProductSemiring(
+        PowersetSemiring(recognized(p).morphism.codomain)
+        for p in ("(aa)*", "(ab)*", "~%a~%")
+    )
+
+
+def test_pack_unpack_round_trip():
+    sr = three_component_product()
+    parts = list(itertools.product(*(c.elements() for c in sr.components)))
+    assert sr.offsets == (8, 2, 0) and len(parts) == 1 << 11
+    for t in parts:
+        assert sr.unpack(sr.pack(t)) == t
+    assert sorted(sr.pack(t) for t in parts) == list(range(1 << 11))
+    assert sr.unpack(sr.one) == tuple(c.one for c in sr.components)
+    assert sr.pack((0b101, 0b100001, 0b10)) == 0b101_100001_10
+    assert sr.element_to_json(0b101_100001_10) == [[0, 2], [0, 5], [1]]
+
+
+def test_int_order_is_tuple_order():
+    sr = three_component_product()
+    parts = list(itertools.product(*(c.elements() for c in sr.components)))
+    random.Random(5).shuffle(parts)
+    assert [sr.pack(t) for t in sorted(parts)] == sorted(sr.pack(t) for t in parts)
+
+
+def test_packed_operations_are_componentwise():
+    sr = three_component_product()
+    rng = random.Random(11)
+    values = [rng.randrange(1 << 11) for _ in range(60)]
+    for x in values:
+        for y in values:
+            pairs = list(zip(sr.components, sr.unpack(x), sr.unpack(y)))
+            assert sr.unpack(sr.mul(x, y)) == tuple(c.mul(a, b) for c, a, b in pairs)
+            assert sr.unpack(sr.add(x, y)) == tuple(c.add(a, b) for c, a, b in pairs)
+            assert sr.leq(x, y) == all(c.leq(a, b) for c, a, b in pairs)
+
+
+def test_product_components_must_be_powersets():
+    table = TableSemiring(1, ((0,),), ((0,),), 0, 0)
+    with pytest.raises(InputError):
+        ProductSemiring([table])
+    with pytest.raises(InputError):
+        ProductSemiring([])
 
 
 def test_rho_alpha_rates_words_and_languages():
@@ -114,4 +164,4 @@ def test_product_rating_map_is_componentwise():
     r2 = rho_alpha(recognized("~%a~%", AB))
     rho = product_rating_map([r1, r2])
     for w in words_up_to(AB, 4):
-        assert rho.of_word(w) == (r1.of_word(w), r2.of_word(w))
+        assert rho.semiring.unpack(rho.of_word(w)) == (r1.of_word(w), r2.of_word(w))
