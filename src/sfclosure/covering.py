@@ -153,7 +153,8 @@ def saturate_finite(
         insert(eta.letter_images[i], rho.letter_images[i], "letter")
 
     idem = {e for e in range(n_monoid.size) if n_monoid.mul[e][e] == e}
-    # (n, r) maxima of earlier snapshots, whose products and jumps are in
+    # (n, r) maxima of earlier snapshots: their products and jumps are in
+    # the chains already
     seen: set[tuple[int, int]] = set()
     rounds = 0
     changed = True
