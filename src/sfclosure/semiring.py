@@ -202,15 +202,11 @@ class ProductSemiring(Semiring):
         for c in self.components:
             if not isinstance(c, PowersetSemiring):
                 raise InputError("product semiring components must be powerset semirings")
-        offsets = []
-        shift = 0
-        for c in reversed(self.components):
-            offsets.append(shift)
-            shift += c.monoid.size
-        self.offsets = tuple(reversed(offsets))
+        widths = [c.monoid.size for c in self.components]
+        self.offsets = tuple(sum(widths[i + 1:]) for i in range(len(widths)))
         self._fields = tuple(
-            (c, offset, (1 << c.monoid.size) - 1)
-            for c, offset in zip(self.components, self.offsets)
+            (c, offset, (1 << width) - 1)
+            for c, offset, width in zip(self.components, self.offsets, widths)
         )
         self.zero = 0
         self.one = self.pack(c.one for c in self.components)
