@@ -9,7 +9,6 @@ makes equality of minimized DFAs decide language equality.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -540,13 +539,3 @@ def dfa_from_json(data: dict) -> Dfa:
         raise InputError(f"malformed DFA document: {exc}") from exc
     return Dfa(alphabet, states, initial, finals, delta)
 
-
-def load_dfa(path: str) -> Dfa:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return dfa_from_json(data)

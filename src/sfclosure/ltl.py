@@ -7,14 +7,24 @@ j > i satisfies q, every position strictly between satisfies p, and the infix
 of the word strictly between positions i and j belongs to L.  Since is the
 mirror image.  The plain until/since default L to the full language, and the
 derived forms X, F[L] and F are expanded at parse time.
+
+Evaluation fills one truth vector per subformula over all positions of the
+word, children first.  Until is one backward sweep and since one forward
+sweep, carrying the set of bound-DFA states that can still lead to
+acceptance (until) or that have been reached (since), so a word of length n
+costs O(n * |formula| * |states|) time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import Alphabet, Dfa, compile_pattern
 from .errors import InputError
+
+# nesting bound of the formula parser: each level of parentheses, temporal
+# operators or '!' costs a few Python frames while parsing
+MAX_FORMULA_DEPTH = 100
 
 
 class Formula:
@@ -75,7 +85,7 @@ class Since(Formula):
 
 
 class _FormulaParser:
-    """Recursive descent parser.
+    """Recursive descent parser, nested at most MAX_FORMULA_DEPTH deep.
 
     Grammar, loosest binding first:
 
@@ -98,9 +108,15 @@ class _FormulaParser:
         self.text = text
         self.pos = 0
         self.alphabet = alphabet
+        self.depth = 0
 
     def fail(self, message: str) -> InputError:
         return InputError(f"formula syntax error at offset {self.pos}: {message}")
+
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            raise self.fail(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -124,10 +140,12 @@ class _FormulaParser:
         return node
 
     def formula(self) -> Formula:
+        self.nest()
         node = self.conj()
         while self.peek() == "|":
             self.eat("|")
             node = Or(node, self.conj())
+        self.depth -= 1
         return node
 
     def conj(self) -> Formula:
@@ -140,7 +158,10 @@ class _FormulaParser:
     def unary(self) -> Formula:
         if self.peek() == "!":
             self.eat("!")
-            return Not(self.unary())
+            self.nest()
+            node = Not(self.unary())
+            self.depth -= 1
+            return node
         return self.primary()
 
     def bound_dfa(self, default: str) -> Dfa:
@@ -227,76 +248,149 @@ def parse_formula(text: str, alphabet: Alphabet) -> Formula:
     return _FormulaParser(text, alphabet).parse()
 
 
-@dataclass
-class _Evaluator:
-    word: str
-    runs: dict[int, list[list[int]]] = field(default_factory=dict)
-    memo: dict[tuple[int, int], bool] = field(default_factory=dict)
+def _children(node: Formula) -> tuple[Formula, ...]:
+    if isinstance(node, Not):
+        return (node.child,)
+    if isinstance(node, (Or, And, Until, Since)):
+        return (node.left, node.right)
+    return ()
 
-    def run_table(self, dfa: Dfa) -> list[list[int]]:
-        # rows[i][j] = state reached from the initial state on word[i:j],
-        # indexed so the infix between positions i and j is word[i:j-1].
-        table = self.runs.get(id(dfa))
-        if table is None:
-            n = len(self.word)
-            table = []
-            for i in range(n + 1):
-                row = [0] * (n + 1)
-                state = dfa.initial
-                row[i] = state
-                for j in range(i, n):
-                    state = dfa.step(state, self.word[j])
-                    row[j + 1] = state
-                table.append(row)
-            self.runs[id(dfa)] = table
-        return table
 
-    def infix_in(self, dfa: Dfa, i: int, j: int) -> bool:
-        # Positions i < j bound the open interval; its content is word[i:j-1].
-        lo = min(i, len(self.word))
-        hi = max(lo, j - 1)
-        return self.run_table(dfa)[lo][hi] in dfa.finals
+class _Images:
+    """Images of state sets (int bitmasks) of a bound DFA under single
+    letters: predecessors for until, successors for since.  Computed on
+    demand and kept per letter."""
 
-    def holds(self, node: Formula, i: int) -> bool:
-        key = (id(node), i)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        value = self.compute(node, i)
-        self.memo[key] = value
-        return value
+    def __init__(self, dfa: Dfa, backward: bool) -> None:
+        self.backward = backward
+        self.initial = dfa.initial
+        self.finals = sum(1 << q for q in dfa.finals)
+        self.columns = {
+            sym: [row[i] for row in dfa.delta] for i, sym in enumerate(dfa.alphabet)
+        }
+        self.cache: dict[str, dict[int, int]] = {sym: {} for sym in dfa.alphabet}
 
-    def compute(self, node: Formula, i: int) -> bool:
-        n = len(self.word)
-        if isinstance(node, Top):
-            return True
-        if isinstance(node, Min):
-            return i == 0
-        if isinstance(node, Max):
-            return i == n + 1
-        if isinstance(node, LetterAt):
-            return 1 <= i <= n and self.word[i - 1] == node.symbol
-        if isinstance(node, Not):
-            return not self.holds(node.child, i)
-        if isinstance(node, Or):
-            return self.holds(node.left, i) or self.holds(node.right, i)
-        if isinstance(node, And):
-            return self.holds(node.left, i) and self.holds(node.right, i)
-        if isinstance(node, Until):
-            for j in range(i + 1, n + 2):
-                if j > i + 1 and not self.holds(node.left, j - 1):
-                    return False
-                if self.holds(node.right, j) and self.infix_in(node.bound, i, j):
-                    return True
-            return False
-        if isinstance(node, Since):
-            for j in range(i - 1, -1, -1):
-                if j < i - 1 and not self.holds(node.left, j + 1):
-                    return False
-                if self.holds(node.right, j) and self.infix_in(node.bound, j, i):
-                    return True
-            return False
-        raise TypeError(f"unknown formula node {type(node).__name__}")
+    def __call__(self, sym: str, states: int) -> int:
+        try:
+            return self.cache[sym][states]
+        except KeyError:
+            pass
+        if sym not in self.columns:
+            raise InputError(f"symbol {sym!r} is not in the alphabet")
+        result = 0
+        for q, target in enumerate(self.columns[sym]):
+            source, image = (target, q) if self.backward else (q, target)
+            if states >> source & 1:
+                result |= 1 << image
+        self.cache[sym][states] = result
+        return result
+
+
+def _until(images: _Images, word: str, left: int, right: int) -> int:
+    # Backward sweep: `states` after step i holds the bound-DFA states from
+    # which the infix word[i:j-1] of some witness j > i leads to a final
+    # state, with the left side true strictly between i and j.
+    n = len(word)
+    finals, initial = images.finals, images.initial
+    states = finals if right >> (n + 1) & 1 else 0
+    out = (states >> initial & 1) << n
+    for i in range(n - 1, -1, -1):
+        states = images(word[i], states) if states and left >> (i + 1) & 1 else 0
+        if right >> (i + 1) & 1:
+            states |= finals
+        if states >> initial & 1:
+            out |= 1 << i
+    return out
+
+
+def _since(images: _Images, word: str, left: int, right: int) -> int:
+    # Forward sweep: `states` at step i holds the bound-DFA states reached
+    # on the infix word[j:i-1] of some witness j < i, with the left side
+    # true strictly between j and i.
+    n = len(word)
+    finals, start = images.finals, 1 << images.initial
+    states = start if right & 1 else 0
+    out = 2 if states & finals else 0
+    for i in range(2, n + 2):
+        states = images(word[i - 2], states) if states and left >> (i - 1) & 1 else 0
+        if right >> (i - 1) & 1:
+            states |= start
+        if states & finals:
+            out |= 1 << i
+    return out
+
+
+_KINDS = (Top, Min, Max, LetterAt, Not, Or, And, Until, Since)
+
+
+def _plan(formula: Formula) -> list[tuple]:
+    """The distinct subformulas in post-order, each as (kind, node, slot of
+    the left or only child, slot of the right child, images of its bound),
+    built from an explicit stack so deep formulas do not recurse."""
+    slots: dict[int, int] = {}
+    steps: list[tuple] = []
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if id(node) in slots:
+            stack.pop()
+            continue
+        children = _children(node)
+        pending = [c for c in children if id(c) not in slots]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        kind = next((k for k in _KINDS if isinstance(node, k)), None)
+        if kind is None:
+            raise TypeError(f"unknown formula node {type(node).__name__}")
+        left, right = ([slots[id(c)] for c in children] + [-1, -1])[:2]
+        images = None
+        if kind is Until or kind is Since:
+            images = _Images(node.bound, backward=kind is Until)
+        slots[id(node)] = len(steps)
+        steps.append((kind, node, left, right, images))
+    return steps
+
+
+# the plan of the formula evaluated last; sampled comparison evaluates one
+# formula on many words, and the plan keeps the bound images it has seen
+_last_plan: tuple = (None, [])
+
+
+def _truth(formula: Formula, word: str) -> int:
+    """Truth values of the formula at positions 0..n+1 of the word as the
+    bits of an int, one such vector per subformula, children first."""
+    global _last_plan
+    planned, steps = _last_plan
+    if planned is not formula:
+        steps = _plan(formula)
+        _last_plan = (formula, steps)
+    n = len(word)
+    everywhere = (1 << (n + 2)) - 1
+    vectors: list[int] = []
+    for kind, node, left, right, images in steps:
+        if kind is And:
+            value = vectors[left] & vectors[right]
+        elif kind is Or:
+            value = vectors[left] | vectors[right]
+        elif kind is Not:
+            value = everywhere ^ vectors[left]
+        elif kind is Until:
+            value = _until(images, word, vectors[left], vectors[right])
+        elif kind is Since:
+            value = _since(images, word, vectors[left], vectors[right])
+        elif kind is LetterAt:
+            marks = "".join("1" if sym == node.symbol else "0" for sym in reversed(word))
+            value = int(marks + "0", 2)
+        elif kind is Top:
+            value = everywhere
+        elif kind is Min:
+            value = 1
+        else:
+            value = 1 << (n + 1)
+        vectors.append(value)
+    return vectors[-1]
 
 
 def eval_at(formula: Formula, word: str, position: int) -> bool:
@@ -305,7 +399,7 @@ def eval_at(formula: Formula, word: str, position: int) -> bool:
         raise InputError(
             f"position {position} out of range for a word of length {len(word)}"
         )
-    return _Evaluator(word).holds(formula, position)
+    return _truth(formula, word) >> position & 1 == 1
 
 
 def eval_word(formula: Formula, word: str) -> bool:

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from .automata import (
     Alphabet,
     Dfa,
+    _dfa_empty,
     accepts,
     compile_pattern,
     concat,
-    is_empty,
     minimize,
-    parse_regex,
     product,
     shortest_word,
     star,
@@ -32,11 +31,6 @@ from .errors import InputError
 def _a_plus(alphabet: Alphabet) -> Dfa:
     width = len(alphabet)
     return Dfa(alphabet, 2, 0, frozenset({1}), ((1,) * width, (1,) * width))
-
-
-def _epsilon_language(alphabet: Alphabet) -> Dfa:
-    width = len(alphabet)
-    return Dfa(alphabet, 2, 0, frozenset({0}), ((1,) * width, (1,) * width))
 
 
 def prefix_code_violation(k: Dfa) -> str | None:
@@ -52,28 +46,54 @@ def is_prefix_code(k: Dfa) -> bool:
     return prefix_code_violation(k) is None
 
 
-def _power(k: Dfa, d: int) -> Dfa:
-    result = _epsilon_language(k.alphabet)
-    for _ in range(d):
-        result = minimize(concat(result, k))
-    return result
-
-
-def _plus(k: Dfa) -> Dfa:
-    return minimize(concat(k, star(k)))
-
-
-def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
-    """A triple (u, v, w) with v in k^d, uvw in k+ but uv not in k+,
-    or None when the delay bound d holds.  Requires a prefix code."""
-    if d < 1:
-        raise InputError("synchronization delay must be at least 1")
+def _require_prefix_code(k: Dfa) -> None:
     bad = prefix_code_violation(k)
     if bad is not None:
         raise InputError(f"not a prefix code, witness {bad!r}")
-    plus = _plus(k)
-    block = _power(k, d)
-    width = len(k.alphabet)
+
+
+def _power(k: Dfa, d: int) -> Dfa:
+    """k^d for a prefix code k, read along the unique factorization.
+
+    State c * |k| + q means "in state q of k after c complete factors";
+    from a final q the next factor starts, as from the initial state, and
+    a factor past the d-th leads to the dead state (d + 1) * |k|.
+    """
+    n, width = k.states, len(k.alphabet)
+    dead = (d + 1) * n
+    delta = []
+    for c in range(d + 1):
+        for q in range(n):
+            row = []
+            for target in k.delta[k.initial if q in k.finals else q]:
+                if target not in k.finals:
+                    row.append(c * n + target)
+                elif c < d:
+                    row.append((c + 1) * n + target)
+                else:
+                    row.append(dead)
+            delta.append(tuple(row))
+    delta.append((dead,) * width)
+    finals = frozenset(d * n + q for q in k.finals)
+    return Dfa(k.alphabet, dead + 1, k.initial, finals, tuple(delta))
+
+
+@dataclass(frozen=True)
+class _PlusMaps:
+    """k+ with, per state, a shortest word reaching it from the initial
+    state and a shortest word leading from it into a final state; `order`
+    lists the reachable states breadth-first."""
+
+    plus: Dfa
+    prefix: dict[int, str]
+    suffix: dict[int, str]
+    order: list[int]
+
+
+def _plus_maps(k: Dfa) -> _PlusMaps:
+    plus = minimize(concat(k, star(k)))
+    symbols = k.alphabet.symbols
+    width = len(symbols)
 
     # shortest completion into a final state, per state of k+
     suffix: dict[int, str] = {q: "" for q in plus.finals}
@@ -83,7 +103,7 @@ def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
         for q in range(plus.states):
             for i in range(width):
                 if plus.delta[q][i] == target and q not in suffix:
-                    suffix[q] = k.alphabet.symbols[i] + suffix[target]
+                    suffix[q] = symbols[i] + suffix[target]
                     queue.append(q)
     # breadth-first shortest prefixes u
     prefix = {plus.initial: ""}
@@ -94,11 +114,19 @@ def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
         for i in range(width):
             nxt = plus.delta[q][i]
             if nxt not in prefix:
-                prefix[nxt] = prefix[q] + k.alphabet.symbols[i]
+                prefix[nxt] = prefix[q] + symbols[i]
                 order.append(nxt)
                 queue.append(nxt)
+    return _PlusMaps(plus, prefix, suffix, order)
 
-    for p1 in order:
+
+def _delay_witness(maps: _PlusMaps, block: Dfa) -> tuple[str, str, str] | None:
+    """The first (u, v, w) with v in the block language, uvw in k+ and uv
+    not in k+, trying u in breadth-first order and then shortest v."""
+    plus, suffix = maps.plus, maps.suffix
+    symbols = block.alphabet.symbols
+    width = len(symbols)
+    for p1 in maps.order:
         # shortest v per (state of k+, state of k^d) from (p1, start)
         start = (p1, block.initial)
         mids = {start: ""}
@@ -106,13 +134,22 @@ def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
         while frontier:
             p, b = frontier.popleft()
             if b in block.finals and p not in plus.finals and p in suffix:
-                return (prefix[p1], mids[(p, b)], suffix[p])
+                return (maps.prefix[p1], mids[(p, b)], suffix[p])
             for i in range(width):
                 nxt = (plus.delta[p][i], block.delta[b][i])
                 if nxt not in mids:
-                    mids[nxt] = mids[(p, b)] + k.alphabet.symbols[i]
+                    mids[nxt] = mids[(p, b)] + symbols[i]
                     frontier.append(nxt)
     return None
+
+
+def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
+    """A triple (u, v, w) with v in k^d, uvw in k+ but uv not in k+,
+    or None when the delay bound d holds.  Requires a prefix code."""
+    if d < 1:
+        raise InputError("synchronization delay must be at least 1")
+    _require_prefix_code(k)
+    return _delay_witness(_plus_maps(k), _power(k, d))
 
 
 def has_sync_delay(k: Dfa, d: int) -> bool:
@@ -120,19 +157,22 @@ def has_sync_delay(k: Dfa, d: int) -> bool:
 
 
 def min_sync_delay(k: Dfa, dmax: int = 8) -> int | None:
-    """Least delay bound up to dmax, or None.  Requires a prefix code."""
+    """Least delay bound up to dmax, or None.  Requires a prefix code.
+
+    The prefix-code check, k+ and its prefix and suffix maps are done
+    once; each d adds only the k^d automaton and the witness search."""
+    if dmax < 1:
+        return None
+    _require_prefix_code(k)
+    maps = _plus_maps(k)
     for d in range(1, dmax + 1):
-        if has_sync_delay(k, d):
+        if _delay_witness(maps, _power(k, d)) is None:
             return d
     return None
 
 
 def disjointness_witness(k: Dfa, l: Dfa) -> str | None:
     return shortest_word(product(k, l, "intersection"))
-
-
-def are_disjoint(k: Dfa, l: Dfa) -> bool:
-    return disjointness_witness(k, l) is None
 
 
 def ambiguity_witness(k: Dfa, l: Dfa) -> str | None:
@@ -365,7 +405,7 @@ def validate_sd_expression(
 
     def walk(node: SdExpr, path: str) -> Dfa:
         if isinstance(node, SdEmpty):
-            return _dfa_empty_cached(alphabet)
+            return _dfa_empty(alphabet)
         if isinstance(node, SdLetter):
             return compile_pattern(node.symbol, alphabet)
         if isinstance(node, SdUnion):
@@ -398,7 +438,7 @@ def validate_sd_expression(
             if bad is not None:
                 violations.append(SdViolation(path, "prefix-code", bad))
             else:
-                triple = sync_delay_witness(child, node.delay)
+                triple = _delay_witness(_plus_maps(child), _power(child, node.delay))
                 if triple is not None:
                     violations.append(SdViolation(path, "sync-delay", list(triple)))
             return minimize(star(child))
@@ -409,7 +449,3 @@ def validate_sd_expression(
         return None, violations
     return dfa, []
 
-
-def _dfa_empty_cached(alphabet: Alphabet) -> Dfa:
-    width = len(alphabet)
-    return Dfa(alphabet, 1, 0, frozenset(), ((0,) * width,))

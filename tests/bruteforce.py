@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from sfclosure.automata import Dfa, accepts
-from sfclosure.errors import ResourceLimitError
+from sfclosure.automata import Dfa, _dfa_epsilon, accepts, concat, minimize, star
+from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import FiniteMonoid, Morphism
 from sfclosure.oracles import group_kernel
+from sfclosure.sd import prefix_code_violation
 
 
 def words_up_to(alphabet, maxlen: int):
@@ -108,6 +109,75 @@ def search_delay_violation(kdfa: Dfa, d: int, maxlen: int = 8):
             for j in power_reach(in_k, i, d, n):
                 if not plus[j]:
                     return x[:i], x[i:j], x[j:]
+    return None
+
+
+def naive_power(k: Dfa, d: int) -> Dfa:
+    """k^d as a minimal DFA, one concatenation with k at a time, starting
+    from the empty-word language."""
+    result = _dfa_epsilon(k.alphabet)
+    for _ in range(d):
+        result = minimize(concat(result, k))
+    return result
+
+
+def naive_sync_delay_witness(k: Dfa, d: int):
+    """The per-d delay check with everything rebuilt for each d: k+, its
+    shortest prefix and suffix maps, k^d, then the (k+ x k^d) search."""
+    if d < 1:
+        raise InputError("synchronization delay must be at least 1")
+    bad = prefix_code_violation(k)
+    if bad is not None:
+        raise InputError(f"not a prefix code, witness {bad!r}")
+    plus = minimize(concat(k, star(k)))
+    block = naive_power(k, d)
+    width = len(k.alphabet)
+
+    # shortest completion into a final state, per state of k+
+    suffix: dict[int, str] = {q: "" for q in plus.finals}
+    queue = deque(sorted(plus.finals))
+    while queue:
+        target = queue.popleft()
+        for q in range(plus.states):
+            for i in range(width):
+                if plus.delta[q][i] == target and q not in suffix:
+                    suffix[q] = k.alphabet.symbols[i] + suffix[target]
+                    queue.append(q)
+    # breadth-first shortest prefixes u
+    prefix = {plus.initial: ""}
+    order = [plus.initial]
+    queue = deque(order)
+    while queue:
+        q = queue.popleft()
+        for i in range(width):
+            nxt = plus.delta[q][i]
+            if nxt not in prefix:
+                prefix[nxt] = prefix[q] + k.alphabet.symbols[i]
+                order.append(nxt)
+                queue.append(nxt)
+
+    for p1 in order:
+        # shortest v per (state of k+, state of k^d) from (p1, start)
+        start = (p1, block.initial)
+        mids = {start: ""}
+        frontier = deque([start])
+        while frontier:
+            p, b = frontier.popleft()
+            if b in block.finals and p not in plus.finals and p in suffix:
+                return (prefix[p1], mids[(p, b)], suffix[p])
+            for i in range(width):
+                nxt = (plus.delta[p][i], block.delta[b][i])
+                if nxt not in mids:
+                    mids[nxt] = mids[(p, b)] + k.alphabet.symbols[i]
+                    frontier.append(nxt)
+    return None
+
+
+def naive_min_sync_delay(k: Dfa, dmax: int = 8):
+    """The first d up to dmax for which the per-d check finds no witness."""
+    for d in range(1, dmax + 1):
+        if naive_sync_delay_witness(k, d) is None:
+            return d
     return None
 
 

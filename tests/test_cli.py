@@ -171,6 +171,21 @@ class TestExitCodes:
         status, _, err = run(capsys, "regex", "(ab)*")
         assert status == 2 and "--alphabet" in err
 
+    @pytest.mark.parametrize(
+        "text", ["!" * 3000 + "a", "X(" * 400 + "a" + ")" * 400], ids=["bangs", "nexts"]
+    )
+    def test_deep_formula_is_input_error(self, capsys, tmp_path, text):
+        formula = tmp_path / "deep.ltl"
+        formula.write_text(text, encoding="utf-8")
+        status, out, err = run(
+            capsys, "ltl", "eval", "--formula", str(formula),
+            "--word", "ab", "--alphabet", "ab",
+        )
+        assert status == 2 and out == ""
+        # one error line, no traceback
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nested deeper" in err
+
     def test_resource_cap_exit(self, capsys, tmp_path):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text("monoid_cap = 2\n", encoding="utf-8")

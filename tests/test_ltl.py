@@ -1,10 +1,14 @@
+import random
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bruteforce import naive_ltl, words_up_to
 from sfclosure.automata import compile_pattern, make_alphabet
 from sfclosure.errors import InputError
 from sfclosure.ltl import (
+    MAX_FORMULA_DEPTH,
     LetterAt,
     Max,
     Top,
@@ -98,6 +102,21 @@ class TestParsing:
         with pytest.raises(InputError, match="position"):
             eval_at(f, "ab", -1)
 
+    @pytest.mark.parametrize("text", ["!" * 3000 + "a", "X(" * 400 + "a" + ")" * 400])
+    def test_deep_nesting_is_an_input_error(self, text):
+        with pytest.raises(InputError, match="nested deeper"):
+            parse_formula(text, AB)
+
+    def test_nesting_below_the_bound_evaluates(self):
+        depth = MAX_FORMULA_DEPTH - 1
+        f = parse_formula("X(" * depth + "max" + ")" * depth, AB)
+        assert eval_word(f, "a" * (depth - 1))
+        assert not eval_word(f, "a" * depth)
+
+    def test_word_letter_outside_the_bound_alphabet(self):
+        with pytest.raises(InputError, match="not in the alphabet"):
+            eval_word(parse_formula("F(a)", AB), "ca")
+
     def test_constructed_and_parsed_agree(self):
         built = Until(compile_pattern("~%", AB), Top(), LetterAt("a"))
         parsed = parse_formula("U(top, a)", AB)
@@ -147,9 +166,42 @@ formula_text = st.deferred(
 )
 
 
-@given(formula_text, st.text(alphabet="ab", max_size=5))
-def test_memoized_evaluator_matches_naive(text, word):
+@given(formula_text, st.text(alphabet="ab", max_size=8))
+def test_sweep_evaluator_matches_naive(text, word):
     formula = parse_formula(text, AB)
+    for position in range(len(word) + 2):
+        assert eval_at(formula, word, position) == naive_ltl(formula, word, position)
+
+
+@pytest.mark.parametrize(
+    "text, pattern, blocks",
+    [(AB_STAR_FORMULA, "(ab)*", ["ab"]), (PAIR_STAR_FORMULA, "(aa|bb)*", ["aa", "bb"])],
+    ids=["ab-star", "pair-star"],
+)
+def test_acceptance_formulas_on_long_words(text, pattern, blocks):
+    # 1,600-letter members and their one-letter mutants, against re
+    f = parse_formula(text, AB)
+    rng = random.Random(1600)
+    member = "".join(rng.choice(blocks) for _ in range(800))
+    assert eval_word(f, member)
+    for i in [0, 1, 799, 800, 1598, 1599] + rng.sample(range(1600), 10):
+        mutant = member[:i] + "ba"[member[i] == "b"] + member[i + 1:]
+        assert eval_word(f, mutant) == bool(re.fullmatch(pattern, mutant))
+
+
+atom_text = st.sampled_from(["a", "b", "!a", "top", "min", "max", "X(b)", "a | max"])
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["U", "S"]),
+    st.sampled_from(["~%", "((a+b)(a+b))*", "_", "a~%", "b~%", "~%a", "(ab)*"]),
+    atom_text,
+    atom_text,
+    st.text(alphabet="ab", max_size=8),
+)
+def test_single_sweep_matches_naive(op, bound, left, right, word):
+    formula = parse_formula(f"{op}[{bound}]({left}, {right})", AB)
     for position in range(len(word) + 2):
         assert eval_at(formula, word, position) == naive_ltl(formula, word, position)
 

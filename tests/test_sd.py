@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bruteforce import (
     accepted_slice,
     check_delay_witness,
+    naive_min_sync_delay,
+    naive_power,
+    naive_sync_delay_witness,
     search_delay_violation,
     search_prefix_violation,
 )
@@ -13,6 +17,7 @@ from sfclosure.errors import InputError
 from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD
 from sfclosure.sd import (
+    _power,
     has_sync_delay,
     is_prefix_code,
     is_unambiguous_concat,
@@ -249,3 +254,57 @@ def test_random_codes_agree_with_brute_force():
                 assert check_delay_witness(k, d, witness)
         checked += 1
     assert checked == 20
+
+
+@st.composite
+def dfa_codes(draw, seal=True):
+    """A DFA over ab whose initial state 0 is not final.  Sealed, every
+    final state leads only to the dead state, so it accepts a prefix code;
+    unsealed, the final states keep random moves."""
+    states = draw(st.integers(2, 5))
+    dead = states
+    finals = draw(st.frozensets(st.integers(1, states - 1), min_size=1))
+    targets = st.integers(0, dead)
+    delta = []
+    for q in range(states):
+        if seal and q in finals:
+            delta.append((dead, dead))
+        else:
+            delta.append((draw(targets), draw(targets)))
+    delta.append((dead, dead))
+    return Dfa(AB, states + 1, 0, finals, tuple(delta))
+
+
+@st.composite
+def finite_codes(draw):
+    """The minimal DFA of a finite prefix code: drawn words, shortest
+    first, each dropped when a kept word is a prefix of it."""
+    words = draw(st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1))
+    kept: list[str] = []
+    for word in sorted(set(words), key=lambda w: (len(w), w)):
+        if not any(word.startswith(other) for other in kept):
+            kept.append(word)
+    return code("+".join(kept))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return ("input error", str(exc))
+
+
+DMAX = 4
+
+
+@settings(max_examples=100)
+@given(st.one_of(finite_codes(), dfa_codes(), dfa_codes(seal=False)))
+def test_delay_ladder_matches_per_d_rebuild(k):
+    # the ladder answers what the first d without a per-d witness says
+    assert outcome(min_sync_delay, k, DMAX) == outcome(naive_min_sync_delay, k, DMAX)
+    for d in range(1, DMAX + 1):
+        triple = outcome(sync_delay_witness, k, d)
+        assert triple == outcome(naive_sync_delay_witness, k, d)
+    if is_prefix_code(k):
+        for d in range(1, DMAX + 1):
+            assert minimize(_power(k, d)) == naive_power(k, d)
