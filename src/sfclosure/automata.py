@@ -101,6 +101,12 @@ class Complement(Regex):
     child: Regex
 
 
+# nesting bound of the regex parser: the most '(', '~' and '*' levels on
+# one path of the syntax tree.  Each '(' costs the parser four Python
+# frames and each level costs compile_regex one.
+MAX_REGEX_DEPTH = 100
+
+
 class _RegexParser:
     """Recursive descent for the grammar
 
@@ -110,6 +116,8 @@ class _RegexParser:
         atom   := base '*'* where base := letter | '_' | '%' | '~' atom | '(' expr ')'
 
     '*' binds tighter than '~', which binds tighter than juxtaposition.
+    Each rule returns its node and its nesting height: the most '(', '~'
+    and '*' levels on one path below it, at most MAX_REGEX_DEPTH.
     """
 
     _ATOM_START_EXTRA = "_%~("
@@ -118,9 +126,16 @@ class _RegexParser:
         self.text = text
         self.pos = 0
         self.alphabet = alphabet
+        # '(' and '~' levels open around the current position
+        self.depth = 0
 
     def fail(self, message: str):
         raise InputError(f"regex syntax error at offset {self.pos}: {message}")
+
+    def bounded(self, height: int) -> int:
+        if height > MAX_REGEX_DEPTH:
+            self.fail(f"regex nested deeper than {MAX_REGEX_DEPTH} levels")
+        return height
 
     def peek(self) -> str | None:
         if self.pos < len(self.text):
@@ -144,52 +159,62 @@ class _RegexParser:
         return ch in self.alphabet or ch in self._ATOM_START_EXTRA
 
     def parse(self) -> Regex:
-        node = self.expr()
+        node, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail(f"unexpected {self.peek()!r}")
         return node
 
-    def expr(self) -> Regex:
-        node = self.term()
+    def expr(self) -> tuple[Regex, int]:
+        node, height = self.term()
         while True:
             self.skip_ws()
             if self.peek() == "+":
                 self.take()
-                node = Union(node, self.term())
+                right, right_height = self.term()
+                node, height = Union(node, right), max(height, right_height)
             else:
-                return node
+                return node, height
 
-    def term(self) -> Regex:
-        node = self.factor()
+    def term(self) -> tuple[Regex, int]:
+        node, height = self.factor()
         while True:
             self.skip_ws()
             if self.peek() == "&":
                 self.take()
-                node = Intersect(node, self.factor())
+                right, right_height = self.factor()
+                node, height = Intersect(node, right), max(height, right_height)
             else:
-                return node
+                return node, height
 
-    def factor(self) -> Regex:
+    def factor(self) -> tuple[Regex, int]:
         if not self.at_atom():
-            return Epsilon()
-        node = self.atom()
+            return Epsilon(), 0
+        node, height = self.atom()
         while self.at_atom():
-            node = Concat(node, self.atom())
-        return node
+            right, right_height = self.atom()
+            node, height = Concat(node, right), max(height, right_height)
+        return node, height
 
-    def atom(self) -> Regex:
+    def atom(self) -> tuple[Regex, int]:
         self.skip_ws()
         ch = self.peek()
         if ch is None:
             self.fail("expected an atom, found end of input")
         if ch == "~":
             self.take()
-            return Complement(self.atom())
+            self.depth = self.bounded(self.depth + 1)
+            child, height = self.atom()
+            self.depth -= 1
+            return Complement(child), self.bounded(height + 1)
         node: Regex
+        height = 0
         if ch == "(":
             self.take()
-            node = self.expr()
+            self.depth = self.bounded(self.depth + 1)
+            node, height = self.expr()
+            self.depth -= 1
+            height = self.bounded(height + 1)
             self.skip_ws()
             if self.peek() != ")":
                 self.fail("expected ')'")
@@ -208,9 +233,9 @@ class _RegexParser:
             self.skip_ws()
             if self.peek() == "*":
                 self.take()
-                node = Star(node)
+                node, height = Star(node), self.bounded(height + 1)
             else:
-                return node
+                return node, height
 
 
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:

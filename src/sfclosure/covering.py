@@ -20,8 +20,9 @@ product, downward closure on R, and, for idempotent e in N, the jump
 Group base class: the saturation is the least downward closed subset S
 of R closed under product, the jump above, and the group step: build the
 map sending a letter to {s rho(a) s' : s, s' in S}, take the kernel of
-its image monoid for the base class, and pour the union of the kernel
-members back into S.  The optimal imprint additionally absorbs the
+its image monoid (built by monoid.cayley_closure, like every generated
+monoid) for the base class, and pour the union of the kernel members
+back into S.  The optimal imprint additionally absorbs the
 values rho(w) of single words and closes under product again.
 
 The product and jump rules run semi-naively: a maximal element that was
@@ -41,28 +42,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
-from .errors import InputError, ResourceLimitError
-from .monoid import FiniteMonoid, Morphism, RecognizedLanguage, syntactic_morphism
+from .errors import InputError
+from .monoid import Morphism, RecognizedLanguage, cayley_closure, syntactic_morphism
 from .oracles import FinitePrevariety, GroupClass, group_kernel
-from .semiring import (
-    RatingMap,
-    Semiring,
-    downset,
-    product_rating_map,
-    rho_alpha,
-)
+from .semiring import RatingMap, downset, product_rating_map, rho_alpha, sf_closure_of
 
 
 class Antichain:
     """Maximal elements of a downward closed set of bitmask values."""
 
-    def __init__(self, sr: Semiring) -> None:
-        if not sr.bit_inclusion_order:
-            raise InputError(
-                f"{type(sr).__name__} values are not ordered by bit inclusion; "
-                "antichains need bitmask values"
-            )
-        self.sr = sr
+    def __init__(self) -> None:
         self.elems: list = []
 
     def covers(self, x) -> bool:
@@ -117,14 +106,11 @@ class FiniteSaturation:
         return chain is not None and chain.covers(r)
 
     def projection_max(self) -> list:
-        merged = Antichain(self.rho.semiring)
+        merged = Antichain()
         for n in sorted(self.chains):
             for r in self.chains[n].snapshot():
                 merged.insert(r)
         return merged.snapshot()
-
-    def opt_contains(self, r) -> bool:
-        return any(self.chains[n].covers(r) for n in self.chains)
 
 
 def saturate_finite(
@@ -142,7 +128,7 @@ def saturate_finite(
     def insert(n: int, r, rule: str) -> bool:
         chain = chains.get(n)
         if chain is None:
-            chain = chains[n] = Antichain(sr)
+            chain = chains[n] = Antichain()
         if chain.insert(r):
             _trace_add(trace, rule, r, sr, n=n)
             return True
@@ -172,7 +158,7 @@ def saturate_finite(
                     changed = True
         for n, r in fresh:
             if n in idem:
-                if insert(n, sr.sf_closure_of(r), "closure"):
+                if insert(n, sf_closure_of(sr, r), "closure"):
                     changed = True
     return FiniteSaturation(rho, eta, chains, rounds, trace)
 
@@ -197,7 +183,7 @@ class GroupSaturation:
         return self.chain.covers(r)
 
 
-def _close_products(chain: Antichain, insert, sr: Semiring, seen: set, jump: bool) -> bool:
+def _close_products(chain: Antichain, insert, sr, seen: set, jump: bool) -> bool:
     """Close the chain under product, and under the jump when `jump` is
     set, semi-naively; returns True when the chain grew."""
     mul = sr.mul
@@ -213,7 +199,7 @@ def _close_products(chain: Antichain, insert, sr: Semiring, seen: set, jump: boo
                     inner = grew = True
         if jump:
             for r in fresh:
-                if insert(sr.sf_closure_of(r), "closure"):
+                if insert(sf_closure_of(sr, r), "closure"):
                     inner = grew = True
     return grew
 
@@ -242,9 +228,8 @@ def _mu_image_monoid(
     setwise product reduced to its maxima, which tracks the downward
     closure of the honest setwise product.  A maximal antichain names its
     downward closure uniquely and products of downward closures are
-    associative, so the table follows from the right Cayley graph found
-    by the closure: x * y is x walked along the letters of y's shortest
-    word (Froidure & Pin 1997).
+    associative, so `cayley_closure` can tabulate the monoid from the
+    right products by single letter sets alone.
     """
     mul = rho.semiring.mul
     # value -> its products with the members of each letter set
@@ -259,42 +244,12 @@ def _mu_image_monoid(
             values |= rows[i]
         return _max_reduce(values)
 
-    one = (rho.semiring.one,)
-    index: dict[tuple, int] = {one: 0}
-    order: list[tuple] = [one]
-    # order[y] = order[parent[y]] * letter_sets[last[y]], on a shortest word
-    parent = [0]
-    last = [0]
-    right: list[list[int]] = []
-    for x, xs in enumerate(order):
-        row = []
-        for i in range(len(letter_sets)):
-            ys = times_letter(xs, i)
-            y = index.get(ys)
-            if y is None:
-                if len(order) >= cap:
-                    raise ResourceLimitError(
-                        f"group step exceeded the cap of {cap} set values"
-                    )
-                y = index[ys] = len(order)
-                order.append(ys)
-                parent.append(x)
-                last.append(i)
-            row.append(y)
-        right.append(row)
-    table = []
-    for x in range(len(order)):
-        row = [x]
-        for y in range(1, len(order)):
-            row.append(right[row[parent[y]]][last[y]])
-        table.append(tuple(row))
-    monoid = FiniteMonoid(len(order), 0, tuple(table))
-    return Morphism(
-        alphabet=rho.alphabet,
-        codomain=monoid,
-        letter_images=tuple(right[0]),
-        image=frozenset(range(len(order))),
-        labels=tuple(order),
+    return cayley_closure(
+        rho.alphabet,
+        (rho.semiring.one,),
+        times_letter,
+        cap,
+        f"group step exceeded the cap of {cap} set values",
     )
 
 
@@ -320,7 +275,7 @@ def saturate_group(
     g: GroupClass, rho: RatingMap, config: Config = DEFAULT, want_trace: bool = False
 ) -> GroupSaturation:
     sr = rho.semiring
-    sat = GroupSaturation(rho, Antichain(sr), 0, [] if want_trace else None)
+    sat = GroupSaturation(rho, Antichain(), 0, [] if want_trace else None)
 
     def insert(r, rule: str) -> bool:
         if sat.chain.insert(r):

@@ -16,7 +16,6 @@ from .monoid import (
     aperiodicity_witness,
     idempotent_power,
     idempotents,
-    is_aperiodic,
     syntactic_morphism,
 )
 from .oracles import (
@@ -91,12 +90,6 @@ def sf_membership(cls, dfa: Dfa, monoid_cap: int = 4096, config=None) -> Members
     if isinstance(cls, FinitePrevariety):
         return sf_membership_finite(cls, dfa, monoid_cap=monoid_cap)
     return sf_membership_group(g=cls, dfa=dfa, monoid_cap=monoid_cap, config=config)
-
-
-def schutzenberger_check(dfa: Dfa, monoid_cap: int = 4096) -> bool:
-    """Star-freeness in the classical sense: the whole monoid is aperiodic."""
-    lang = syntactic_morphism(dfa, cap=monoid_cap)
-    return is_aperiodic(lang.morphism.codomain)
 
 
 def recheck_witness(verdict: MembershipVerdict, lang: RecognizedLanguage) -> bool:

@@ -1,10 +1,14 @@
 """Finite monoids, morphisms from free monoids, and syntactic morphisms.
 
-A monoid is a multiplication table over 0..size-1.  The syntactic
-morphism of a regular language is computed as the transition monoid of
-its minimal complete DFA; elements are numbered breadth-first from the
-identity transformation, generators in alphabet order, so the numbering
-is canonical for a canonical input DFA.
+A monoid is a multiplication table over 0..size-1.  Every generated
+monoid is built by one closure, `cayley_closure`: elements are numbered
+breadth-first from the identity with letters in alphabet order, the
+right Cayley graph gives each element a shortest word, and the table is
+filled from the Cayley graphs by integer lookups, never by multiplying
+labels (Froidure & Pin, "Algorithms for computing finite semigroups",
+1997).  The syntactic morphism of a regular language is the transition
+monoid of its minimal complete DFA built this way, so the numbering is
+canonical for a canonical input DFA.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ class FiniteMonoid:
         if len(self.mul) != self.size or any(len(row) != self.size for row in self.mul):
             raise InputError("multiplication table must be size x size")
         for row in self.mul:
-            for entry in row:
-                if not 0 <= entry < self.size:
-                    raise InputError(f"multiplication entry {entry} out of range")
+            if min(row) < 0 or max(row) >= self.size:
+                entry = next(e for e in row if not 0 <= e < self.size)
+                raise InputError(f"multiplication entry {entry} out of range")
 
 
 def validate_monoid(m: FiniteMonoid) -> None:
@@ -50,24 +54,26 @@ def validate_monoid(m: FiniteMonoid) -> None:
                     raise InputError(f"associativity fails at ({x}, {y}, {z})")
 
 
+def omega_power(x, mul):
+    """The unique idempotent power x^w of x under the associative product
+    `mul`: the power in the cycle of x, x^2, ... whose exponent the cycle
+    length divides."""
+    powers = [x]
+    seen = {x: 1}
+    while True:
+        power = mul(powers[-1], x)
+        start = seen.get(power)
+        if start is not None:
+            period = len(powers) + 1 - start
+            return powers[start + (-start) % period - 1]
+        powers.append(power)
+        seen[power] = len(powers)
+
+
 def idempotent_power(m: FiniteMonoid, s: int) -> int:
     """The unique idempotent in the cyclic subsemigroup generated by s."""
-    seen = {s: 1}
-    power = s
-    exp = 1
-    while True:
-        power = m.mul[power][s]
-        exp += 1
-        if power in seen:
-            start = seen[power]
-            period = exp - start
-            # lift the exponent into the cycle and make it divisible by the period
-            omega = start + (-start) % period
-            result = s
-            for _ in range(omega - 1):
-                result = m.mul[result][s]
-            return result
-        seen[power] = exp
+    table = m.mul
+    return omega_power(s, lambda x, y: table[x][y])
 
 
 def idempotents(m: FiniteMonoid) -> tuple[int, ...]:
@@ -108,16 +114,6 @@ def aperiodicity_witness(m: FiniteMonoid, subset) -> int | None:
         if m.mul[w][s] != w:
             return s
     return None
-
-
-def is_group(m: FiniteMonoid) -> bool:
-    e = m.identity
-    for s in range(m.size):
-        if not any(
-            m.mul[s][t] == e and m.mul[t][s] == e for t in range(m.size)
-        ):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -176,112 +172,81 @@ class RecognizedLanguage:
         return self.morphism.of_word(word) in self.accepting
 
 
+def cayley_closure(alphabet: Alphabet, identity, step, cap: int, cap_message: str) -> Morphism:
+    """The monoid generated by the letters of `alphabet` from `identity`.
+
+    `step(label, i)` is the label of the element times letter i; labels
+    are hashable and name their elements uniquely.  Elements are numbered
+    breadth-first from the identity, letters in alphabet order, and
+    ResourceLimitError(cap_message) is raised as soon as more than `cap`
+    appear.  Each element x other than the identity is its BFS parent
+    times its last letter, which spells a shortest word for it.  Walking
+    each letter a along those words gives the left Cayley graph a * y,
+    and row x of the table is row parent(x) read at the entries of
+    last(x) * y, since x * y = parent(x) * (last(x) * y).
+    """
+    index = {identity: 0}
+    labels = [identity]
+    parent = [0]
+    last = [0]
+    right: list[list[int]] = []
+    for x, label in enumerate(labels):
+        row = []
+        for i in range(len(alphabet)):
+            succ = step(label, i)
+            y = index.get(succ)
+            if y is None:
+                if len(labels) >= cap:
+                    raise ResourceLimitError(cap_message)
+                y = index[succ] = len(labels)
+                labels.append(succ)
+                parent.append(x)
+                last.append(i)
+            row.append(y)
+        right.append(row)
+    size = len(labels)
+    letters = tuple(right[0])
+    left = []
+    for a in letters:
+        column = [a]
+        for y in range(1, size):
+            column.append(right[column[parent[y]]][last[y]])
+        left.append(column)
+    mul = [tuple(range(size))]
+    for x in range(1, size):
+        mul.append(tuple(map(mul[parent[x]].__getitem__, left[last[x]])))
+    return Morphism(
+        alphabet=alphabet,
+        codomain=FiniteMonoid(size, 0, tuple(mul)),
+        letter_images=letters,
+        image=frozenset(range(size)),
+        labels=tuple(labels),
+    )
+
+
 def syntactic_morphism(dfa: Dfa, cap: int = 4096) -> RecognizedLanguage:
     """Transition monoid of the minimal DFA, with the accepting element set.
 
-    Element i is a transformation of the state set; composition is in
-    diagram order, so mul[x][y] means "apply x, then y".  Raises
-    ResourceLimitError when more than `cap` transformations appear.
+    Element i is a transformation of the state set, labelled by the tuple
+    of state images; composition is in diagram order, so mul[x][y] means
+    "apply x, then y".  Raises ResourceLimitError when more than `cap`
+    transformations appear.
     """
     dfa = minimize(dfa)
-    identity = tuple(range(dfa.states))
     generators = [
         tuple(dfa.delta[q][i] for q in range(dfa.states)) for i in range(len(dfa.alphabet))
     ]
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    order = [identity]
-    queue = deque([identity])
-    while queue:
-        t = queue.popleft()
-        for g in generators:
-            composed = tuple(g[t[q]] for q in range(dfa.states))
-            if composed not in index:
-                if len(order) >= cap:
-                    raise ResourceLimitError(
-                        f"syntactic monoid exceeds the cap of {cap} elements"
-                    )
-                index[composed] = len(order)
-                order.append(composed)
-                queue.append(composed)
-    size = len(order)
-    mul = tuple(
-        tuple(
-            index[tuple(y[x[q]] for q in range(dfa.states))] for y in order
-        )
-        for x in order
-    )
-    monoid = FiniteMonoid(size, 0, mul)
-    letter_images = tuple(index[g] for g in generators)
-    morphism = Morphism(
-        alphabet=dfa.alphabet,
-        codomain=monoid,
-        letter_images=letter_images,
-        image=frozenset(range(size)),
-        labels=tuple(order),
+    morphism = cayley_closure(
+        dfa.alphabet,
+        tuple(range(dfa.states)),
+        lambda t, i: tuple(map(generators[i].__getitem__, t)),
+        cap,
+        f"syntactic monoid exceeds the cap of {cap} elements",
     )
     accepting = frozenset(
-        i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals
+        i for i, t in enumerate(morphism.labels) if t[dfa.initial] in dfa.finals
     )
     return RecognizedLanguage(morphism, accepting)
-
-
-def product_morphism(morphisms, alphabet: Alphabet | None = None) -> Morphism:
-    """Componentwise product morphism into the direct product monoid.
-
-    Only the submonoid generated by the letter tuples is materialized.
-    For an empty list the target is the trivial monoid, and an alphabet
-    must be supplied.
-    """
-    morphisms = list(morphisms)
-    if not morphisms:
-        if alphabet is None:
-            raise InputError("empty product needs an explicit alphabet")
-        trivial = FiniteMonoid(1, 0, ((0,),))
-        return Morphism(
-            alphabet=alphabet,
-            codomain=trivial,
-            letter_images=(0,) * len(alphabet),
-            image=frozenset({0}),
-            labels=((),),
-        )
-    first = morphisms[0].alphabet
-    for m in morphisms[1:]:
-        if m.alphabet != first:
-            raise InputError("all factors must share one alphabet")
-    if alphabet is not None and alphabet != first:
-        raise InputError("alphabet does not match the factors")
-    identity = tuple(m.codomain.identity for m in morphisms)
-    letter_tuples = [
-        tuple(m.letter_images[i] for m in morphisms) for i in range(len(first))
-    ]
-
-    def mul_tuples(x, y):
-        return tuple(m.codomain.mul[a][b] for m, a, b in zip(morphisms, x, y))
-
-    index = {identity: 0}
-    order = [identity]
-    queue = deque([identity])
-    while queue:
-        t = queue.popleft()
-        for g in letter_tuples:
-            composed = mul_tuples(t, g)
-            if composed not in index:
-                index[composed] = len(order)
-                order.append(composed)
-                queue.append(composed)
-    # products of generated elements are images of concatenated words,
-    # so the reachable set is closed under multiplication
-    mul = tuple(
-        tuple(index[mul_tuples(x, y)] for y in order) for x in order
-    )
-    monoid = FiniteMonoid(len(order), 0, mul)
-    return Morphism(
-        alphabet=first,
-        codomain=monoid,
-        letter_images=tuple(index[g] for g in letter_tuples),
-        image=frozenset(range(len(order))),
-        labels=tuple(order),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +281,18 @@ def morphism_from_json(data: dict) -> Morphism | RecognizedLanguage:
         size = int(data["size"])
         identity = int(data["identity"])
         mul = tuple(tuple(int(v) for v in row) for row in data["mul"])
-        letters = dict(data["letters"])
+        letters = {sym: int(s) for sym, s in dict(data["letters"]).items()}
+        accepting = frozenset(int(v) for v in data.get("accepting", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed morphism document: {exc}") from exc
     monoid = FiniteMonoid(size, identity, mul)
     validate_monoid(monoid)
     alphabet = Alphabet(tuple(sorted(letters)))
-    letter_images = tuple(int(letters[sym]) for sym in alphabet)
+    letter_images = tuple(letters[sym] for sym in alphabet)
+    # the image walk below reads the letter images before Morphism checks them
+    for s in letter_images:
+        if not 0 <= s < size:
+            raise InputError(f"letter image {s} out of range")
     morphism = Morphism(
         alphabet=alphabet,
         codomain=monoid,
@@ -330,7 +300,6 @@ def morphism_from_json(data: dict) -> Morphism | RecognizedLanguage:
         image=generated_image(monoid, letter_images),
     )
     if "accepting" in data:
-        accepting = frozenset(int(v) for v in data["accepting"])
         for s in accepting:
             if not 0 <= s < size:
                 raise InputError(f"accepting element {s} out of range")

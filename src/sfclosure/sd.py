@@ -286,14 +286,21 @@ class SdStar(SdExpr):
     delay: int
 
 
+# nesting bound of the expression parser; the parser and the validator
+# each recurse once per level
+MAX_EXPRESSION_DEPTH = 100
+
+
 class _SdParser:
     """Syntax: `%`, letters, `dunion(E,F)`, `uconcat(E,F)`,
-    `capC(E, "<regex>")` and `star(E, d=<int>)`."""
+    `capC(E, "<regex>")` and `star(E, d=<int>)`, nested at most
+    MAX_EXPRESSION_DEPTH deep."""
 
     def __init__(self, text: str, alphabet: Alphabet) -> None:
         self.text = text
         self.pos = 0
         self.alphabet = alphabet
+        self.depth = 0
 
     def fail(self, message: str):
         raise InputError(f"expression syntax error at offset {self.pos}: {message}")
@@ -330,6 +337,14 @@ class _SdParser:
         return node
 
     def expr(self) -> SdExpr:
+        self.depth += 1
+        if self.depth > MAX_EXPRESSION_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels")
+        node = self.node()
+        self.depth -= 1
+        return node
+
+    def node(self) -> SdExpr:
         if self.peek() == "%":
             self.pos += 1
             return SdEmpty()

@@ -1,8 +1,7 @@
-"""Finite idempotent semirings and rating maps.
+"""Powerset semirings of finite monoids, and rating maps into them.
 
-Three concrete carriers:
+Every rating value is one int:
 
-  * TableSemiring: explicit addition and multiplication tables over ints.
   * PowersetSemiring: subsets of a finite monoid as int bitmasks, with
     union as addition and setwise product as multiplication.
   * ProductSemiring: a product of powerset semirings, each value packed
@@ -11,109 +10,30 @@ Three concrete carriers:
     order of the component tuples.  Addition is bitwise or on the whole
     int and multiplication works per component.
 
-Addition is idempotent, so x <= y iff x + y = y is a partial order and
-every element has a finite downset.  For powerset and product values
-that order is bit inclusion, x | y == y, which is what the covering
-solvers' antichains rely on.
+Addition is idempotent, so x <= y iff x + y = y is a partial order, and
+for these values it is bit inclusion, x | y == y, which is what the
+covering solvers' antichains rely on.  Every element has a finite
+downset: its submasks.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import Alphabet
 from .errors import InputError, ResourceLimitError
-from .monoid import FiniteMonoid, Morphism, RecognizedLanguage
+from .monoid import FiniteMonoid, RecognizedLanguage, omega_power
 
 
-class Semiring:
-    """Shared helpers; subclasses define zero, one, add, mul, elements."""
-
-    zero = None
-    one = None
-    # True when values are int bitmasks ordered by bit inclusion
-    bit_inclusion_order = False
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def leq(self, x, y) -> bool:
-        return self.add(x, y) == y
-
-    def downset_of(self, x):
-        raise NotImplementedError
-
-    def element_to_json(self, x):
-        raise NotImplementedError
-
-    def omega_of(self, x):
-        """The unique multiplicative idempotent power of x."""
-        seen = {x: 1}
-        power = x
-        exp = 1
-        while True:
-            power = self.mul(power, x)
-            exp += 1
-            if power in seen:
-                start = seen[power]
-                period = exp - start
-                omega = start + (-start) % period
-                result = x
-                for _ in range(omega - 1):
-                    result = self.mul(result, x)
-                return result
-            seen[power] = exp
-
-    def sf_closure_of(self, x):
-        """x^w + x^(w+1)."""
-        w = self.omega_of(x)
-        return self.add(w, self.mul(w, x))
+def sf_closure_of(sr, x: int) -> int:
+    """x^w + x^(w+1), the jump rule of the star-free closure."""
+    w = omega_power(x, sr.mul)
+    return w | sr.mul(w, x)
 
 
-class TableSemiring(Semiring):
-    def __init__(self, size: int, add_table, mul_table, zero: int, one: int) -> None:
-        if size < 1:
-            raise InputError("semiring must have at least one element")
-        self.size = size
-        self.add_table = tuple(tuple(int(v) for v in row) for row in add_table)
-        self.mul_table = tuple(tuple(int(v) for v in row) for row in mul_table)
-        for table, name in ((self.add_table, "addition"), (self.mul_table, "multiplication")):
-            if len(table) != size or any(len(row) != size for row in table):
-                raise InputError(f"{name} table must be size x size")
-            for row in table:
-                for v in row:
-                    if not 0 <= v < size:
-                        raise InputError(f"{name} entry {v} out of range")
-        if not 0 <= zero < size or not 0 <= one < size:
-            raise InputError("distinguished element out of range")
-        self.zero = zero
-        self.one = one
-
-    def add(self, x, y):
-        return self.add_table[x][y]
-
-    def mul(self, x, y):
-        return self.mul_table[x][y]
-
-    def elements(self):
-        return range(self.size)
-
-    def downset_of(self, x):
-        return [y for y in range(self.size) if self.leq(y, x)]
-
-    def element_to_json(self, x):
-        return x
-
-
-class PowersetSemiring(Semiring):
+class PowersetSemiring:
     """Subsets of a finite monoid, encoded as bitmasks."""
-
-    bit_inclusion_order = True
 
     def __init__(self, monoid: FiniteMonoid, cap: int = 16) -> None:
         if monoid.size > cap:
@@ -153,9 +73,6 @@ class PowersetSemiring(Semiring):
         self._mul_cache[key] = result
         return result
 
-    def leq(self, x, y) -> bool:
-        return x | y == y
-
     def elements(self):
         return range(1 << self.monoid.size)
 
@@ -173,27 +90,16 @@ class PowersetSemiring(Semiring):
     def singleton(self, element: int) -> int:
         return 1 << element
 
-    def mask_of(self, elements) -> int:
-        mask = 0
-        for e in elements:
-            mask |= 1 << e
-        return mask
-
-    def contents(self, mask: int) -> tuple[int, ...]:
-        return tuple(self._bits(mask))
-
     def element_to_json(self, x):
         return list(self._bits(x))
 
 
-class ProductSemiring(Semiring):
+class ProductSemiring:
     """Product of powerset semirings with each value packed into one int.
 
     Component i takes as many bits as its monoid has elements, at
     `offsets[i]`; component 0 sits in the highest bits.
     """
-
-    bit_inclusion_order = True
 
     def __init__(self, components) -> None:
         self.components = tuple(components)
@@ -236,9 +142,6 @@ class ProductSemiring(Semiring):
             self._mul_cache[key] = cached
         return cached
 
-    def leq(self, x, y) -> bool:
-        return x | y == y
-
     def elements(self):
         return (
             self.pack(parts)
@@ -257,39 +160,7 @@ class ProductSemiring(Semiring):
         return [c.element_to_json(a) for c, a in zip(self.components, self.unpack(x))]
 
 
-def validate_semiring(sr: Semiring, elements=None) -> str | None:
-    """Exhaustively check the axioms; return a description of the first
-    violation (axiom name plus witness) or None when all hold."""
-    elems = list(sr.elements() if elements is None else elements)
-    for x in elems:
-        if sr.add(x, x) != x:
-            return f"addition idempotence fails at ({x}, {x})"
-    for x in elems:
-        if sr.add(sr.zero, x) != x or sr.add(x, sr.zero) != x:
-            return f"zero is not neutral for addition at {x}"
-        if sr.mul(sr.one, x) != x or sr.mul(x, sr.one) != x:
-            return f"one is not neutral for multiplication at {x}"
-        if sr.mul(sr.zero, x) != sr.zero or sr.mul(x, sr.zero) != sr.zero:
-            return f"zero is not absorbing at {x}"
-    for x in elems:
-        for y in elems:
-            if sr.add(x, y) != sr.add(y, x):
-                return f"addition commutativity fails at ({x}, {y})"
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if sr.add(sr.add(x, y), z) != sr.add(x, sr.add(y, z)):
-                    return f"addition associativity fails at ({x}, {y}, {z})"
-                if sr.mul(sr.mul(x, y), z) != sr.mul(x, sr.mul(y, z)):
-                    return f"multiplication associativity fails at ({x}, {y}, {z})"
-                if sr.mul(x, sr.add(y, z)) != sr.add(sr.mul(x, y), sr.mul(x, z)):
-                    return f"left distributivity fails at ({x}, {y}, {z})"
-                if sr.mul(sr.add(x, y), z) != sr.add(sr.mul(x, z), sr.mul(y, z)):
-                    return f"right distributivity fails at ({x}, {y}, {z})"
-    return None
-
-
-def downset(sr: Semiring, subset) -> list:
+def downset(sr, subset) -> list:
     """Downward closure of a set of elements, deduplicated, stable order."""
     seen = []
     found = set()
@@ -309,7 +180,7 @@ def downset(sr: Semiring, subset) -> list:
 class RatingMap:
     """A multiplicative rating map determined by its letter images."""
 
-    semiring: Semiring
+    semiring: PowersetSemiring | ProductSemiring
     alphabet: Alphabet
     letter_images: tuple
 
@@ -323,13 +194,6 @@ class RatingMap:
             result = self.semiring.mul(
                 result, self.letter_images[self.alphabet.index(sym)]
             )
-        return result
-
-    def of_language(self, words):
-        """Sum over a finite language."""
-        result = self.semiring.zero
-        for w in words:
-            result = self.semiring.add(result, self.of_word(w))
         return result
 
 
@@ -355,35 +219,3 @@ def product_rating_map(maps) -> RatingMap:
         sr.pack(rm.letter_images[i] for rm in maps) for i in range(len(alphabet))
     )
     return RatingMap(sr, alphabet, letters)
-
-
-def image_monoid(rm: RatingMap, cap: int | None = None) -> Morphism:
-    """The multiplicative submonoid generated by the letter images,
-    presented as a morphism whose labels are the semiring values."""
-    sr = rm.semiring
-    index = {sr.one: 0}
-    order = [sr.one]
-    queue = deque([sr.one])
-    while queue:
-        x = queue.popleft()
-        for g in rm.letter_images:
-            y = sr.mul(x, g)
-            if y not in index:
-                if cap is not None and len(order) >= cap:
-                    raise ResourceLimitError(
-                        f"rating map image exceeds the cap of {cap} elements"
-                    )
-                index[y] = len(order)
-                order.append(y)
-                queue.append(y)
-    mul = tuple(
-        tuple(index[sr.mul(x, y)] for y in order) for x in order
-    )
-    monoid = FiniteMonoid(len(order), 0, mul)
-    return Morphism(
-        alphabet=rm.alphabet,
-        codomain=monoid,
-        letter_images=tuple(index[g] for g in rm.letter_images),
-        image=frozenset(range(len(order))),
-        labels=tuple(order),
-    )

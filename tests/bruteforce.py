@@ -12,7 +12,13 @@ from collections import deque
 
 from sfclosure.automata import Dfa, _dfa_epsilon, accepts, concat, minimize, star
 from sfclosure.errors import InputError, ResourceLimitError
-from sfclosure.monoid import FiniteMonoid, Morphism
+from sfclosure.monoid import (
+    FiniteMonoid,
+    Morphism,
+    RecognizedLanguage,
+    is_aperiodic,
+    syntactic_morphism,
+)
 from sfclosure.oracles import group_kernel
 from sfclosure.sd import prefix_code_violation
 
@@ -50,6 +56,101 @@ def syntactic_class_count(accept, alphabet, word_depth: int, ctx_depth: int) -> 
     for w in words_up_to(alphabet, word_depth):
         signatures.add(tuple(accept(l + w + r) for l, r in ctxs))
     return len(signatures)
+
+
+def naive_syntactic_morphism(dfa: Dfa, cap: int = 4096) -> RecognizedLanguage:
+    """The syntactic morphism by composing transformation tuples: the
+    closure hashes every composed generator, and the table composes and
+    hashes all |M|^2 pairs of transformations."""
+    dfa = minimize(dfa)
+    identity = tuple(range(dfa.states))
+    generators = [
+        tuple(dfa.delta[q][i] for q in range(dfa.states)) for i in range(len(dfa.alphabet))
+    ]
+    index: dict[tuple[int, ...], int] = {identity: 0}
+    order = [identity]
+    queue = deque([identity])
+    while queue:
+        t = queue.popleft()
+        for g in generators:
+            composed = tuple(g[t[q]] for q in range(dfa.states))
+            if composed not in index:
+                if len(order) >= cap:
+                    raise ResourceLimitError(
+                        f"syntactic monoid exceeds the cap of {cap} elements"
+                    )
+                index[composed] = len(order)
+                order.append(composed)
+                queue.append(composed)
+    size = len(order)
+    mul = tuple(
+        tuple(
+            index[tuple(y[x[q]] for q in range(dfa.states))] for y in order
+        )
+        for x in order
+    )
+    monoid = FiniteMonoid(size, 0, mul)
+    letter_images = tuple(index[g] for g in generators)
+    morphism = Morphism(
+        alphabet=dfa.alphabet,
+        codomain=monoid,
+        letter_images=letter_images,
+        image=frozenset(range(size)),
+        labels=tuple(order),
+    )
+    accepting = frozenset(
+        i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals
+    )
+    return RecognizedLanguage(morphism, accepting)
+
+
+def is_group(m: FiniteMonoid) -> bool:
+    """Every element has a two-sided inverse."""
+    e = m.identity
+    for s in range(m.size):
+        if not any(
+            m.mul[s][t] == e and m.mul[t][s] == e for t in range(m.size)
+        ):
+            return False
+    return True
+
+
+def schutzenberger_check(dfa: Dfa, monoid_cap: int = 4096) -> bool:
+    """Star-freeness in the classical sense: the whole monoid is aperiodic."""
+    lang = syntactic_morphism(dfa, cap=monoid_cap)
+    return is_aperiodic(lang.morphism.codomain)
+
+
+def validate_semiring(sr, elements=None) -> str | None:
+    """Exhaustively check the semiring axioms; return a description of the
+    first violation (axiom name plus witness) or None when all hold."""
+    elems = list(sr.elements() if elements is None else elements)
+    for x in elems:
+        if sr.add(x, x) != x:
+            return f"addition idempotence fails at ({x}, {x})"
+    for x in elems:
+        if sr.add(sr.zero, x) != x or sr.add(x, sr.zero) != x:
+            return f"zero is not neutral for addition at {x}"
+        if sr.mul(sr.one, x) != x or sr.mul(x, sr.one) != x:
+            return f"one is not neutral for multiplication at {x}"
+        if sr.mul(sr.zero, x) != sr.zero or sr.mul(x, sr.zero) != sr.zero:
+            return f"zero is not absorbing at {x}"
+    for x in elems:
+        for y in elems:
+            if sr.add(x, y) != sr.add(y, x):
+                return f"addition commutativity fails at ({x}, {y})"
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                if sr.add(sr.add(x, y), z) != sr.add(x, sr.add(y, z)):
+                    return f"addition associativity fails at ({x}, {y}, {z})"
+                if sr.mul(sr.mul(x, y), z) != sr.mul(x, sr.mul(y, z)):
+                    return f"multiplication associativity fails at ({x}, {y}, {z})"
+                if sr.mul(x, sr.add(y, z)) != sr.add(sr.mul(x, y), sr.mul(x, z)):
+                    return f"left distributivity fails at ({x}, {y}, {z})"
+                if sr.mul(sr.add(x, y), z) != sr.add(sr.mul(x, z), sr.mul(y, z)):
+                    return f"right distributivity fails at ({x}, {y}, {z})"
+    return None
 
 
 def infix_memberships(kdfa: Dfa, word: str):

@@ -60,7 +60,7 @@ from sfclosure.sd import (
     sync_delay_witness,
     validate_sd_expression,
 )
-from sfclosure.semiring import rho_alpha
+from sfclosure.semiring import rho_alpha, sf_closure_of
 
 AB = make_alphabet("ab")
 A = make_alphabet("a")
@@ -280,4 +280,4 @@ def test_criterion_9_posthoc_closure(corpus):
                     for r2 in snapshot:
                         assert sat.contains(sr.mul(r1, r2))
                 for r in snapshot:
-                    assert sat.contains(sr.sf_closure_of(r))
+                    assert sat.contains(sf_closure_of(sr, r))

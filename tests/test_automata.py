@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from bruteforce import accepted_slice, nerode_class_count, words_up_to
 from sfclosure.automata import (
+    MAX_REGEX_DEPTH,
     accepts,
     compile_pattern,
     complement,
@@ -126,6 +127,26 @@ def test_parse_errors_carry_offsets():
         parse_regex(")", AB)
     with pytest.raises(InputError):
         parse_regex("c", AB)
+
+
+def nested_regexes(height: int) -> dict[str, str]:
+    """Regexes whose deepest path has `height` '(' / '~' / '*' levels."""
+    return {
+        "parentheses": "(" * height + "a" + ")" * height,
+        "complements": "~" * height + "a",
+        "stars": "a" + "*" * height,
+        "mixed": "(~" * (height // 3) + "a" + "*)" * (height // 3) + "*" * (height % 3),
+        # the stars on every parenthesis level add up along the path
+        "stars-per-level": "(" * ((height - 1) // 2) + "a*" + ")*" * ((height - 1) // 2)
+        + "*" * ((height - 1) % 2),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(nested_regexes(1)))
+def test_regex_nesting_bound(kind):
+    compile_pattern(nested_regexes(MAX_REGEX_DEPTH)[kind], AB)
+    with pytest.raises(InputError, match="nested deeper than"):
+        parse_regex(nested_regexes(MAX_REGEX_DEPTH + 1)[kind], AB)
 
 
 def test_alphabet_validation():

@@ -172,7 +172,16 @@ class TestExitCodes:
         assert status == 2 and "--alphabet" in err
 
     @pytest.mark.parametrize(
-        "text", ["!" * 3000 + "a", "X(" * 400 + "a" + ")" * 400], ids=["bangs", "nexts"]
+        "text",
+        [
+            "!" * 3000 + "a",
+            "X(" * 400 + "a" + ")" * 400,
+            # the bound regex nests too deep
+            "F[" + "(" * 1200 + "a" + ")" * 1200 + "](max)",
+            "F[" + "~" * 1500 + "a" + "](max)",
+            "F[" + "(" * 600 + "a*" + ")*" * 600 + "](max)",
+        ],
+        ids=["bangs", "nexts", "bound-parentheses", "bound-complements", "bound-stars"],
     )
     def test_deep_formula_is_input_error(self, capsys, tmp_path, text):
         formula = tmp_path / "deep.ltl"
@@ -183,6 +192,27 @@ class TestExitCodes:
         )
         assert status == 2 and out == ""
         # one error line, no traceback
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nested deeper" in err
+
+    @pytest.mark.parametrize(
+        "letters", [{"a": 5}, {"a": -1}, {"a": "x"}, {"a": None}],
+        ids=["above", "negative", "text", "null"],
+    )
+    def test_bad_letter_image_in_morphism_file(self, capsys, tmp_path, letters):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"size": 2, "identity": 0, "mul": [[0, 1], [1, 0]], "letters": letters}
+        ))
+        status, out, err = run(capsys, "kernel", "--class", "mod", "--morphism", str(path))
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_deep_sd_expression_is_input_error(self, capsys, tmp_path):
+        expression = tmp_path / "deep.sd"
+        expression.write_text("uconcat(a, " * 1500 + "b" + ")" * 1500, encoding="utf-8")
+        status, out, err = run(capsys, "sd", "validate", str(expression), "--alphabet", "ab")
+        assert status == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "nested deeper" in err
 

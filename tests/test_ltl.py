@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import naive_ltl, words_up_to
-from sfclosure.automata import compile_pattern, make_alphabet
+from sfclosure.automata import MAX_REGEX_DEPTH, compile_pattern, make_alphabet
 from sfclosure.errors import InputError
 from sfclosure.ltl import (
     MAX_FORMULA_DEPTH,
@@ -112,6 +112,20 @@ class TestParsing:
         f = parse_formula("X(" * depth + "max" + ")" * depth, AB)
         assert eval_word(f, "a" * (depth - 1))
         assert not eval_word(f, "a" * depth)
+
+    @pytest.mark.parametrize("wrap", ["U(top, ", "S(top, ", "X(", "!"])
+    def test_deepest_formula_around_deepest_bound_evaluates(self, wrap):
+        # both parsers recurse at once: the formula's nesting levels
+        # around a bound regex nested MAX_REGEX_DEPTH levels deep
+        pattern = "(" * (MAX_REGEX_DEPTH - 1) + "a" + ")" * (MAX_REGEX_DEPTH - 1) + "*"
+        closing = "" if wrap == "!" else ")"
+        depth = MAX_FORMULA_DEPTH - 2
+        deep, shallow = (
+            parse_formula(wrap * depth + f"F[{p}](max)" + closing * depth, AB)
+            for p in (pattern, "a*")
+        )
+        for word in ("", "aa", "ab", "b" * depth):
+            assert eval_word(deep, word) == eval_word(shallow, word)
 
     def test_word_letter_outside_the_bound_alphabet(self):
         with pytest.raises(InputError, match="not in the alphabet"):

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bruteforce import syntactic_class_count, words_up_to
+from bruteforce import is_group, naive_syntactic_morphism, syntactic_class_count, words_up_to
 from conftest import recognized
-from sfclosure.automata import accepts, compile_pattern, make_alphabet
+from sfclosure.automata import Dfa, accepts, compile_pattern, make_alphabet
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import (
     FiniteMonoid,
@@ -13,10 +13,8 @@ from sfclosure.monoid import (
     idempotent_power,
     idempotents,
     is_aperiodic,
-    is_group,
     morphism_from_json,
     morphism_to_json,
-    product_morphism,
     syntactic_morphism,
     validate_monoid,
 )
@@ -61,6 +59,30 @@ def test_syntactic_morphism_recognizes(corpus):
 def test_syntactic_morphism_cap():
     with pytest.raises(ResourceLimitError):
         syntactic_morphism(compile_pattern("(aa+bb)*", AB), cap=8)
+
+
+@st.composite
+def small_dfas(draw):
+    alphabet = make_alphabet(draw(st.sampled_from(["ab", "abc"])))
+    states = draw(st.integers(1, 5))
+    delta = tuple(
+        tuple(draw(st.integers(0, states - 1)) for _ in alphabet) for _ in range(states)
+    )
+    finals = frozenset(q for q in range(states) if draw(st.booleans()))
+    return Dfa(alphabet, states, draw(st.integers(0, states - 1)), finals, delta)
+
+
+@settings(max_examples=300)
+@given(small_dfas(), st.integers(1, 80))
+def test_cayley_closure_matches_composed_tables(dfa, cap):
+    try:
+        expected = naive_syntactic_morphism(dfa, cap=cap)
+    except ResourceLimitError as exc:
+        with pytest.raises(ResourceLimitError) as raised:
+            syntactic_morphism(dfa, cap=cap)
+        assert str(raised.value) == str(exc)
+        return
+    assert syntactic_morphism(dfa, cap=cap) == expected
 
 
 def test_syntactic_morphism_identity_label():
@@ -142,22 +164,6 @@ def test_generated_image():
     m = recognized("(aa)*", A).morphism.codomain
     assert generated_image(m, ()) == {m.identity}
     assert generated_image(m, (1 - m.identity,)) == {0, 1}
-
-
-def test_product_morphism_componentwise():
-    left = recognized("(aa)*", AB).morphism
-    right = recognized("~%a~%", AB).morphism
-    prod = product_morphism([left, right])
-    for w in words_up_to(AB, 5):
-        got = prod.labels[prod.of_word(w)]
-        assert got == (left.of_word(w), right.of_word(w))
-
-
-def test_product_morphism_empty_needs_alphabet():
-    with pytest.raises(InputError):
-        product_morphism([])
-    trivial = product_morphism([], alphabet=AB)
-    assert trivial.codomain.size == 1
 
 
 def test_morphism_json_round_trip(s3_morphism):

@@ -12,11 +12,19 @@ from bruteforce import (
     search_delay_violation,
     search_prefix_violation,
 )
-from sfclosure.automata import Dfa, accepts, compile_pattern, make_alphabet, minimize
+from sfclosure.automata import (
+    MAX_REGEX_DEPTH,
+    Dfa,
+    accepts,
+    compile_pattern,
+    make_alphabet,
+    minimize,
+)
 from sfclosure.errors import InputError
 from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD
 from sfclosure.sd import (
+    MAX_EXPRESSION_DEPTH,
     _power,
     has_sync_delay,
     is_prefix_code,
@@ -138,6 +146,17 @@ class TestExpressionParsing:
             parse_sd_expression('capC(a, "abc', AB)
         with pytest.raises(InputError, match="unexpected"):
             parse_sd_expression("a b", AB)
+
+    def test_nesting_bound(self):
+        # every subexpression is a level: uconcat ... capC, then its b
+        depth = MAX_EXPRESSION_DEPTH - 2
+        # the innermost regex is nested as deep as the regex parser allows
+        pattern = "(" * (MAX_REGEX_DEPTH - 1) + "b" + ")" * (MAX_REGEX_DEPTH - 1) + "*"
+        text = "uconcat(a, " * depth + f'capC(b, "{pattern}")' + ")" * depth
+        dfa, violations = validate_sd_expression(parse_sd_expression(text, AB), AB)
+        assert violations == [] and accepts(dfa, "a" * depth + "b")
+        with pytest.raises(InputError, match="nested deeper than"):
+            parse_sd_expression("uconcat(a, " * (depth + 2) + "b" + ")" * (depth + 2), AB)
 
     def test_letters_must_come_from_the_alphabet(self):
         with pytest.raises(InputError):
