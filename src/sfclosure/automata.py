@@ -1,4 +1,5 @@
-"""Regular expressions and complete DFAs.
+"""Regular expressions, the scanner shared by the input languages, and
+complete DFAs.
 
 Everything downstream manipulates complete DFAs: the transition table is
 total, so complement is a final-set flip and products never special-case
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import InputError
 
@@ -51,63 +53,54 @@ def make_alphabet(text: str) -> Alphabet:
 
 
 # ---------------------------------------------------------------------------
-# Regular expression syntax tree
+# Input scanning and regexes
 
 
-class Regex:
-    __slots__ = ()
+# nesting bound of the regex, SD expression and formula parsers; each level
+# costs a parser a few Python frames
+MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Empty(Regex):
-    pass
+class _Scanner:
+    """A cursor over one input text, shared by the regex, SD expression and
+    formula parsers.  `what` names the input language in error messages,
+    and `depth` counts the levels a parser has open around the cursor."""
+
+    what: str
+
+    def __init__(self, text: str, alphabet: Alphabet) -> None:
+        self.text = text
+        self.pos = 0
+        self.alphabet = alphabet
+        self.depth = 0
+
+    def fail(self, message: str) -> NoReturn:
+        raise InputError(f"{self.what} syntax error at offset {self.pos}: {message}")
+
+    def bounded(self, height: int) -> int:
+        if height > MAX_NESTING:
+            self.fail(f"{self.what} nested deeper than {MAX_NESTING} levels")
+        return height
+
+    def peek(self) -> str:
+        """Skip blanks and return the next character, or '' at the end."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos:pos + 1]
+
+    def eat(self, token: str) -> None:
+        self.peek()
+        if not self.text.startswith(token, self.pos):
+            self.fail(f"expected {token!r}")
+        self.pos += len(token)
+
+    def at_end(self) -> bool:
+        return not self.peek()
 
 
-@dataclass(frozen=True)
-class Epsilon(Regex):
-    pass
-
-
-@dataclass(frozen=True)
-class Letter(Regex):
-    symbol: str
-
-
-@dataclass(frozen=True)
-class Union(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
-class Intersect(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
-class Concat(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
-class Star(Regex):
-    child: Regex
-
-
-@dataclass(frozen=True)
-class Complement(Regex):
-    child: Regex
-
-
-# nesting bound of the regex parser: the most '(', '~' and '*' levels on
-# one path of the syntax tree.  Each '(' costs the parser four Python
-# frames and each level costs compile_regex one.
-MAX_REGEX_DEPTH = 100
-
-
-class _RegexParser:
+class _RegexParser(_Scanner):
     """Recursive descent for the grammar
 
         expr   := term ('+' term)*
@@ -116,130 +109,80 @@ class _RegexParser:
         atom   := base '*'* where base := letter | '_' | '%' | '~' atom | '(' expr ')'
 
     '*' binds tighter than '~', which binds tighter than juxtaposition.
-    Each rule returns its node and its nesting height: the most '(', '~'
-    and '*' levels on one path below it, at most MAX_REGEX_DEPTH.
+    Each rule returns the minimal DFA of what it read and its nesting
+    height: the most '(', '~' and '*' levels on one path below it, at most
+    MAX_NESTING.  `depth` counts the '(' and '~' levels open around the
+    cursor, which stops the recursion before it can overflow.  Operands
+    are compiled in post-order as they are read, and the loops combine
+    them from the left, so a long flat word does not recurse.
     """
 
-    _ATOM_START_EXTRA = "_%~("
+    what = "regex"
 
-    def __init__(self, text: str, alphabet: Alphabet) -> None:
-        self.text = text
-        self.pos = 0
-        self.alphabet = alphabet
-        # '(' and '~' levels open around the current position
-        self.depth = 0
+    def parse(self) -> Dfa:
+        dfa, _ = self.expr()
+        if not self.at_end():
+            self.fail(f"unexpected {self.peek()!r}")
+        return dfa
 
-    def fail(self, message: str):
-        raise InputError(f"regex syntax error at offset {self.pos}: {message}")
-
-    def bounded(self, height: int) -> int:
-        if height > MAX_REGEX_DEPTH:
-            self.fail(f"regex nested deeper than {MAX_REGEX_DEPTH} levels")
-        return height
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def take(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def expr(self) -> tuple[Dfa, int]:
+        dfa, height = self.term()
+        while self.peek() == "+":
             self.pos += 1
+            right, right_height = self.term()
+            dfa, height = minimize(product(dfa, right, "union")), max(height, right_height)
+        return dfa, height
+
+    def term(self) -> tuple[Dfa, int]:
+        dfa, height = self.factor()
+        while self.peek() == "&":
+            self.pos += 1
+            right, right_height = self.factor()
+            dfa = minimize(product(dfa, right, "intersection"))
+            height = max(height, right_height)
+        return dfa, height
 
     def at_atom(self) -> bool:
-        self.skip_ws()
         ch = self.peek()
-        if ch is None:
-            return False
-        return ch in self.alphabet or ch in self._ATOM_START_EXTRA
+        return ch != "" and (ch in self.alphabet or ch in "_%~(")
 
-    def parse(self) -> Regex:
-        node, _ = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail(f"unexpected {self.peek()!r}")
-        return node
-
-    def expr(self) -> tuple[Regex, int]:
-        node, height = self.term()
-        while True:
-            self.skip_ws()
-            if self.peek() == "+":
-                self.take()
-                right, right_height = self.term()
-                node, height = Union(node, right), max(height, right_height)
-            else:
-                return node, height
-
-    def term(self) -> tuple[Regex, int]:
-        node, height = self.factor()
-        while True:
-            self.skip_ws()
-            if self.peek() == "&":
-                self.take()
-                right, right_height = self.factor()
-                node, height = Intersect(node, right), max(height, right_height)
-            else:
-                return node, height
-
-    def factor(self) -> tuple[Regex, int]:
+    def factor(self) -> tuple[Dfa, int]:
         if not self.at_atom():
-            return Epsilon(), 0
-        node, height = self.atom()
+            return minimize(_dfa_epsilon(self.alphabet)), 0
+        dfa, height = self.atom()
         while self.at_atom():
             right, right_height = self.atom()
-            node, height = Concat(node, right), max(height, right_height)
-        return node, height
+            dfa, height = minimize(concat(dfa, right)), max(height, right_height)
+        return dfa, height
 
-    def atom(self) -> tuple[Regex, int]:
-        self.skip_ws()
+    def atom(self) -> tuple[Dfa, int]:
         ch = self.peek()
-        if ch is None:
-            self.fail("expected an atom, found end of input")
+        if not self.at_atom():
+            self.fail(f"unexpected {ch!r}" if ch else "expected an atom, found end of input")
+        self.pos += 1
         if ch == "~":
-            self.take()
             self.depth = self.bounded(self.depth + 1)
             child, height = self.atom()
             self.depth -= 1
-            return Complement(child), self.bounded(height + 1)
-        node: Regex
+            return complement(child), self.bounded(height + 1)
         height = 0
         if ch == "(":
-            self.take()
             self.depth = self.bounded(self.depth + 1)
-            node, height = self.expr()
+            dfa, height = self.expr()
             self.depth -= 1
             height = self.bounded(height + 1)
-            self.skip_ws()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.take()
+            self.eat(")")
         elif ch == "_":
-            self.take()
-            node = Epsilon()
+            dfa = minimize(_dfa_epsilon(self.alphabet))
         elif ch == "%":
-            self.take()
-            node = Empty()
-        elif ch in self.alphabet:
-            node = Letter(self.take())
+            dfa = _dfa_empty(self.alphabet)
         else:
-            self.fail(f"unexpected {ch!r}")
-        while True:
-            self.skip_ws()
-            if self.peek() == "*":
-                self.take()
-                node, height = Star(node), self.bounded(height + 1)
-            else:
-                return node, height
-
-
-def parse_regex(text: str, alphabet: Alphabet) -> Regex:
-    return _RegexParser(text, alphabet).parse()
+            dfa = minimize(_dfa_letter(self.alphabet, ch))
+        while self.peek() == "*":
+            self.pos += 1
+            height = self.bounded(height + 1)
+            dfa = minimize(star(dfa))
+        return dfa, height
 
 
 # ---------------------------------------------------------------------------
@@ -340,51 +283,32 @@ def product(left: Dfa, right: Dfa, mode: str) -> Dfa:
     if left.alphabet != right.alphabet:
         raise InputError("product requires identical alphabets")
     combine = _PRODUCT_MODES[mode]
-    start = (left.initial, right.initial)
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        for i in range(len(left.alphabet)):
-            nxt = (left.delta[p][i], right.delta[q][i])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-    delta = tuple(
-        tuple(index[(left.delta[p][i], right.delta[q][i])] for i in range(len(left.alphabet)))
-        for p, q in order
+    return _determinize(
+        left.alphabet,
+        (left.initial, right.initial),
+        lambda state: zip(left.delta[state[0]], right.delta[state[1]]),
+        lambda state: combine(state[0] in left.finals, state[1] in right.finals),
     )
-    finals = frozenset(
-        k for k, (p, q) in enumerate(order) if combine(p in left.finals, q in right.finals)
-    )
-    return Dfa(left.alphabet, len(order), 0, finals, delta)
 
 
-def _determinize(
-    alphabet: Alphabet,
-    start: tuple,
-    step,
-    accepting,
-) -> Dfa:
-    """Generic subset-style determinization over hashable macro states."""
+def _determinize(alphabet: Alphabet, start, successors, accepting) -> Dfa:
+    """Breadth-first exploration of hashable macro states from `start`;
+    `successors(state)` gives the next macro state for each letter in
+    alphabet order, and each row is recorded as it is explored."""
     index = {start: 0}
     order = [start]
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        for i in range(len(alphabet)):
-            nxt = step(state, i)
-            if nxt not in index:
-                index[nxt] = len(order)
+    delta = []
+    for state in order:
+        row = []
+        for nxt in successors(state):
+            target = index.get(nxt)
+            if target is None:
+                target = index[nxt] = len(order)
                 order.append(nxt)
-                queue.append(nxt)
-    delta = tuple(
-        tuple(index[step(state, i)] for i in range(len(alphabet))) for state in order
-    )
+            row.append(target)
+        delta.append(tuple(row))
     finals = frozenset(k for k, state in enumerate(order) if accepting(state))
-    return Dfa(alphabet, len(order), 0, finals, delta)
+    return Dfa(alphabet, len(order), 0, finals, tuple(delta))
 
 
 def concat(left: Dfa, right: Dfa) -> Dfa:
@@ -397,13 +321,16 @@ def concat(left: Dfa, right: Dfa) -> Dfa:
             subset = subset | {right.initial}
         return (p, subset)
 
-    def step(state, i):
+    def successors(state):
         p, subset = state
-        return close(left.delta[p][i], frozenset(right.delta[q][i] for q in subset))
+        return [
+            close(left.delta[p][i], frozenset(right.delta[q][i] for q in subset))
+            for i in range(len(left.alphabet))
+        ]
 
     start = close(left.initial, frozenset())
     return _determinize(
-        left.alphabet, start, step, lambda state: bool(state[1] & right.finals)
+        left.alphabet, start, successors, lambda state: bool(state[1] & right.finals)
     )
 
 
@@ -419,14 +346,16 @@ def star(dfa: Dfa) -> Dfa:
             return subset | {dfa.initial}
         return subset
 
-    def step(state, i):
+    def successors(state):
         subset = frozenset({dfa.initial}) if state is None else state
-        return close(frozenset(dfa.delta[q][i] for q in subset))
+        return [
+            close(frozenset(dfa.delta[q][i] for q in subset)) for i in range(len(dfa.alphabet))
+        ]
 
     def accepting(state) -> bool:
         return state is None or bool(state & dfa.finals)
 
-    return _determinize(dfa.alphabet, None, step, accepting)
+    return _determinize(dfa.alphabet, None, successors, accepting)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -499,42 +428,9 @@ def _dfa_letter(alphabet: Alphabet, symbol: str) -> Dfa:
     return Dfa(alphabet, 3, 0, frozenset({1}), (row0, (2,) * width, (2,) * width))
 
 
-def compile_regex(node: Regex, alphabet: Alphabet) -> Dfa:
-    """Minimal canonical DFA for a parsed expression."""
-    if isinstance(node, Empty):
-        return _dfa_empty(alphabet)
-    if isinstance(node, Epsilon):
-        return minimize(_dfa_epsilon(alphabet))
-    if isinstance(node, Letter):
-        if node.symbol not in alphabet:
-            raise InputError(f"letter {node.symbol!r} is not in the alphabet")
-        return minimize(_dfa_letter(alphabet, node.symbol))
-    if isinstance(node, Union):
-        return minimize(
-            product(compile_regex(node.left, alphabet), compile_regex(node.right, alphabet), "union")
-        )
-    if isinstance(node, Intersect):
-        return minimize(
-            product(
-                compile_regex(node.left, alphabet),
-                compile_regex(node.right, alphabet),
-                "intersection",
-            )
-        )
-    if isinstance(node, Concat):
-        return minimize(
-            concat(compile_regex(node.left, alphabet), compile_regex(node.right, alphabet))
-        )
-    if isinstance(node, Star):
-        return minimize(star(compile_regex(node.child, alphabet)))
-    if isinstance(node, Complement):
-        return complement(compile_regex(node.child, alphabet))
-    raise InputError(f"unknown regex node {node!r}")
-
-
 def compile_pattern(text: str, alphabet: Alphabet) -> Dfa:
-    """Parse and compile in one go."""
-    return compile_regex(parse_regex(text, alphabet), alphabet)
+    """Minimal canonical DFA of a regex, compiled while it is parsed."""
+    return _RegexParser(text, alphabet).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +456,7 @@ def dfa_from_json(data: dict) -> Dfa:
         initial = int(data["initial"])
         finals = frozenset(int(q) for q in data["finals"])
         delta = tuple(tuple(int(t) for t in row) for row in data["delta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed DFA document: {exc}") from exc
     return Dfa(alphabet, states, initial, finals, delta)
 

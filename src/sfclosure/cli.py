@@ -55,6 +55,14 @@ def _config_of(args) -> Config:
     return config
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def _plain_morphism(loaded) -> Morphism:
     if isinstance(loaded, RecognizedLanguage):
         return loaded.morphism
@@ -151,9 +159,7 @@ def _cmd_cover(args) -> dict:
 def _cmd_sd_validate(args) -> dict:
     config = _config_of(args)
     alphabet = _alphabet_of(args)
-    with open(args.file, encoding="utf-8") as handle:
-        text = handle.read()
-    expr = parse_sd_expression(text, alphabet)
+    expr = parse_sd_expression(_read_text(args.file), alphabet)
     dfa, violations = validate_sd_expression(expr, alphabet, dmax=config.delay_dmax)
     doc = {"valid": not violations, "violations": [v.to_json() for v in violations]}
     if dfa is not None:
@@ -171,8 +177,7 @@ def _cmd_sd_delay(args) -> dict:
 
 def _cmd_ltl_eval(args) -> dict:
     alphabet = _alphabet_of(args)
-    with open(args.formula, encoding="utf-8") as handle:
-        formula = parse_formula(handle.read(), alphabet)
+    formula = parse_formula(_read_text(args.formula), alphabet)
     word = args.word
     for sym in word:
         if sym not in alphabet:
@@ -182,8 +187,7 @@ def _cmd_ltl_eval(args) -> dict:
 
 def _cmd_ltl_compare(args) -> dict:
     alphabet = _alphabet_of(args)
-    with open(args.formula, encoding="utf-8") as handle:
-        formula = parse_formula(handle.read(), alphabet)
+    formula = parse_formula(_read_text(args.formula), alphabet)
     dfa = compile_pattern(args.lang, alphabet)
     mismatches = compare_sampled(formula, dfa, alphabet, max_length=args.maxlen)
     return {"mismatches": mismatches}

@@ -76,5 +76,5 @@ def load_config(path: str) -> Config:
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_config(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc

@@ -19,12 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, compile_pattern
+from .automata import Alphabet, Dfa, _Scanner, compile_pattern
 from .errors import InputError
-
-# nesting bound of the formula parser: each level of parentheses, temporal
-# operators or '!' costs a few Python frames while parsing
-MAX_FORMULA_DEPTH = 100
 
 
 class Formula:
@@ -84,8 +80,9 @@ class Since(Formula):
     right: Formula
 
 
-class _FormulaParser:
-    """Recursive descent parser, nested at most MAX_FORMULA_DEPTH deep.
+class _FormulaParser(_Scanner):
+    """Recursive descent parser; each formula and each '!' is a nesting
+    level, at most MAX_NESTING deep.
 
     Grammar, loosest binding first:
 
@@ -104,46 +101,19 @@ class _FormulaParser:
     language.
     """
 
-    def __init__(self, text: str, alphabet: Alphabet) -> None:
-        self.text = text
-        self.pos = 0
-        self.alphabet = alphabet
-        self.depth = 0
-
-    def fail(self, message: str) -> InputError:
-        return InputError(f"formula syntax error at offset {self.pos}: {message}")
-
-    def nest(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_FORMULA_DEPTH:
-            raise self.fail(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.fail(f"expected {token!r}")
-        self.pos += len(token)
+    what = "formula"
 
     def parse(self) -> Formula:
         node = self.formula()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.fail("trailing input")
+        if not self.at_end():
+            self.fail("trailing input")
         return node
 
     def formula(self) -> Formula:
-        self.nest()
+        self.depth = self.bounded(self.depth + 1)
         node = self.conj()
         while self.peek() == "|":
-            self.eat("|")
+            self.pos += 1
             node = Or(node, self.conj())
         self.depth -= 1
         return node
@@ -151,14 +121,14 @@ class _FormulaParser:
     def conj(self) -> Formula:
         node = self.unary()
         while self.peek() == "&":
-            self.eat("&")
+            self.pos += 1
             node = And(node, self.unary())
         return node
 
     def unary(self) -> Formula:
         if self.peek() == "!":
-            self.eat("!")
-            self.nest()
+            self.pos += 1
+            self.depth = self.bounded(self.depth + 1)
             node = Not(self.unary())
             self.depth -= 1
             return node
@@ -167,7 +137,7 @@ class _FormulaParser:
     def bound_dfa(self, default: str) -> Dfa:
         pattern = default
         if self.peek() == "[":
-            self.eat("[")
+            self.pos += 1
             depth = 1
             start = self.pos
             while self.pos < len(self.text) and depth:
@@ -180,13 +150,13 @@ class _FormulaParser:
                         break
                 self.pos += 1
             if depth:
-                raise self.fail("unterminated '['")
+                self.fail("unterminated '['")
             pattern = self.text[start:self.pos]
             self.eat("]")
         try:
             return compile_pattern(pattern, self.alphabet)
         except InputError as exc:
-            raise self.fail(f"bad bound language: {exc}") from exc
+            self.fail(f"bad bound language: {exc}")
 
     def pair(self) -> tuple[Formula, Formula]:
         self.eat("(")
@@ -197,7 +167,7 @@ class _FormulaParser:
         return left, right
 
     def primary(self) -> Formula:
-        self.skip_ws()
+        self.peek()
         rest = self.text[self.pos:]
         if rest.startswith("top"):
             self.pos += 3
@@ -241,7 +211,7 @@ class _FormulaParser:
         if ch in self.alphabet:
             self.pos += 1
             return LetterAt(ch)
-        raise self.fail("expected a formula")
+        self.fail("expected a formula")
 
 
 def parse_formula(text: str, alphabet: Alphabet) -> Formula:

@@ -283,7 +283,7 @@ def morphism_from_json(data: dict) -> Morphism | RecognizedLanguage:
         mul = tuple(tuple(int(v) for v in row) for row in data["mul"])
         letters = {sym: int(s) for sym, s in dict(data["letters"]).items()}
         accepting = frozenset(int(v) for v in data.get("accepting", ()))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed morphism document: {exc}") from exc
     monoid = FiniteMonoid(size, identity, mul)
     validate_monoid(monoid)
@@ -311,8 +311,10 @@ def load_morphism(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deep: {exc}") from exc
     return morphism_from_json(data)

@@ -17,6 +17,7 @@ from .automata import (
     Alphabet,
     Dfa,
     _dfa_empty,
+    _Scanner,
     accepts,
     compile_pattern,
     concat,
@@ -286,42 +287,16 @@ class SdStar(SdExpr):
     delay: int
 
 
-# nesting bound of the expression parser; the parser and the validator
-# each recurse once per level
-MAX_EXPRESSION_DEPTH = 100
-
-
-class _SdParser:
+class _SdParser(_Scanner):
     """Syntax: `%`, letters, `dunion(E,F)`, `uconcat(E,F)`,
     `capC(E, "<regex>")` and `star(E, d=<int>)`, nested at most
-    MAX_EXPRESSION_DEPTH deep."""
+    MAX_NESTING deep; the parser and the validator each recurse once per
+    level."""
 
-    def __init__(self, text: str, alphabet: Alphabet) -> None:
-        self.text = text
-        self.pos = 0
-        self.alphabet = alphabet
-        self.depth = 0
-
-    def fail(self, message: str):
-        raise InputError(f"expression syntax error at offset {self.pos}: {message}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
+    what = "expression"
 
     def ident(self) -> str:
-        self.skip_ws()
+        self.peek()
         start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"
@@ -331,15 +306,12 @@ class _SdParser:
 
     def parse(self) -> SdExpr:
         node = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail(f"unexpected {self.text[self.pos]!r}")
+        if not self.at_end():
+            self.fail(f"unexpected {self.peek()!r}")
         return node
 
     def expr(self) -> SdExpr:
-        self.depth += 1
-        if self.depth > MAX_EXPRESSION_DEPTH:
-            self.fail(f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels")
+        self.depth = self.bounded(self.depth + 1)
         node = self.node()
         self.depth -= 1
         return node
@@ -351,46 +323,45 @@ class _SdParser:
         mark = self.pos
         name = self.ident()
         if name in ("dunion", "uconcat"):
-            self.expect("(")
+            self.eat("(")
             left = self.expr()
-            self.expect(",")
+            self.eat(",")
             right = self.expr()
-            self.expect(")")
+            self.eat(")")
             return SdUnion(left, right) if name == "dunion" else SdConcat(left, right)
         if name == "capC":
-            self.expect("(")
+            self.eat("(")
             child = self.expr()
-            self.expect(",")
-            self.expect('"')
+            self.eat(",")
+            self.eat('"')
             end = self.text.find('"', self.pos)
             if end < 0:
                 self.fail("unterminated pattern string")
             pattern = self.text[self.pos:end]
             self.pos = end + 1
-            self.expect(")")
+            self.eat(")")
             return SdCap(child, pattern)
         if name == "star":
-            self.expect("(")
+            self.eat("(")
             child = self.expr()
-            self.expect(",")
+            self.eat(",")
             key = self.ident()
             if key != "d":
                 self.fail("expected d=<int>")
-            self.expect("=")
-            self.skip_ws()
+            self.eat("=")
+            self.peek()
             digits = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
             if digits == self.pos:
                 self.fail("expected a delay bound")
             delay = int(self.text[digits:self.pos])
-            self.expect(")")
+            self.eat(")")
             return SdStar(child, delay)
         if len(name) == 1 and name in self.alphabet:
             return SdLetter(name)
         self.pos = mark
         self.fail(f"expected an expression, found {name!r}" if name else "expected an expression")
-        raise AssertionError
 
 
 def parse_sd_expression(text: str, alphabet: Alphabet) -> SdExpr:

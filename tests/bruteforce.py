@@ -9,8 +9,22 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 
-from sfclosure.automata import Dfa, _dfa_epsilon, accepts, concat, minimize, star
+from sfclosure.automata import (
+    MAX_NESTING,
+    Alphabet,
+    Dfa,
+    _dfa_empty,
+    _dfa_epsilon,
+    _dfa_letter,
+    accepts,
+    complement,
+    concat,
+    minimize,
+    product,
+    star,
+)
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import (
     FiniteMonoid,
@@ -594,3 +608,235 @@ def naive_opt_group(cls, languages, config):
         insert(img, "word")
     close_products(jump=False)
     return chain.snapshot(), rounds, trace
+
+
+# ---------------------------------------------------------------------------
+# Regexes: the syntax tree, its parser and its post-order compiler as they
+# were before the library's parser compiled while it parsed; the property
+# test requires the same DFA or the same error from both.
+
+
+class Regex:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class Empty(Regex):
+    pass
+
+
+@dataclass(frozen=True)
+class Epsilon(Regex):
+    pass
+
+
+@dataclass(frozen=True)
+class Letter(Regex):
+    symbol: str
+
+
+@dataclass(frozen=True)
+class Union(Regex):
+    left: Regex
+    right: Regex
+
+
+@dataclass(frozen=True)
+class Intersect(Regex):
+    left: Regex
+    right: Regex
+
+
+@dataclass(frozen=True)
+class Concat(Regex):
+    left: Regex
+    right: Regex
+
+
+@dataclass(frozen=True)
+class Star(Regex):
+    child: Regex
+
+
+@dataclass(frozen=True)
+class Complement(Regex):
+    child: Regex
+
+
+# nesting bound of the regex parser: the most '(', '~' and '*' levels on
+# one path of the syntax tree.  Each '(' costs the parser four Python
+# frames and each level costs compile_regex one.
+MAX_REGEX_DEPTH = MAX_NESTING
+
+
+class _RegexParser:
+    """Recursive descent for the grammar
+
+        expr   := term ('+' term)*
+        term   := factor ('&' factor)*
+        factor := atom atom ...          (possibly zero atoms: epsilon)
+        atom   := base '*'* where base := letter | '_' | '%' | '~' atom | '(' expr ')'
+
+    '*' binds tighter than '~', which binds tighter than juxtaposition.
+    Each rule returns its node and its nesting height: the most '(', '~'
+    and '*' levels on one path below it, at most MAX_REGEX_DEPTH.
+    """
+
+    _ATOM_START_EXTRA = "_%~("
+
+    def __init__(self, text: str, alphabet: Alphabet) -> None:
+        self.text = text
+        self.pos = 0
+        self.alphabet = alphabet
+        # '(' and '~' levels open around the current position
+        self.depth = 0
+
+    def fail(self, message: str):
+        raise InputError(f"regex syntax error at offset {self.pos}: {message}")
+
+    def bounded(self, height: int) -> int:
+        if height > MAX_REGEX_DEPTH:
+            self.fail(f"regex nested deeper than {MAX_REGEX_DEPTH} levels")
+        return height
+
+    def peek(self) -> str | None:
+        if self.pos < len(self.text):
+            return self.text[self.pos]
+        return None
+
+    def take(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        return ch
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_atom(self) -> bool:
+        self.skip_ws()
+        ch = self.peek()
+        if ch is None:
+            return False
+        return ch in self.alphabet or ch in self._ATOM_START_EXTRA
+
+    def parse(self) -> Regex:
+        node, _ = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.fail(f"unexpected {self.peek()!r}")
+        return node
+
+    def expr(self) -> tuple[Regex, int]:
+        node, height = self.term()
+        while True:
+            self.skip_ws()
+            if self.peek() == "+":
+                self.take()
+                right, right_height = self.term()
+                node, height = Union(node, right), max(height, right_height)
+            else:
+                return node, height
+
+    def term(self) -> tuple[Regex, int]:
+        node, height = self.factor()
+        while True:
+            self.skip_ws()
+            if self.peek() == "&":
+                self.take()
+                right, right_height = self.factor()
+                node, height = Intersect(node, right), max(height, right_height)
+            else:
+                return node, height
+
+    def factor(self) -> tuple[Regex, int]:
+        if not self.at_atom():
+            return Epsilon(), 0
+        node, height = self.atom()
+        while self.at_atom():
+            right, right_height = self.atom()
+            node, height = Concat(node, right), max(height, right_height)
+        return node, height
+
+    def atom(self) -> tuple[Regex, int]:
+        self.skip_ws()
+        ch = self.peek()
+        if ch is None:
+            self.fail("expected an atom, found end of input")
+        if ch == "~":
+            self.take()
+            self.depth = self.bounded(self.depth + 1)
+            child, height = self.atom()
+            self.depth -= 1
+            return Complement(child), self.bounded(height + 1)
+        node: Regex
+        height = 0
+        if ch == "(":
+            self.take()
+            self.depth = self.bounded(self.depth + 1)
+            node, height = self.expr()
+            self.depth -= 1
+            height = self.bounded(height + 1)
+            self.skip_ws()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.take()
+        elif ch == "_":
+            self.take()
+            node = Epsilon()
+        elif ch == "%":
+            self.take()
+            node = Empty()
+        elif ch in self.alphabet:
+            node = Letter(self.take())
+        else:
+            self.fail(f"unexpected {ch!r}")
+        while True:
+            self.skip_ws()
+            if self.peek() == "*":
+                self.take()
+                node, height = Star(node), self.bounded(height + 1)
+            else:
+                return node, height
+
+
+def parse_regex(text: str, alphabet: Alphabet) -> Regex:
+    return _RegexParser(text, alphabet).parse()
+
+
+def compile_regex(node: Regex, alphabet: Alphabet) -> Dfa:
+    """Minimal canonical DFA for a parsed expression."""
+    if isinstance(node, Empty):
+        return _dfa_empty(alphabet)
+    if isinstance(node, Epsilon):
+        return minimize(_dfa_epsilon(alphabet))
+    if isinstance(node, Letter):
+        if node.symbol not in alphabet:
+            raise InputError(f"letter {node.symbol!r} is not in the alphabet")
+        return minimize(_dfa_letter(alphabet, node.symbol))
+    if isinstance(node, Union):
+        return minimize(
+            product(compile_regex(node.left, alphabet), compile_regex(node.right, alphabet), "union")
+        )
+    if isinstance(node, Intersect):
+        return minimize(
+            product(
+                compile_regex(node.left, alphabet),
+                compile_regex(node.right, alphabet),
+                "intersection",
+            )
+        )
+    if isinstance(node, Concat):
+        return minimize(
+            concat(compile_regex(node.left, alphabet), compile_regex(node.right, alphabet))
+        )
+    if isinstance(node, Star):
+        return minimize(star(compile_regex(node.child, alphabet)))
+    if isinstance(node, Complement):
+        return complement(compile_regex(node.child, alphabet))
+    raise InputError(f"unknown regex node {node!r}")
+
+
+def naive_compile_pattern(text: str, alphabet: Alphabet) -> Dfa:
+    """Parse and compile in one go."""
+    return compile_regex(parse_regex(text, alphabet), alphabet)

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bruteforce import accepted_slice, nerode_class_count, words_up_to
+from bruteforce import accepted_slice, naive_compile_pattern, nerode_class_count, words_up_to
 from sfclosure.automata import (
-    MAX_REGEX_DEPTH,
+    MAX_NESTING,
     accepts,
     compile_pattern,
     complement,
@@ -13,7 +13,6 @@ from sfclosure.automata import (
     is_empty,
     make_alphabet,
     minimize,
-    parse_regex,
     product,
     shortest_word,
     star,
@@ -122,11 +121,11 @@ def test_shortest_word():
 
 def test_parse_errors_carry_offsets():
     with pytest.raises(InputError, match="offset 3"):
-        parse_regex("(ab", AB)
+        compile_pattern("(ab", AB)
     with pytest.raises(InputError, match="offset 0"):
-        parse_regex(")", AB)
+        compile_pattern(")", AB)
     with pytest.raises(InputError):
-        parse_regex("c", AB)
+        compile_pattern("c", AB)
 
 
 def nested_regexes(height: int) -> dict[str, str]:
@@ -144,9 +143,9 @@ def nested_regexes(height: int) -> dict[str, str]:
 
 @pytest.mark.parametrize("kind", sorted(nested_regexes(1)))
 def test_regex_nesting_bound(kind):
-    compile_pattern(nested_regexes(MAX_REGEX_DEPTH)[kind], AB)
+    compile_pattern(nested_regexes(MAX_NESTING)[kind], AB)
     with pytest.raises(InputError, match="nested deeper than"):
-        parse_regex(nested_regexes(MAX_REGEX_DEPTH + 1)[kind], AB)
+        compile_pattern(nested_regexes(MAX_NESTING + 1)[kind], AB)
 
 
 def test_alphabet_validation():
@@ -167,6 +166,15 @@ def test_dfa_json_rejects_malformed():
     doc = dfa_to_json(compile_pattern("(ab)*", AB))
     doc["delta"][0][0] = 99
     with pytest.raises(InputError):
+        dfa_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["states", "initial", "finals", "delta"])
+def test_dfa_json_rejects_infinite_numbers(field):
+    doc = dfa_to_json(compile_pattern("(ab)*", AB))
+    doc[field] = {"states": float("inf"), "initial": float("-inf"),
+                  "finals": [float("inf")], "delta": [[float("inf"), 0]]}[field]
+    with pytest.raises(InputError, match="malformed DFA document"):
         dfa_from_json(doc)
 
 
@@ -202,3 +210,33 @@ def test_complement_flips_acceptance(pattern, n):
     comp = complement(dfa)
     for w in words_up_to(AB, n):
         assert accepts(dfa, w) != accepts(comp, w)
+
+
+def _compiled_or_error(compile_, text: str):
+    try:
+        return compile_(text, AB)
+    except InputError as exc:
+        return str(exc)
+
+
+# well-formed texts with blanks, precedence and empty operands
+_regex_text = st.recursive(
+    st.sampled_from(["a", "b", "_", "%", ""]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "&", "", " "]), inner).map("".join),
+        inner.map(lambda p: f"({p})*"),
+        inner.map(lambda p: f"~{p}"),
+        inner.map(lambda p: f" ({p})"),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="ab_%~()+&* c", max_size=20), _regex_text))
+def test_compiling_while_parsing_matches_the_syntax_tree(text):
+    # the same minimal DFA, or the same error, as parsing the whole text
+    # into a syntax tree first and compiling that tree in post-order
+    assert _compiled_or_error(compile_pattern, text) == _compiled_or_error(
+        naive_compile_pattern, text
+    )

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfclosure.cli import main
 from sfclosure.config import DEFAULT, parse_config
@@ -216,6 +221,52 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "nested deeper" in err
 
+    @pytest.mark.parametrize("kind", ["formula", "sd", "morphism", "config"])
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("F[a\u00e9](max)".encode("latin-1"))
+        argv = {
+            "formula": ["ltl", "eval", "--formula", str(path), "--word", "ab",
+                        "--alphabet", "ab"],
+            "sd": ["sd", "validate", str(path), "--alphabet", "ab"],
+            "morphism": ["kernel", "--class", "mod", "--morphism", str(path)],
+            "config": ["monoid", "--lang", "a", "--alphabet", "ab", "--config", str(path)],
+        }[kind]
+        status, out, err = run(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "utf-8" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"size": 1, "identity": 0, "mul": [[0]], "letters": {"a": 1e999}}',
+            '{"size": Infinity, "identity": 0, "mul": [[0]], "letters": {"a": 0}}',
+            '{"size": 1, "identity": 0, "mul": [[-Infinity]], "letters": {"a": 0}}',
+            '{"size": 1, "identity": 0, "mul": [[0]], "letters": {"a": 0},'
+            ' "accepting": [1e999]}',
+        ],
+        ids=["letter", "size", "table", "accepting"],
+    )
+    def test_infinite_number_in_morphism_file(self, capsys, tmp_path, text):
+        path = tmp_path / "inf.json"
+        path.write_text(text, encoding="utf-8")
+        status, out, err = run(capsys, "kernel", "--class", "mod", "--morphism", str(path))
+        assert status == 2 and out == ""
+        assert err.startswith("error: malformed morphism document") and err.count("\n") == 1
+
+    def test_deeply_nested_morphism_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        status, out, err = run(capsys, "kernel", "--class", "mod", "--morphism", str(path))
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pattern", ["_" * 3000, "~%" * 1500], ids=["epsilons", "fulls"])
+    def test_long_flat_regex_compiles(self, capsys, pattern):
+        doc = run_json(capsys, "regex", pattern, "--alphabet", "ab")
+        assert doc["states"] == (2 if pattern[0] == "_" else 1)
+
     def test_resource_cap_exit(self, capsys, tmp_path):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text("monoid_cap = 2\n", encoding="utf-8")
@@ -225,6 +276,74 @@ class TestExitCodes:
         )
         assert status == 3
         assert err.startswith("resource limit:")
+
+
+_FORMULA_TOKENS = ["a", "b", "c", "top", "min", "max", "U", "S", "F", "X", "[", "]",
+                   "(", ")", ",", "!", "&", "|", " ", "_", "*", "~", "%"]
+_SD_TOKENS = ["%", "a", "b", "c", "dunion(", "uconcat(", "capC(", "star(", ",", ")",
+              '"', "d=", "1", "2", " ", "(", "*", "+", "x"]
+_json_number = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 0.5]),
+    st.floats(),
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _json_number, st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=10,
+)
+# documents with the keys of a morphism file and arbitrary values
+_entry = _json_number | _json
+_morphism_like = st.fixed_dictionaries(
+    {"size": _entry, "identity": _entry,
+     "mul": st.lists(st.lists(_entry, max_size=2), max_size=2) | _json,
+     "letters": st.dictionaries(st.sampled_from(["a", "b", "ab", ""]), _entry, max_size=2)},
+    optional={"accepting": st.lists(_entry, max_size=2) | _json},
+)
+
+
+def _captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    regex=st.text(alphabet="ab_%~()+&* c", max_size=24),
+    formula=st.lists(st.sampled_from(_FORMULA_TOKENS), max_size=12).map("".join),
+    expression=st.lists(st.sampled_from(_SD_TOKENS), max_size=12).map("".join),
+    morphism=st.one_of(_json, _morphism_like),
+    big_numbers=st.booleans(),
+)
+def test_every_input_keeps_the_exit_contract(regex, formula, expression, morphism,
+                                             big_numbers):
+    with tempfile.TemporaryDirectory() as scratch:
+        files = {name: Path(scratch) / name for name in ("f.ltl", "e.sd", "m.json")}
+        files["f.ltl"].write_text(formula, encoding="utf-8")
+        files["e.sd"].write_text(expression, encoding="utf-8")
+        document = json.dumps(morphism)
+        if big_numbers:
+            document = document.replace("Infinity", "1e999")
+        files["m.json"].write_text(document, encoding="utf-8")
+        calls = [
+            ["regex", "--alphabet", "ab", "--", regex],
+            ["ltl", "eval", "--formula", str(files["f.ltl"]), "--word", "ab",
+             "--alphabet", "ab"],
+            ["sd", "validate", str(files["e.sd"]), "--alphabet", "ab"],
+            ["kernel", "--class", "mod", "--morphism", str(files["m.json"])],
+        ]
+        for argv in calls:
+            status, out, err = _captured(argv)
+            assert status in (0, 2, 3), (argv, err)
+            if status == 0:
+                assert err == "" and out.endswith("\n") and out.count("\n") == 1
+                json.loads(out)
+            else:
+                assert out == ""
+                assert err.endswith("\n") and err.count("\n") == 1, err
 
 
 class TestTraceAndStability:

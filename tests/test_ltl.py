@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import naive_ltl, words_up_to
-from sfclosure.automata import MAX_REGEX_DEPTH, compile_pattern, make_alphabet
+from sfclosure.automata import MAX_NESTING, compile_pattern, make_alphabet
 from sfclosure.errors import InputError
 from sfclosure.ltl import (
-    MAX_FORMULA_DEPTH,
     LetterAt,
     Max,
     Top,
@@ -108,7 +107,7 @@ class TestParsing:
             parse_formula(text, AB)
 
     def test_nesting_below_the_bound_evaluates(self):
-        depth = MAX_FORMULA_DEPTH - 1
+        depth = MAX_NESTING - 1
         f = parse_formula("X(" * depth + "max" + ")" * depth, AB)
         assert eval_word(f, "a" * (depth - 1))
         assert not eval_word(f, "a" * depth)
@@ -116,10 +115,10 @@ class TestParsing:
     @pytest.mark.parametrize("wrap", ["U(top, ", "S(top, ", "X(", "!"])
     def test_deepest_formula_around_deepest_bound_evaluates(self, wrap):
         # both parsers recurse at once: the formula's nesting levels
-        # around a bound regex nested MAX_REGEX_DEPTH levels deep
-        pattern = "(" * (MAX_REGEX_DEPTH - 1) + "a" + ")" * (MAX_REGEX_DEPTH - 1) + "*"
+        # around a bound regex nested MAX_NESTING levels deep
+        pattern = "(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1) + "*"
         closing = "" if wrap == "!" else ")"
-        depth = MAX_FORMULA_DEPTH - 2
+        depth = MAX_NESTING - 2
         deep, shallow = (
             parse_formula(wrap * depth + f"F[{p}](max)" + closing * depth, AB)
             for p in (pattern, "a*")

@@ -13,7 +13,7 @@ from bruteforce import (
     search_prefix_violation,
 )
 from sfclosure.automata import (
-    MAX_REGEX_DEPTH,
+    MAX_NESTING,
     Dfa,
     accepts,
     compile_pattern,
@@ -24,7 +24,6 @@ from sfclosure.errors import InputError
 from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD
 from sfclosure.sd import (
-    MAX_EXPRESSION_DEPTH,
     _power,
     has_sync_delay,
     is_prefix_code,
@@ -149,9 +148,9 @@ class TestExpressionParsing:
 
     def test_nesting_bound(self):
         # every subexpression is a level: uconcat ... capC, then its b
-        depth = MAX_EXPRESSION_DEPTH - 2
+        depth = MAX_NESTING - 2
         # the innermost regex is nested as deep as the regex parser allows
-        pattern = "(" * (MAX_REGEX_DEPTH - 1) + "b" + ")" * (MAX_REGEX_DEPTH - 1) + "*"
+        pattern = "(" * (MAX_NESTING - 1) + "b" + ")" * (MAX_NESTING - 1) + "*"
         text = "uconcat(a, " * depth + f'capC(b, "{pattern}")' + ")" * depth
         dfa, violations = validate_sd_expression(parse_sd_expression(text, AB), AB)
         assert violations == [] and accepts(dfa, "a" * depth + "b")
