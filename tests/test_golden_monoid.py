@@ -4,7 +4,9 @@ The files under golden/monoid/ pin what the monoid layer and the class
 oracles print for six languages over {a, b} and one morphism file: the
 syntactic morphism (element numbering, table, letter images, accepting
 set), membership verdicts for st, mod, amt and gr, the mod/amt/gr
-kernels and the st orbits.  `*.out` holds stdout of a call that exits 0,
+kernels and the st orbits.  Two larger languages (35 and 171 elements,
+with gr kernels of 7 and 29) pin the st/mod/gr verdicts, the mod/gr
+kernels and the st orbits where the oracles do real work.  `*.out` holds stdout of a call that exits 0,
 `*.err` holds stderr of a call that exits 2 or 3, which includes the
 monoid cap and the group-step cap.  They change only when the monoid
 layer is meant to change its output; to rewrite them, run this module
@@ -33,6 +35,11 @@ LANGUAGES = {
     "has-ab": "~%ab~%",
 }
 AB = ["--alphabet", "ab"]
+# larger monoids: 35 and 171 elements
+LARGER = {
+    "aab-bba-star": "(aab+bba)*",
+    "aab-bba-then-abb-baa": "(aab+bba)*(abb+baa)*",
+}
 # monoids above the default amt_monoid_cap of 10 elements: amt exits 3
 AMT_CAPPED = {"aab-star-ab", "pair-star"}
 
@@ -53,6 +60,12 @@ CASES = {
        for name, lang in LANGUAGES.items() for cls in ("mod", "amt", "gr")},
     **{f"orbits-st-{name}": (["orbits", "--class", "st", "--lang", lang, *AB], 0)
        for name, lang in LANGUAGES.items()},
+    **{f"membership-{cls}-{name}": (["membership", "--class", cls, "--lang", lang, *AB], 0)
+       for name, lang in LARGER.items() for cls in ("st", "mod", "gr")},
+    **{f"kernel-{cls}-{name}": (["kernel", "--class", cls, "--lang", lang, *AB], 0)
+       for name, lang in LARGER.items() for cls in ("mod", "gr")},
+    **{f"orbits-st-{name}": (["orbits", "--class", "st", "--lang", lang, *AB], 0)
+       for name, lang in LARGER.items()},
     **{f"kernel-{cls}-s3": (["kernel", "--class", cls, "--morphism", S3], 0)
        for cls in ("mod", "amt", "gr")},
     "orbits-st-s3": (["orbits", "--class", "st", "--morphism", S3, *AB], 0),
