@@ -94,6 +94,7 @@ def _language_morphism(args, config: Config):
 
 
 def _cmd_regex(args) -> dict:
+    _config_of(args)
     alphabet = _alphabet_of(args)
     return dfa_to_json(compile_pattern(args.pattern, alphabet))
 
@@ -176,6 +177,7 @@ def _cmd_sd_delay(args) -> dict:
 
 
 def _cmd_ltl_eval(args) -> dict:
+    _config_of(args)
     alphabet = _alphabet_of(args)
     formula = parse_formula(_read_text(args.formula), alphabet)
     word = args.word
@@ -186,6 +188,7 @@ def _cmd_ltl_eval(args) -> dict:
 
 
 def _cmd_ltl_compare(args) -> dict:
+    _config_of(args)
     alphabet = _alphabet_of(args)
     formula = parse_formula(_read_text(args.formula), alphabet)
     dfa = compile_pattern(args.lang, alphabet)

@@ -1,23 +1,29 @@
 """Pair relations and kernels: the separation oracles for base classes.
 
-For a finite prevariety given by a canonical morphism eta, the pair
-relation holds between s and t when the fibers of s and t cannot be
-distinguished by any language recognized through eta; this reduces to a
-reachability question in a product walk.
+For a finite prevariety given by a canonical morphism eta, s and t are a
+pair when some eta-image x is reached jointly with both of them by one
+walk over the product of alpha and eta.  `c_pairs` walks that product
+once, O(|M| |N| |A|) for monoids M, N and alphabet A, and keeps the
+reached (s, x) grouped both ways instead of listing every pair; the
+orbit of an idempotent e is then e * (the s reached with some x that e
+is reached with) * e.
 
 For the group classes, the kernel of a morphism alpha collects the
 elements whose fiber is inseparable from the empty word:
 
-  * mod: the stable monoid, via the stability index of alpha.
+  * mod: the stable monoid {1} + alpha(A^d), from one walk of the powers
+    of the letter set A until a power repeats.
   * amt: elements reachable with all letter counts divisible by every
     modulus at once, via Parikh decompositions and integer lattices.
-  * gr:  the type-II saturation.
+  * gr:  Ash's type-II closure, evaluated semi-naively: each new element
+    is combined only with what the kernel held before it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .errors import InputError, ResourceLimitError
 from .monoid import FiniteMonoid, Morphism
@@ -58,86 +64,137 @@ def st_class(alphabet) -> FinitePrevariety:
 
 @dataclass(frozen=True)
 class PairSet:
-    pairs: frozenset[tuple[int, int]]
+    """The (s, x) reached jointly by the product walk of alpha and eta.
+
+    `by_witness[x]` holds the elements s reached together with the
+    eta-image x, and `by_element[s]` the eta-images reached with s.  Two
+    elements are related when they share a witness.
+    """
+
+    by_witness: dict[int, frozenset[int]]
+    by_element: dict[int, frozenset[int]]
 
     def related(self, s: int, t: int) -> bool:
-        return (s, t) in self.pairs
+        witnesses = self.by_element.get(s)
+        others = self.by_element.get(t)
+        return bool(witnesses and others) and not witnesses.isdisjoint(others)
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """Every related (s, t), listed anew on each read: sum over the
+        witnesses x of |by_witness[x]|^2 tuples.  Nothing in the library
+        reads it; it exists only for the `oracles.pairs` counter of the
+        benchmark tracer (bench/tracer.py)."""
+        return frozenset(
+            (s, t)
+            for group in self.by_witness.values()
+            for s in group
+            for t in group
+        )
 
 
 def c_pairs(c: FinitePrevariety, alpha: Morphism) -> PairSet:
-    """All (s, t) whose fibers are inseparable inside the base class.
+    """The pair relation of alpha inside the base class c.
 
     Two elements are a pair exactly when some eta-image is reached jointly
-    with both of them, so it suffices to walk the product of alpha and eta.
+    with both of them, so one walk over the product of alpha and eta
+    decides it: O(|R| |A|) steps for the reached set R, at most |M| |N|
+    of the codomains M and N.  The pairs themselves, up to |M|^2 of them,
+    are never listed; the result keeps R grouped by each coordinate.
     """
     eta = c.eta
     if eta.alphabet != alpha.alphabet:
         raise InputError("the class morphism must use the language's alphabet")
-    m, n = alpha.codomain, eta.codomain
-    start = (m.identity, n.identity)
+    m_mul, n_mul = alpha.codomain.mul, eta.codomain.mul
+    letters = tuple(zip(alpha.letter_images, eta.letter_images))
+    start = (alpha.codomain.identity, eta.codomain.identity)
     seen = {start}
-    queue = deque([start])
-    width = len(alpha.alphabet)
-    while queue:
-        s, x = queue.popleft()
-        for i in range(width):
-            nxt = (m.mul[s][alpha.letter_images[i]], n.mul[x][eta.letter_images[i]])
+    stack = [start]
+    while stack:
+        s, x = stack.pop()
+        row_s, row_x = m_mul[s], n_mul[x]
+        for g, h in letters:
+            nxt = (row_s[g], row_x[h])
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
-    by_witness: dict[int, list[int]] = {}
+                stack.append(nxt)
+    by_witness: dict[int, set[int]] = {}
+    by_element: dict[int, set[int]] = {}
     for s, x in seen:
-        by_witness.setdefault(x, []).append(s)
-    pairs = set()
-    for group in by_witness.values():
-        for s in group:
-            for t in group:
-                pairs.add((s, t))
-    return PairSet(frozenset(pairs))
+        by_witness.setdefault(x, set()).add(s)
+        by_element.setdefault(s, set()).add(x)
+    return PairSet(
+        {x: frozenset(group) for x, group in by_witness.items()},
+        {s: frozenset(group) for s, group in by_element.items()},
+    )
 
 
 def c_orbit(pairs: PairSet, alpha: Morphism, e: int) -> frozenset[int]:
-    """The orbit of an idempotent: all e*s*e where (e, s) is a pair."""
+    """The orbit of an idempotent e: every e*t*e with (e, t) a pair.
+
+    The t related to e are the union, over the witnesses x of e, of the
+    elements reached with x; the orbit is that union multiplied by e on
+    both sides, O(|M|) lookups per witness of e and two per element.
+    """
     m = alpha.codomain
     if not 0 <= e < m.size or m.mul[e][e] != e:
         raise InputError(f"element {e} is not an idempotent")
-    orbit = set()
-    for s, t in pairs.pairs:
-        if s == e:
-            orbit.add(m.mul[m.mul[e][t]][e])
-    return frozenset(orbit)
+    witnesses = pairs.by_element.get(e, ())
+    related = set().union(*(pairs.by_witness[x] for x in witnesses))
+    mul = m.mul
+    return frozenset(mul[y][e] for y in set(map(mul[e].__getitem__, related)))
 
 
 # ---------------------------------------------------------------------------
 # mod: the stable monoid
 
 
-def _set_product(m: FiniteMonoid, xs, ys) -> frozenset[int]:
-    return frozenset(m.mul[x][y] for x in xs for y in ys)
+def _stability_bound(alpha: Morphism) -> int:
+    return 2 ** (min(len(alpha.image), 20) + 1)
+
+
+def _stable_power(alpha: Morphism) -> tuple[int, frozenset[int]]:
+    """The stability index d and alpha(A^d), from one walk of the powers.
+
+    S_k = alpha(A^k) satisfies S_(k+1) = S_k * A, so the walk S_1, S_2, ...
+    repeats for the first time at some step j with S_j = S_i, and is
+    periodic with period p = j - i from step i on.  S_d = S_2d holds
+    exactly when d >= i and p divides d, so d is the least multiple of p
+    that is at least i.  Each step costs |S_k| |A| lookups.  The index is
+    bounded by `_stability_bound`, 2^(min(|image|, 20) + 1):
+    ResourceLimitError is raised when d exceeds it, and as soon as the
+    walk grows longer than twice the bound, since then i or p, hence d,
+    exceeds it too.
+    """
+    mul = alpha.codomain.mul
+    letters = frozenset(alpha.letter_images)
+    limit = _stability_bound(alpha)
+    first: dict[frozenset[int], int] = {}
+    powers: list[frozenset[int]] = []
+    current = letters
+    while current not in first:
+        if len(powers) >= 2 * limit:
+            raise ResourceLimitError("stability index search exceeded its bound")
+        powers.append(current)
+        first[current] = len(powers)
+        current = frozenset(mul[s][g] for s in current for g in letters)
+    i = first[current]
+    period = len(powers) + 1 - i
+    d = -(-i // period) * period
+    if d > limit:
+        raise ResourceLimitError("stability index search exceeded its bound")
+    return d, powers[i - 1 + (d - i) % period]
 
 
 def mod_stability_index(alpha: Morphism) -> int:
     """Least d >= 1 with alpha(A^d) = alpha(A^2d)."""
-    m = alpha.codomain
-    letters = frozenset(alpha.letter_images)
-    current = letters
-    d = 1
-    limit = 2 ** (min(len(alpha.image), 20) + 1)
-    while _set_product(m, current, current) != current:
-        current = _set_product(m, current, letters)
-        d += 1
-        if d > limit:
-            raise ResourceLimitError("stability index search exceeded its bound")
-    return d
+    return _stable_power(alpha)[0]
+
 
 def mod_kernel(alpha: Morphism) -> frozenset[int]:
-    """The stable monoid: identity plus the images of words of length d."""
-    m = alpha.codomain
-    letters = frozenset(alpha.letter_images)
-    current = letters
-    for _ in range(mod_stability_index(alpha) - 1):
-        current = _set_product(m, current, letters)
-    return frozenset({m.identity}) | current
+    """The stable monoid: the identity plus alpha(A^d) for the stability
+    index d, read off the one walk of the powers of A that finds d."""
+    return frozenset({alpha.codomain.identity}) | _stable_power(alpha)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,38 +379,59 @@ def amt_kernel(
 
 
 # ---------------------------------------------------------------------------
-# gr: type-II saturation
+# gr: type-II saturation (Ash, "Inevitable graphs: a proof of the type II
+# conjecture and some related decision procedures", IJAC 1991)
 
 
 def gr_kernel(alpha: Morphism) -> frozenset[int]:
-    """Least submonoid T with s*T*t and t*T*s inside T whenever s*t*s = s."""
+    """Least submonoid T with s*T*t and t*T*s inside T whenever s*t*s = s.
+
+    Semi-naive evaluation in rounds: each round takes only the elements
+    new since the previous one (the delta D) and
+      * multiplies them on both sides with all of T, so that every
+        product of two members is formed once: |T|^2 lookups in all;
+      * for each regular s of the image, with weak inverses
+        W_s = {t : s*t*s = s}, adds (s*x)*t and t*(x*s) for x in D and t
+        in W_s.  These depend on x only through s*x and x*s, so a per-s
+        done set expands each distinct value once: at most
+        sum over s of (|s*T| + |T*s|) |W_s| lookups.
+    Listing the W_s reads |image|^2 products; the result is the same
+    fixpoint as re-applying every rule to all of T until nothing changes.
+    """
     m = alpha.codomain
+    mul = m.mul
     elems = sorted(alpha.image)
-    weak_inverses = [
-        (s, t)
-        for s in elems
-        for t in elems
-        if m.mul[m.mul[s][t]][s] == s
-    ]
+    rules = []
+    for s in elems:
+        row, column = mul[s], list(map(itemgetter(s), mul))
+        # the t with (s*t)*s == s
+        sts = map(column.__getitem__, map(row.__getitem__, elems))
+        weak = list(compress(elems, map(s.__eq__, sts)))
+        if weak:
+            rules.append((row, itemgetter(s), weak, [mul[t] for t in weak], set(), set()))
     kernel = {m.identity}
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(kernel)
-        for x in snapshot:
-            for y in snapshot:
-                p = m.mul[x][y]
-                if p not in kernel:
-                    kernel.add(p)
-                    changed = True
-        for s, t in weak_inverses:
-            for x in snapshot:
-                sx = m.mul[s][x]
-                tx = m.mul[t][x]
-                for p in (m.mul[sx][t], m.mul[tx][s]):
-                    if p not in kernel:
-                        kernel.add(p)
-                        changed = True
+    members = [m.identity]
+    delta = members[:]
+    while delta and len(kernel) < len(elems):
+        delta_rows = [mul[x] for x in delta]
+        fresh = set()
+        for row_x in delta_rows:
+            fresh.update(map(row_x.__getitem__, members))
+        for y in members:
+            fresh.update(map(mul[y].__getitem__, delta))
+        for row_s, at_s, weak, weak_rows, left_done, right_done in rules:
+            lefts = set(map(row_s.__getitem__, delta)) - left_done
+            left_done |= lefts
+            for y in lefts:
+                fresh.update(map(mul[y].__getitem__, weak))
+            rights = set(map(at_s, delta_rows)) - right_done
+            right_done |= rights
+            for z in rights:
+                fresh.update(map(itemgetter(z), weak_rows))
+        fresh -= kernel
+        kernel |= fresh
+        delta = list(fresh)
+        members += delta
     return frozenset(kernel)
 
 

@@ -335,6 +335,103 @@ def images_by_length(alpha, length: int) -> list[frozenset[int]]:
     return sets
 
 
+# ---------------------------------------------------------------------------
+# Class oracles as first written: the materialised pair set, the two-pass
+# stable monoid and the round-based type-II fixpoint.
+
+
+def naive_c_pairs(c, alpha: Morphism) -> frozenset[tuple[int, int]]:
+    """Every (s, t) reached jointly with one eta-image in the product walk
+    of alpha and eta, as an explicit set of pairs."""
+    eta = c.eta
+    if eta.alphabet != alpha.alphabet:
+        raise InputError("the class morphism must use the language's alphabet")
+    m, n = alpha.codomain, eta.codomain
+    start = (m.identity, n.identity)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        s, x = queue.popleft()
+        for g, h in zip(alpha.letter_images, eta.letter_images):
+            nxt = (m.mul[s][g], n.mul[x][h])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    by_witness: dict[int, list[int]] = {}
+    for s, x in seen:
+        by_witness.setdefault(x, []).append(s)
+    return frozenset(
+        (s, t) for group in by_witness.values() for s in group for t in group
+    )
+
+
+def naive_c_orbit(pairs, alpha: Morphism, e: int) -> frozenset[int]:
+    """All e*t*e where (e, t) is in the explicit pair set."""
+    m = alpha.codomain
+    if not 0 <= e < m.size or m.mul[e][e] != e:
+        raise InputError(f"element {e} is not an idempotent")
+    return frozenset(m.mul[m.mul[e][t]][e] for s, t in pairs if s == e)
+
+
+def _set_product(m: FiniteMonoid, xs, ys) -> frozenset[int]:
+    return frozenset(m.mul[x][y] for x in xs for y in ys)
+
+
+def naive_mod_stability_index(alpha: Morphism, limit: int | None = None) -> int:
+    """Least d >= 1 with alpha(A^d) = alpha(A^2d), squaring A^d at every d;
+    ResourceLimitError once d passes `limit` (default 2^(min(|image|, 20)+1))."""
+    if limit is None:
+        limit = 2 ** (min(len(alpha.image), 20) + 1)
+    m = alpha.codomain
+    letters = frozenset(alpha.letter_images)
+    current = letters
+    d = 1
+    while _set_product(m, current, current) != current:
+        current = _set_product(m, current, letters)
+        d += 1
+        if d > limit:
+            raise ResourceLimitError("stability index search exceeded its bound")
+    return d
+
+
+def naive_mod_kernel(alpha: Morphism, limit: int | None = None) -> frozenset[int]:
+    """Identity plus alpha(A^d), walking the powers of A a second time."""
+    m = alpha.codomain
+    letters = frozenset(alpha.letter_images)
+    current = letters
+    for _ in range(naive_mod_stability_index(alpha, limit) - 1):
+        current = _set_product(m, current, letters)
+    return frozenset({m.identity}) | current
+
+
+def naive_gr_kernel(alpha: Morphism) -> frozenset[int]:
+    """Least submonoid T with s*T*t and t*T*s inside T whenever s*t*s = s,
+    re-applying every rule to the whole of T until a round adds nothing."""
+    m = alpha.codomain
+    elems = sorted(alpha.image)
+    weak_inverses = [
+        (s, t) for s in elems for t in elems if m.mul[m.mul[s][t]][s] == s
+    ]
+    kernel = {m.identity}
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(kernel)
+        for x in snapshot:
+            for y in snapshot:
+                p = m.mul[x][y]
+                if p not in kernel:
+                    kernel.add(p)
+                    changed = True
+        for s, t in weak_inverses:
+            for x in snapshot:
+                for p in (m.mul[m.mul[s][x]][t], m.mul[m.mul[t][x]][s]):
+                    if p not in kernel:
+                        kernel.add(p)
+                        changed = True
+    return frozenset(kernel)
+
+
 def zero_parikh_images(alpha, q: int) -> frozenset[int]:
     """Images of words whose letter counts are all divisible by q, computed
     by a product walk over the monoid and counts modulo q."""

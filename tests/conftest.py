@@ -2,7 +2,8 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
 
 from sfclosure.automata import Dfa, compile_pattern, make_alphabet, minimize
 from sfclosure.errors import ResourceLimitError
@@ -189,3 +190,46 @@ def corpus_languages(corpus):
 
 def recognized(pattern: str, alphabet=AB) -> RecognizedLanguage:
     return syntactic_morphism(compile_pattern(pattern, alphabet))
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies
+
+
+@st.composite
+def transformation_morphisms(draw, width: int, max_points: int = 3):
+    """A morphism from the first `width` letters of abc into a monoid of
+    transformations of at most `max_points` points.  The monoid may have
+    one more generator than the alphabet, so the image can be a proper
+    submonoid of the codomain."""
+    points = draw(st.integers(1, max_points))
+    transformation = st.lists(
+        st.integers(0, points - 1), min_size=points, max_size=points
+    ).map(tuple)
+    images = draw(st.lists(transformation, min_size=width, max_size=width + 1))
+    full = permutation_morphism(dict(zip("abcd", images)))
+    alphabet = make_alphabet("abc"[:width])
+    letters = full.letter_images[:width]
+    return Morphism(
+        alphabet,
+        full.codomain,
+        letters,
+        generated_image(full.codomain, letters),
+        labels=full.labels,
+    )
+
+
+@st.composite
+def syntactic_morphisms(draw, max_states: int = 5, cap: int = 80):
+    """The syntactic morphism of a random DFA over {a, b}, for monoids of
+    at most `cap` elements."""
+    states = draw(st.integers(1, max_states))
+    delta = tuple(
+        tuple(draw(st.integers(0, states - 1)) for _ in AB) for _ in range(states)
+    )
+    finals = frozenset(q for q in range(states) if draw(st.booleans()))
+    try:
+        lang = syntactic_morphism(Dfa(AB, states, 0, finals, delta), cap=cap)
+    except ResourceLimitError:
+        assume(False)
+    return lang.morphism

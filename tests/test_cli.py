@@ -267,6 +267,24 @@ class TestExitCodes:
         doc = run_json(capsys, "regex", pattern, "--alphabet", "ab")
         assert doc["states"] == (2 if pattern[0] == "_" else 1)
 
+    @pytest.mark.parametrize("problem", ["missing", "malformed"])
+    @pytest.mark.parametrize("command", ["regex", "ltl eval", "ltl compare"])
+    def test_bad_config_is_input_error(self, capsys, tmp_path, command, problem):
+        formula = tmp_path / "f.ltl"
+        formula.write_text("F[a](max)", encoding="utf-8")
+        cfg = tmp_path / "bad.cfg"
+        if problem == "malformed":
+            cfg.write_text("monoid_cap = often\n", encoding="utf-8")
+        argv = {
+            "regex": ["regex", "a"],
+            "ltl eval": ["ltl", "eval", "--formula", str(formula), "--word", "ab"],
+            "ltl compare": ["ltl", "compare", "--formula", str(formula), "--lang", "~%a~%"],
+        }[command]
+        status, out, err = run(capsys, *argv, "--alphabet", "ab", "--config", str(cfg))
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("cannot read config" if problem == "missing" else "config line 1") in err
+
     def test_resource_cap_exit(self, capsys, tmp_path):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text("monoid_cap = 2\n", encoding="utf-8")

@@ -6,11 +6,11 @@ syntactic morphism (element numbering, table, letter images, accepting
 set), membership verdicts for st, mod, amt and gr, the mod/amt/gr
 kernels and the st orbits.  Two larger languages (35 and 171 elements,
 with gr kernels of 7 and 29) pin the st/mod/gr verdicts, the mod/gr
-kernels and the st orbits where the oracles do real work.  `*.out` holds stdout of a call that exits 0,
-`*.err` holds stderr of a call that exits 2 or 3, which includes the
-monoid cap and the group-step cap.  They change only when the monoid
-layer is meant to change its output; to rewrite them, run this module
-as a script:
+kernels and the st orbits where the oracles do real work.  `*.out`
+holds stdout of a call that exits 0, `*.err` holds stderr of a call
+that exits 2 or 3, which includes the monoid cap and the group-step
+cap.  They change only when the monoid layer is meant to change its
+output; to rewrite them, run this module as a script:
 
     PYTHONPATH=src python tests/test_golden_monoid.py
 """

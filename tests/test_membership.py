@@ -2,7 +2,7 @@ import pytest
 
 from bruteforce import schutzenberger_check
 from conftest import recognized
-from sfclosure.automata import compile_pattern, complement, make_alphabet
+from sfclosure.automata import Dfa, compile_pattern, complement, make_alphabet
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.membership import recheck_witness, sf_membership
 from sfclosure.monoid import idempotent_power, syntactic_morphism
@@ -111,3 +111,25 @@ def test_verdict_json_shape():
         "monoid_size": 2,
         "witness": None,
     }
+
+
+def transformation_dfa(n: int) -> Dfa:
+    """States 0..n-1 over {a, b, c}: a cycles, b swaps 0 and 1, c sends 0
+    to 1.  Its transition monoid is the full transformation monoid T_n,
+    with n^n elements."""
+    delta = tuple(
+        ((q + 1) % n, {0: 1, 1: 0}.get(q, q), 1 if q == 0 else q) for q in range(n)
+    )
+    return Dfa(make_alphabet("abc"), n, 0, frozenset({0}), delta)
+
+
+@pytest.mark.parametrize("selector", ["st", "mod"])
+def test_full_transformation_monoid_t5(selector):
+    # 3,125 elements: the pair set had 9.8 M entries and the stable monoid
+    # search squared every power of the letter set
+    dfa = transformation_dfa(5)
+    cls = st_class(dfa.alphabet) if selector == "st" else MOD
+    verdict = sf_membership(cls, dfa)
+    assert verdict.monoid_size == 3125
+    assert not verdict.answer
+    assert recheck_witness(verdict, syntactic_morphism(dfa))

@@ -1,9 +1,26 @@
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bruteforce import images_by_length, zero_parikh_images
-from conftest import permutation_morphism, recognized
+from bruteforce import (
+    images_by_length,
+    naive_c_orbit,
+    naive_c_pairs,
+    naive_gr_kernel,
+    naive_mod_kernel,
+    naive_mod_stability_index,
+    zero_parikh_images,
+)
+from conftest import (
+    permutation_morphism,
+    recognized,
+    syntactic_morphisms,
+    transformation_morphisms,
+)
+from sfclosure import oracles
 from sfclosure.automata import make_alphabet
 from sfclosure.config import DEFAULT
 from sfclosure.errors import InputError, ResourceLimitError
@@ -12,6 +29,7 @@ from sfclosure.oracles import (
     AMT,
     GR,
     MOD,
+    FinitePrevariety,
     IntegerLattice,
     amt_kernel,
     c_orbit,
@@ -203,3 +221,63 @@ class TestIntegerLattice:
         lat = IntegerLattice(2)
         assert not lat.add((0, 0))
         assert lat.contains((0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the oracles against the references they replaced (tests/bruteforce.py)
+
+
+def _assert_pairs_match(c, alpha):
+    pairs = c_pairs(c, alpha)
+    reference = naive_c_pairs(c, alpha)
+    assert pairs.pairs == reference
+    size = alpha.codomain.size
+    for s in range(size):
+        for t in range(size):
+            assert pairs.related(s, t) == ((s, t) in reference)
+    for e in idempotents(alpha.codomain):
+        assert c_orbit(pairs, alpha, e) == naive_c_orbit(reference, alpha, e)
+
+
+def _assert_kernels_match(alpha):
+    assert gr_kernel(alpha) == naive_gr_kernel(alpha)
+    assert mod_kernel(alpha) == naive_mod_kernel(alpha)
+    assert mod_stability_index(alpha) == naive_mod_stability_index(alpha)
+
+
+_widths = st.integers(1, 3)
+
+
+@settings(max_examples=200)
+@given(_widths.flatmap(lambda k: st.tuples(transformation_morphisms(k),
+                                           transformation_morphisms(k))))
+def test_oracles_match_references_on_random_morphisms(morphisms):
+    alpha, eta = morphisms
+    _assert_kernels_match(alpha)
+    _assert_pairs_match(FinitePrevariety(eta), alpha)
+    _assert_pairs_match(st_class(alpha.alphabet), alpha)
+
+
+@settings(max_examples=200)
+@given(syntactic_morphisms(), transformation_morphisms(2))
+def test_oracles_match_references_on_syntactic_monoids(alpha, eta):
+    _assert_kernels_match(alpha)
+    _assert_pairs_match(st_class(AB), alpha)
+    _assert_pairs_match(FinitePrevariety(eta), alpha)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ResourceLimitError:
+        return ResourceLimitError
+
+
+@given(_widths.flatmap(transformation_morphisms) | syntactic_morphisms(),
+       st.integers(1, 6))
+def test_stability_bound_trips_in_the_same_cases(alpha, bound):
+    with mock.patch.object(oracles, "_stability_bound", lambda _: bound):
+        index = _outcome(lambda: mod_stability_index(alpha))
+        kernel = _outcome(lambda: mod_kernel(alpha))
+    assert index == _outcome(lambda: naive_mod_stability_index(alpha, bound))
+    assert kernel == _outcome(lambda: naive_mod_kernel(alpha, bound))
