@@ -15,8 +15,8 @@ elements whose fiber is inseparable from the empty word:
     of the letter set A until a power repeats.
   * amt: elements reachable with all letter counts divisible by every
     modulus at once, via Parikh decompositions and integer lattices.
-  * gr:  Ash's type-II closure, evaluated semi-naively: each new element
-    is combined only with what the kernel held before it.
+  * gr:  Ash's type-II closure, evaluated semi-naively: each round
+    combines only the elements new since the last round with the kernel.
 """
 
 from __future__ import annotations
@@ -388,8 +388,8 @@ def gr_kernel(alpha: Morphism) -> frozenset[int]:
 
     Semi-naive evaluation in rounds: each round takes only the elements
     new since the previous one (the delta D) and
-      * multiplies them on both sides with all of T, so that every
-        product of two members is formed once: |T|^2 lookups in all;
+      * multiplies them on both sides with all of T, so that each product
+        of two members is formed once or twice: at most 2 |T|^2 lookups;
       * for each regular s of the image, with weak inverses
         W_s = {t : s*t*s = s}, adds (s*x)*t and t*(x*s) for x in D and t
         in W_s.  These depend on x only through s*x and x*s, so a per-s
