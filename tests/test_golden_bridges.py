@@ -27,9 +27,9 @@ def _eval(formula: str, word: str, position: int) -> list[str]:
             "--position", str(position), "--alphabet", "ab"]
 
 
-def _compare(formula: str, lang: str) -> list[str]:
+def _compare(formula: str, lang: str, maxlen: int = 8, alphabet: str = "ab") -> list[str]:
     return ["ltl", "compare", "--formula", str(GOLDEN / formula), "--lang", lang,
-            "--alphabet", "ab", "--maxlen", "8"]
+            "--alphabet", alphabet, "--maxlen", str(maxlen)]
 
 
 # name -> (argv, exit status)
@@ -45,6 +45,11 @@ CASES = {
     "compare-readme-shifted": (_compare("readme.ltl", "(ab)*+a(ba)*"), 0),
     "compare-pair-star": (_compare("pair-star.ltl", "(aa+bb)*"), 0),
     "compare-since": (_compare("since.ltl", "~%b~%"), 0),
+    # longer and denser comparisons: a near miss with many mismatches, a
+    # longer sample, and a three-letter alphabet
+    "compare-pair-star-near-miss-12": (_compare("pair-star.ltl", "(aa+ab)*", 12), 0),
+    "compare-since-11": (_compare("since.ltl", "~%b~%", 11), 0),
+    "compare-pair-star-abc-7": (_compare("pair-star.ltl", "(aa+bb+cc)*", 7, "abc"), 0),
     "delay-two": (["sd", "delay", "(aab)*ab", "--alphabet", "ab"], 0),
     "delay-one": (["sd", "delay", "(bb)*aa(aa)*bb", "--alphabet", "ab"], 0),
     "delay-none": (["sd", "delay", "aa", "--alphabet", "a", "--dmax", "4"], 0),
