@@ -13,13 +13,23 @@ word, children first.  Until is one backward sweep and since one forward
 sweep, carrying the set of bound-DFA states that can still lead to
 acceptance (until) or that have been reached (since), so a word of length n
 costs O(n * |formula| * |states|) time.
+
+Sampled comparison runs the same sweeps on many words at once, in the manner
+of shift-or matching but across words instead of positions.  The words of
+one length, numbered length-lexicographically, form blocks of at most
+BLOCK_WORDS words sharing a prefix.  Bit w of a mask stands for word w of a
+block: a subformula keeps one mask per position, a sweep one mask per bound
+state, and the automaton's run one mask per state.  A word whose evaluation
+would read a letter missing from a bound's or the automaton's alphabet is
+marked in a mask as well, and the least such word is evaluated on its own
+so that it raises exactly the error the word-by-word loop would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, _Scanner, compile_pattern
+from .automata import Alphabet, Dfa, _Scanner, accepts, compile_pattern
 from .errors import InputError
 
 
@@ -323,23 +333,13 @@ def _plan(formula: Formula) -> list[tuple]:
     return steps
 
 
-# the plan of the formula evaluated last; sampled comparison evaluates one
-# formula on many words, and the plan keeps the bound images it has seen
-_last_plan: tuple = (None, [])
-
-
 def _truth(formula: Formula, word: str) -> int:
     """Truth values of the formula at positions 0..n+1 of the word as the
     bits of an int, one such vector per subformula, children first."""
-    global _last_plan
-    planned, steps = _last_plan
-    if planned is not formula:
-        steps = _plan(formula)
-        _last_plan = (formula, steps)
     n = len(word)
     everywhere = (1 << (n + 2)) - 1
     vectors: list[int] = []
-    for kind, node, left, right, images in steps:
+    for kind, node, left, right, images in _plan(formula):
         if kind is And:
             value = vectors[left] & vectors[right]
         elif kind is Or:
@@ -377,22 +377,197 @@ def eval_word(formula: Formula, word: str) -> bool:
     return eval_at(formula, word, 0)
 
 
-def _words_by_length(alphabet: Alphabet, max_length: int):
-    frontier = [""]
-    yield ""
-    for _ in range(max_length):
-        frontier = [w + sym for w in frontier for sym in alphabet]
-        yield from frontier
+# ---------------------------------------------------------------------------
+# Sampled comparison, all words of a block at once.  A letter column holds
+# one mask per alphabet letter: the words of the block carrying that letter
+# at one position.
+
+# words per block: a length whose words outnumber this is split into blocks
+# of words that share a prefix
+BLOCK_WORDS = 4096
+
+
+def _suffix_columns(k: int, m: int) -> list[list[int]]:
+    """Letter columns of the k**m words of length m over k letters, numbered
+    length-lexicographically: letter c sits at position t of word w when
+    digit t of w in base k, most significant first, is c."""
+    width = k**m
+    columns = []
+    for t in range(m):
+        run = k ** (m - 1 - t)
+        period = k * run
+        repeat = ((1 << width) - 1) // ((1 << period) - 1)
+        columns.append([(((1 << run) - 1) << (c * run)) * repeat for c in range(k)])
+    return columns
+
+
+def _spell(index: int, length: int, symbols: tuple[str, ...]) -> str:
+    """Word number `index` among the words of the given length."""
+    letters = []
+    for _ in range(length):
+        index, digit = divmod(index, len(symbols))
+        letters.append(symbols[digit])
+    return "".join(reversed(letters))
+
+
+def _moves(dfa: Dfa, symbols: tuple[str, ...]) -> list:
+    """Per letter of `symbols`, the successor of each automaton state, or
+    None where the automaton's alphabet lacks the letter."""
+    return [
+        [row[dfa.alphabet.index(sym)] for row in dfa.delta] if sym in dfa.alphabet else None
+        for sym in symbols
+    ]
+
+
+def _step(moves: list, states: list[int], column: list[int], live: int, backward: bool):
+    """One step of an automaton on every word of a block, restricted to the
+    `live` words: the state masks after the letter column (before it, when
+    backward), and the live words in some state that read a letter the
+    automaton lacks."""
+    result = [0] * len(states)
+    stuck = 0
+    for targets, letter in zip(moves, column):
+        letter &= live
+        if not letter:
+            continue
+        if targets is None:
+            for words in states:
+                stuck |= words & letter
+        elif backward:
+            for source, target in enumerate(targets):
+                result[source] |= states[target] & letter
+        else:
+            for words, target in zip(states, targets):
+                if words:
+                    result[target] |= words & letter
+    return result, stuck
+
+
+def _until_block(bound: Dfa, moves: list, columns, left: list[int], right: list[int]):
+    # `_until` with one mask per bound state: bit w of states[q] says q is
+    # in the swept set of word w
+    n = len(columns)
+    finals = sorted(bound.finals)
+    states = [0] * bound.states
+    for q in finals:
+        states[q] = right[n + 1]
+    out = [0] * (n + 2)
+    out[n] = states[bound.initial]
+    stuck = 0
+    for i in range(n - 1, -1, -1):
+        states, foreign = _step(moves, states, columns[i], left[i + 1], backward=True)
+        stuck |= foreign
+        for q in finals:
+            states[q] |= right[i + 1]
+        out[i] = states[bound.initial]
+    return out, stuck
+
+
+def _since_block(bound: Dfa, moves: list, columns, left: list[int], right: list[int]):
+    # `_since` with one mask per bound state
+    n = len(columns)
+    finals = sorted(bound.finals)
+    states = [0] * bound.states
+    states[bound.initial] = right[0]
+    out = [0] * (n + 2)
+    for q in finals:
+        out[1] |= states[q]
+    stuck = 0
+    for i in range(2, n + 2):
+        states, foreign = _step(moves, states, columns[i - 2], left[i - 1], backward=False)
+        stuck |= foreign
+        states[bound.initial] |= right[i - 1]
+        for q in finals:
+            out[i] |= states[q]
+    return out, stuck
+
+
+def _block_truth(steps: list[tuple], moves: dict, columns, symbols, full: int):
+    """Truth of the formula at position 0 of every word of a block, and the
+    words whose per-word sweeps read a letter missing from a bound."""
+    n = len(columns)
+    vectors: list[list[int]] = []
+    stuck = 0
+    for kind, node, left, right, _ in steps:
+        if kind is And:
+            value = [x & y for x, y in zip(vectors[left], vectors[right])]
+        elif kind is Or:
+            value = [x | y for x, y in zip(vectors[left], vectors[right])]
+        elif kind is Not:
+            value = [full ^ x for x in vectors[left]]
+        elif kind is Until or kind is Since:
+            sweep = _until_block if kind is Until else _since_block
+            value, foreign = sweep(
+                node.bound, moves[id(node)], columns, vectors[left], vectors[right]
+            )
+            stuck |= foreign
+        elif kind is LetterAt:
+            value = [0] * (n + 2)
+            if node.symbol in symbols:
+                c = symbols.index(node.symbol)
+                value[1:n + 1] = [column[c] for column in columns]
+        elif kind is Top:
+            value = [full] * (n + 2)
+        elif kind is Min:
+            value = [full] + [0] * (n + 1)
+        else:
+            value = [0] * (n + 1) + [full]
+        vectors.append(value)
+    return vectors[-1][0], stuck
 
 
 def compare_sampled(
     formula: Formula, dfa: Dfa, alphabet: Alphabet, max_length: int = 8
 ) -> list[str]:
-    """Words up to the length bound where formula and automaton disagree."""
-    from .automata import accepts
+    """Words up to the length bound where formula and automaton disagree,
+    shortest first and length-lexicographic within one length.
 
+    The words of one length are evaluated together, up to BLOCK_WORDS of
+    them at a time: each subformula keeps one mask over the block's words
+    per position, so connectives are bitwise operations, and the until and
+    since sweeps and the automaton run keep one mask per state.  The words
+    whose per-word evaluation would raise InputError (a letter missing from
+    a bound's or the automaton's alphabet) are tracked as a mask too; the
+    least of them is then evaluated on its own, which raises the same error
+    at the same word as evaluating word by word would.
+    """
+    if max_length < 0:
+        raise InputError(f"sample length bound {max_length} is negative")
+    symbols = alphabet.symbols
+    k = len(symbols)
+    steps = _plan(formula)
+    moves = {
+        id(node): _moves(node.bound, symbols)
+        for kind, node, *_ in steps
+        if kind is Until or kind is Since
+    }
+    dfa_moves = _moves(dfa, symbols)
     mismatches = []
-    for word in _words_by_length(alphabet, max_length):
-        if eval_word(formula, word) != accepts(dfa, word):
-            mismatches.append(word)
+    for n in range(max_length + 1):
+        m = n
+        while k**m > BLOCK_WORDS:
+            m -= 1
+        full = (1 << k**m) - 1
+        suffix = _suffix_columns(k, m)
+        for block in range(k ** (n - m)):
+            prefix = _spell(block, n - m, symbols)
+            columns = [[full if sym == p else 0 for sym in symbols] for p in prefix]
+            columns += suffix
+            truth, stuck = _block_truth(steps, moves, columns, symbols, full)
+            states = [0] * dfa.states
+            states[dfa.initial] = full
+            for column in columns:
+                states, foreign = _step(dfa_moves, states, column, full, backward=False)
+                stuck |= foreign
+            if stuck:
+                word = prefix + _spell((stuck & -stuck).bit_length() - 1, m, symbols)
+                eval_word(formula, word)
+                accepts(dfa, word)
+                raise AssertionError(f"word {word!r} was expected to raise")
+            accepted = 0
+            for q in dfa.finals:
+                accepted |= states[q]
+            for w, bit in enumerate(reversed(f"{truth ^ accepted:b}")):
+                if bit == "1":
+                    mismatches.append(prefix + _spell(w, m, symbols))
     return mismatches

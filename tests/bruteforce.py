@@ -500,6 +500,28 @@ def naive_ltl(formula, word: str, position: int) -> bool:
     return at(formula, position)
 
 
+def _words_by_length(alphabet: Alphabet, max_length: int):
+    frontier = [""]
+    yield ""
+    for _ in range(max_length):
+        frontier = [w + sym for w in frontier for sym in alphabet]
+        yield from frontier
+
+
+def naive_compare_sampled(
+    formula, dfa: Dfa, alphabet: Alphabet, max_length: int = 8
+) -> list[str]:
+    """Words up to the length bound where formula and automaton disagree,
+    one word at a time through the per-word evaluator."""
+    from sfclosure.ltl import eval_word
+
+    mismatches = []
+    for word in _words_by_length(alphabet, max_length):
+        if eval_word(formula, word) != accepts(dfa, word):
+            mismatches.append(word)
+    return mismatches
+
+
 # ---------------------------------------------------------------------------
 # Covering: the saturations over plain tuples of bitmasks, all pairs of
 # maxima every round, with setwise products read off the monoid tables.

@@ -176,6 +176,16 @@ class TestExitCodes:
         status, _, err = run(capsys, "regex", "(ab)*")
         assert status == 2 and "--alphabet" in err
 
+    def test_negative_compare_length(self, capsys, tmp_path):
+        formula = tmp_path / "top.ltl"
+        formula.write_text("top", encoding="utf-8")
+        status, out, err = run(
+            capsys, "ltl", "compare", "--formula", str(formula),
+            "--lang", "~%", "--alphabet", "ab", "--maxlen", "-1",
+        )
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "text",
         [

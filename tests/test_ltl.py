@@ -1,13 +1,16 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import naive_ltl, words_up_to
-from sfclosure.automata import MAX_NESTING, compile_pattern, make_alphabet
+from bruteforce import naive_compare_sampled, naive_ltl, words_up_to
+from sfclosure import ltl
+from sfclosure.automata import MAX_NESTING, Dfa, compile_pattern, make_alphabet
 from sfclosure.errors import InputError
 from sfclosure.ltl import (
+    BLOCK_WORDS,
     LetterAt,
     Max,
     Top,
@@ -227,3 +230,98 @@ def test_word_slice_of_formula_language():
 
     for word in words_up_to(AB, 7):
         assert eval_word(f, word) == accepts(dfa, word)
+
+
+def regex_text(letters: str):
+    return st.recursive(
+        st.sampled_from([*letters, "_", "~%"]),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: f"({p[0]}{p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]}+{p[1]})"),
+            inner.map(lambda r: f"({r})*"),
+            inner.map(lambda r: f"~({r})"),
+        ),
+        max_leaves=4,
+    )
+
+
+def bounded_formula_text(letters: str):
+    bound = regex_text(letters)
+    return st.recursive(
+        st.sampled_from([*letters, "top", "min", "max"]),
+        lambda inner: st.one_of(
+            inner.map(lambda f: f"!({f})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} & {p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} | {p[1]})"),
+            inner.map(lambda f: f"X({f})"),
+            st.tuples(bound, inner).map(lambda t: f"F[{t[0]}]({t[1]})"),
+            st.tuples(st.sampled_from("US"), bound, inner, inner).map(
+                lambda t: f"{t[0]}[{t[1]}]({t[2]}, {t[3]})"
+            ),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def dfas(draw, letters: str, max_states: int = 4):
+    states = draw(st.integers(1, max_states))
+    delta = tuple(
+        tuple(draw(st.integers(0, states - 1)) for _ in letters) for _ in range(states)
+    )
+    finals = frozenset(q for q in range(states) if draw(st.booleans()))
+    initial = draw(st.integers(0, states - 1))
+    return Dfa(make_alphabet(letters), states, initial, finals, delta)
+
+
+def outcome(compare, *args):
+    try:
+        return compare(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# alphabets of the formula (and so of its bounds), of the automaton and of
+# the sample; where they differ, a bound or the automaton may lack a letter
+# of the sample, and both comparisons must then raise the same error at the
+# same word
+ALPHABETS = ["ab", "ba", "bc", "abc", "cab"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALPHABETS), st.sampled_from(ALPHABETS), st.sampled_from(ALPHABETS),
+       st.integers(0, 7), st.sampled_from([BLOCK_WORDS, 1, 2, 9]), st.data())
+def test_block_compare_matches_word_by_word(formula_letters, dfa_letters, letters,
+                                            max_length, block_words, data):
+    formula = parse_formula(data.draw(bounded_formula_text(formula_letters)),
+                            make_alphabet(formula_letters))
+    dfa = data.draw(dfas(dfa_letters))
+    alphabet = make_alphabet(letters)
+    if len(letters) == 3:
+        max_length = min(max_length, 5)
+    # small blocks split even short words by prefix
+    with mock.patch.object(ltl, "BLOCK_WORDS", block_words):
+        blocked = outcome(compare_sampled, formula, dfa, alphabet, max_length)
+    assert blocked == outcome(naive_compare_sampled, formula, dfa, alphabet, max_length)
+
+
+def test_first_failing_word_decides_the_error():
+    # the bound lacks a and the automaton lacks c: "a" fails before "c"
+    formula = parse_formula("F(max)", make_alphabet("bc"))
+    dfa = compile_pattern("~%", make_alphabet("ab"))
+    abc = make_alphabet("abc")
+    with pytest.raises(InputError, match="'a'"):
+        naive_compare_sampled(formula, dfa, abc, 1)
+    with pytest.raises(InputError, match="'a'"):
+        compare_sampled(formula, dfa, abc, 1)
+
+
+def test_block_compare_across_two_blocks():
+    # the 8,192 words of length 13 are two blocks, split by the first letter
+    assert 2**13 == 2 * BLOCK_WORDS
+    formula = parse_formula(PAIR_STAR_FORMULA, AB)
+    dfa = compile_pattern("(aa+ab)*+a~%b+b~%", AB)
+    mismatches = compare_sampled(formula, dfa, AB, 13)
+    assert mismatches == naive_compare_sampled(formula, dfa, AB, 13)
+    longest = [w for w in mismatches if len(w) == 13]
+    assert longest[0][0] == "a" and longest[-1][0] == "b"
