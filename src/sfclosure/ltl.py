@@ -447,7 +447,7 @@ def _until_block(bound: Dfa, moves: list, columns, left: list[int], right: list[
     # `_until` with one mask per bound state: bit w of states[q] says q is
     # in the swept set of word w
     n = len(columns)
-    finals = sorted(bound.finals)
+    finals = bound.finals
     states = [0] * bound.states
     for q in finals:
         states[q] = right[n + 1]
@@ -466,7 +466,7 @@ def _until_block(bound: Dfa, moves: list, columns, left: list[int], right: list[
 def _since_block(bound: Dfa, moves: list, columns, left: list[int], right: list[int]):
     # `_since` with one mask per bound state
     n = len(columns)
-    finals = sorted(bound.finals)
+    finals = bound.finals
     states = [0] * bound.states
     states[bound.initial] = right[0]
     out = [0] * (n + 2)
