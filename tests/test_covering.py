@@ -23,7 +23,7 @@ from sfclosure.covering import (
 )
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import idempotents, syntactic_morphism
-from sfclosure.oracles import GR, MOD, st_class
+from sfclosure.oracles import GR, MOD, FinitePrevariety, st_class
 from sfclosure.semiring import rho_alpha, sf_closure_of
 
 AB = make_alphabet("ab")
@@ -196,18 +196,35 @@ def small_languages() -> tuple:
 ORACLE_CONFIG = Config(powerset2_cap=64, trace=True)
 
 
+@functools.lru_cache(maxsize=None)
+def finite_classes() -> dict:
+    """Finite classes with |N| > 1 by name: the first letter (three
+    idempotents) and the length parity (a non-idempotent element, which
+    the jump skips)."""
+    return {
+        "starts-a": FinitePrevariety(recognized("a~%").morphism),
+        "even-length": FinitePrevariety(recognized("(aa+ab+ba+bb)*").morphism),
+    }
+
+
 @settings(max_examples=100)
 @given(
     picks=st.lists(st.integers(0, 39), min_size=2, max_size=3),
-    cls_name=st.sampled_from(["st", "mod", "gr"]),
+    cls_name=st.sampled_from(
+        ["st", "mod", "gr", "starts-a", "even-length", "alphabet-testable"]
+    ),
 )
-def test_packed_semi_naive_matches_naive_tuple_saturation(picks, cls_name):
+def test_packed_semi_naive_matches_naive_tuple_saturation(
+    alphabet_testable, picks, cls_name
+):
     dfas = [small_languages()[i] for i in picks]
     instance = reduce_cover_instance(dfas[0], dfas[1:])
     unpack = instance.rho.semiring.unpack
     languages = instance.languages
-    if cls_name == "st":
-        cls = st_class(AB)
+    if cls_name not in ("mod", "gr"):
+        cls = {
+            "st": st_class(AB), "alphabet-testable": alphabet_testable, **finite_classes()
+        }[cls_name]
         sat = saturate_finite(cls, instance.rho, want_trace=True)
         maxima, rounds, trace = naive_saturate_finite(cls.eta, languages)
         assert {n: [unpack(r) for r in chain.snapshot()]
