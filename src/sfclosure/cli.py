@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 
-from .automata import compile_pattern, dfa_to_json, make_alphabet
+from .automata import Alphabet, compile_pattern, dfa_to_json, make_alphabet
 from .config import DEFAULT, Config, load_config
 from .covering import is_coverable, is_separable
 from .errors import InputError, ResourceLimitError
@@ -28,9 +28,7 @@ from .monoid import (
     syntactic_morphism,
 )
 from .oracles import (
-    AMT,
-    GR,
-    MOD,
+    GROUP_CLASSES,
     FinitePrevariety,
     c_orbit,
     c_pairs,
@@ -39,10 +37,8 @@ from .oracles import (
 )
 from .sd import min_sync_delay, parse_sd_expression, validate_sd_expression
 
-_GROUP_SELECTORS = {"mod": MOD, "amt": AMT, "gr": GR}
 
-
-def _alphabet_of(args) -> "make_alphabet":
+def _alphabet_of(args) -> Alphabet:
     if not getattr(args, "alphabet", None):
         raise InputError("--alphabet is required for this command")
     return make_alphabet(args.alphabet)
@@ -69,9 +65,9 @@ def _plain_morphism(loaded) -> Morphism:
     return loaded
 
 
-def _resolve_class(selector: str, args, config: Config):
-    if selector in _GROUP_SELECTORS:
-        return _GROUP_SELECTORS[selector]
+def _resolve_class(selector: str, args):
+    if selector in GROUP_CLASSES:
+        return GROUP_CLASSES[selector]
     if selector == "st":
         return st_class(_alphabet_of(args))
     if selector.startswith("finite:"):
@@ -109,16 +105,16 @@ def _cmd_monoid(args) -> dict:
 def _cmd_kernel(args) -> dict:
     config = _config_of(args)
     selector = args.klass
-    if selector not in _GROUP_SELECTORS:
+    if selector not in GROUP_CLASSES:
         raise InputError("kernels are defined for the group classes mod, amt, gr")
     alpha = _language_morphism(args, config)
-    kernel = group_kernel(_GROUP_SELECTORS[selector], alpha, config=config)
+    kernel = group_kernel(GROUP_CLASSES[selector], alpha, config=config)
     return {"kernel": sorted(kernel)}
 
 
 def _cmd_orbits(args) -> dict:
     config = _config_of(args)
-    cls = _resolve_class(args.klass, args, config)
+    cls = _resolve_class(args.klass, args)
     if not isinstance(cls, FinitePrevariety):
         raise InputError("orbits are defined for finite classes; use st or finite:<file>")
     alpha = _language_morphism(args, config)
@@ -132,7 +128,7 @@ def _cmd_orbits(args) -> dict:
 
 def _cmd_membership(args) -> dict:
     config = _config_of(args)
-    cls = _resolve_class(args.klass, args, config)
+    cls = _resolve_class(args.klass, args)
     alphabet = _alphabet_of(args)
     dfa = compile_pattern(args.lang, alphabet)
     verdict = sf_membership(cls, dfa, monoid_cap=config.monoid_cap, config=config)
@@ -141,7 +137,7 @@ def _cmd_membership(args) -> dict:
 
 def _cmd_separate(args) -> dict:
     config = _config_of(args)
-    cls = _resolve_class(args.klass, args, config)
+    cls = _resolve_class(args.klass, args)
     alphabet = _alphabet_of(args)
     left = compile_pattern(args.left, alphabet)
     right = compile_pattern(args.right, alphabet)
@@ -150,7 +146,7 @@ def _cmd_separate(args) -> dict:
 
 def _cmd_cover(args) -> dict:
     config = _config_of(args)
-    cls = _resolve_class(args.klass, args, config)
+    cls = _resolve_class(args.klass, args)
     alphabet = _alphabet_of(args)
     covered = compile_pattern(args.covered, alphabet)
     avoided = [compile_pattern(p, alphabet) for p in args.avoided]

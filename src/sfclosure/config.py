@@ -31,15 +31,8 @@ class Config:
 
 DEFAULT = Config()
 
-_INT_KEYS = {
-    "monoid_cap",
-    "powerset_cap",
-    "powerset2_cap",
-    "amt_alphabet_cap",
-    "amt_monoid_cap",
-    "delay_dmax",
-}
-_BOOL_KEYS = {"trace"}
+_INT_KEYS = {f.name for f in dataclasses.fields(Config) if type(f.default) is int}
+_BOOL_KEYS = {f.name for f in dataclasses.fields(Config) if type(f.default) is bool}
 
 
 def parse_config(text: str) -> Config:

@@ -7,15 +7,22 @@ is sound because multiplication distributes over the idempotent addition
 and is therefore monotone, and the closure rule r -> r^w + r^(w+1) is
 monotone as well.
 
-Values are ints ordered by bit inclusion: powerset masks, or product
-values packed one component per bit field (see semiring.py), so the
-antichains compare with x | y == y and sort by plain int order.
+Values are ints ordered by bit inclusion, one bit field per component
+(see semiring.py), so the antichains compare with x | y == y and sort by
+plain int order.
 
 Finite base class, with canonical morphism eta into N: the pointed
 saturation is the least subset of N x R containing the letter pairs
 (eta(a), rho(a)) and the identity pair, closed under componentwise
 product, downward closure on R, and, for idempotent e in N, the jump
-(e, r) -> (e, r^w + r^(w+1)).
+(e, r) -> (e, r^w + r^(w+1)).  A pair (n, r) is one value of the
+product semiring P(N) x R whose top field is the singleton {n}.
+Products of singletons are singletons, read off N's table, and a
+singleton field lies below another only when the two are equal, so the
+product rule and the order are the plain ones; the jump is applied only
+where n is idempotent, which keeps the field a singleton.  Int order is
+(n, r) order.  The antichain keeps one bucket per top field, so pairs
+with different class elements are never compared.
 
 Group base class: the saturation is the least downward closed subset S
 of R closed under product, the jump above, and the group step: build the
@@ -45,72 +52,165 @@ from .config import DEFAULT, Config
 from .errors import InputError
 from .monoid import Morphism, RecognizedLanguage, cayley_closure, syntactic_morphism
 from .oracles import FinitePrevariety, GroupClass, group_kernel
-from .semiring import RatingMap, downset, product_rating_map, rho_alpha, sf_closure_of
+from .semiring import (
+    ProductSemiring,
+    RatingMap,
+    downset,
+    product_rating_map,
+    rho_alpha,
+    sf_closure_of,
+)
 
 
 class Antichain:
-    """Maximal elements of a downward closed set of bitmask values."""
+    """Maximal elements of a downward closed set of bitmask values.
 
-    def __init__(self) -> None:
-        self.elems: list = []
+    With `exact` set, values that differ at or above that bit offset are
+    never compared: each such high part has its own bucket of maxima.
+    """
+
+    def __init__(self, exact: int | None = None) -> None:
+        self._exact = exact
+        self._buckets: dict[int, list] = {}
 
     def covers(self, x) -> bool:
-        for y in self.elems:
+        key = 0 if self._exact is None else x >> self._exact
+        for y in self._buckets.get(key, ()):
             if x | y == y:
                 return True
         return False
 
     def insert(self, x) -> bool:
         """Add x; returns True when the represented set grows."""
-        for y in self.elems:
+        key = 0 if self._exact is None else x >> self._exact
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [x]
+            return True
+        for y in bucket:
             if x | y == y:
                 return False
-        self.elems = [y for y in self.elems if x | y != x]
-        self.elems.append(x)
+        bucket[:] = [y for y in bucket if x | y != x]
+        bucket.append(x)
         return True
 
     def snapshot(self) -> list:
-        return sorted(self.elems)
+        return sorted(y for bucket in self._buckets.values() for y in bucket)
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return sum(map(len, self._buckets.values()))
 
 
-def _trace_add(trace, rule, value, sr, n=None):
-    if trace is not None:
-        entry = {"rule": rule, "value": sr.element_to_json(value)}
-        if n is not None:
-            entry["class_element"] = n
-        trace.append(entry)
+class Saturation:
+    """A downward closed set of packed values, kept as its maxima, with
+    the rounds run so far and the trace of successful inserts.  `sr` is
+    the rating map's semiring and `mul` multiplies two values."""
+
+    def __init__(self, sr: ProductSemiring, want_trace: bool, exact: int | None = None) -> None:
+        self.sr = sr
+        self.mul = sr.mul
+        self.chain = Antichain(exact)
+        self.rounds = 0
+        self.trace: list | None = [] if want_trace else None
+        # maxima of earlier snapshots, whose products and jumps are in the chain
+        self._seen: set = set()
+
+    def contains(self, value) -> bool:
+        return self.chain.covers(value)
+
+    def maxima(self) -> list:
+        """The maximal values of the rating map's semiring, ascending."""
+        return self.chain.snapshot()
+
+    def _entry(self, rule: str, value) -> dict:
+        return {"rule": rule, "value": self.sr.element_to_json(value)}
+
+    def _may_jump(self, value) -> bool:
+        return True
+
+    def _record(self, rule: str, value) -> None:
+        if self.trace is not None:
+            self.trace.append(self._entry(rule, value))
+
+    def insert(self, value, rule: str) -> bool:
+        """Add a value; returns True when the set grows."""
+        if not self.chain.insert(value):
+            return False
+        self._record(rule, value)
+        return True
+
+    def close_round(self, jump: bool) -> bool:
+        """One semi-naive round of the product rule, then of the jump when
+        `jump` is set; returns True when the set grew."""
+        snapshot = self.chain.snapshot()
+        seen = self._seen
+        flags = [value not in seen for value in snapshot]
+        fresh = [value for value, new in zip(snapshot, flags) if new]
+        seen.update(fresh)
+        mul = self.mul
+        add = self.chain.insert
+        grew = False
+        for x, new in zip(snapshot, flags):
+            for y in snapshot if new else fresh:
+                value = mul(x, y)
+                if add(value):
+                    self._record("product", value)
+                    grew = True
+        if jump:
+            for x in fresh:
+                if self._may_jump(x) and self.insert(sf_closure_of(self, x), "closure"):
+                    grew = True
+        return grew
 
 
-def _split_fresh(snapshot: list, seen: set) -> tuple[list, list]:
-    """Flags marking the snapshot items absent from `seen`, and those
-    items in snapshot order; `seen` then takes them in."""
-    flags = [item not in seen for item in snapshot]
-    fresh = [item for item, new in zip(snapshot, flags) if new]
-    seen.update(fresh)
-    return flags, fresh
+class FiniteSaturation(Saturation):
+    """The pointed saturation: each pair (n, r) is one value whose top
+    field, above the rating map's fields, is the singleton {n}."""
 
+    def __init__(self, rho: RatingMap, eta: Morphism, want_trace: bool) -> None:
+        n_monoid = eta.codomain
+        shift = rho.semiring.width
+        super().__init__(rho.semiring, want_trace, exact=shift)
+        self._shift = shift
+        self._idempotents = sum(
+            1 << e for e in range(n_monoid.size) if n_monoid.mul[e][e] == e
+        )
+        # singleton top fields multiply by the class table; the rating
+        # fields share one product cache across all class elements
+        tops = {
+            1 << n: {1 << m: 1 << n_monoid.mul[n][m] << shift for m in range(n_monoid.size)}
+            for n in range(n_monoid.size)
+        }
+        rating_mul = rho.semiring.mul
+        low = (1 << shift) - 1
 
-@dataclass
-class FiniteSaturation:
-    rho: RatingMap
-    eta: Morphism
-    chains: dict[int, Antichain]
-    rounds: int
-    trace: list | None
+        def mul(x: int, y: int) -> int:
+            return tops[x >> shift][y >> shift] | rating_mul(x & low, y & low)
+
+        self.mul = mul
+
+    def pack(self, n: int, r) -> int:
+        return 1 << n << self._shift | r
+
+    def unpack(self, value: int) -> tuple[int, int]:
+        return (value >> self._shift).bit_length() - 1, value & ((1 << self._shift) - 1)
 
     def contains(self, n: int, r) -> bool:
-        chain = self.chains.get(n)
-        return chain is not None and chain.covers(r)
+        return self.chain.covers(self.pack(n, r))
 
-    def projection_max(self) -> list:
-        merged = Antichain()
-        for n in sorted(self.chains):
-            for r in self.chains[n].snapshot():
-                merged.insert(r)
-        return merged.snapshot()
+    def pairs(self) -> list[tuple[int, int]]:
+        """The maximal pairs (n, r), ascending."""
+        return [self.unpack(value) for value in self.chain.snapshot()]
+
+    def maxima(self) -> list:
+        return list(_max_reduce(r for _, r in self.pairs()))
+
+    def _entry(self, rule: str, value) -> dict:
+        n, r = self.unpack(value)
+        return {"rule": rule, "value": self.sr.element_to_json(r), "class_element": n}
+
+    def _may_jump(self, value) -> bool:
+        return bool(value >> self._shift & self._idempotents)
 
 
 def saturate_finite(
@@ -119,89 +219,14 @@ def saturate_finite(
     eta = c.eta
     if eta.alphabet != rho.alphabet:
         raise InputError("the class morphism must use the rating map's alphabet")
-    sr = rho.semiring
-    mul = sr.mul
-    n_monoid = eta.codomain
-    trace = [] if want_trace else None
-    chains: dict[int, Antichain] = {}
-
-    def insert(n: int, r, rule: str) -> bool:
-        chain = chains.get(n)
-        if chain is None:
-            chain = chains[n] = Antichain()
-        if chain.insert(r):
-            _trace_add(trace, rule, r, sr, n=n)
-            return True
-        return False
-
-    insert(n_monoid.identity, sr.one, "seed")
-    for i in range(len(rho.alphabet)):
-        insert(eta.letter_images[i], rho.letter_images[i], "letter")
-
-    idem = {e for e in range(n_monoid.size) if n_monoid.mul[e][e] == e}
-    # (n, r) maxima of earlier snapshots: their products and jumps are in
-    # the chains already
-    seen: set[tuple[int, int]] = set()
-    rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        rounds += 1
-        snapshot = [
-            (n, r) for n in sorted(chains) for r in chains[n].snapshot()
-        ]
-        flags, fresh = _split_fresh(snapshot, seen)
-        for (n1, r1), new in zip(snapshot, flags):
-            row = n_monoid.mul[n1]
-            for n2, r2 in snapshot if new else fresh:
-                if insert(row[n2], mul(r1, r2), "product"):
-                    changed = True
-        for n, r in fresh:
-            if n in idem:
-                if insert(n, sf_closure_of(sr, r), "closure"):
-                    changed = True
-    return FiniteSaturation(rho, eta, chains, rounds, trace)
-
-
-def opt_finite(c: FinitePrevariety, rho: RatingMap) -> list:
-    """The optimal imprint, fully materialized.  Meant for small carriers;
-    decision procedures use the maximal elements instead."""
-    sat = saturate_finite(c, rho)
-    return sorted(downset(rho.semiring, sat.projection_max()))
-
-
-@dataclass
-class GroupSaturation:
-    rho: RatingMap
-    chain: Antichain
-    rounds: int
-    trace: list | None
-    # maxima of earlier snapshots, whose products and jumps are in the chain
-    seen: set = field(default_factory=set, repr=False)
-
-    def contains(self, r) -> bool:
-        return self.chain.covers(r)
-
-
-def _close_products(chain: Antichain, insert, sr, seen: set, jump: bool) -> bool:
-    """Close the chain under product, and under the jump when `jump` is
-    set, semi-naively; returns True when the chain grew."""
-    mul = sr.mul
-    grew = False
-    inner = True
-    while inner:
-        inner = False
-        snapshot = chain.snapshot()
-        flags, fresh = _split_fresh(snapshot, seen)
-        for r1, new in zip(snapshot, flags):
-            for r2 in snapshot if new else fresh:
-                if insert(mul(r1, r2), "product"):
-                    inner = grew = True
-        if jump:
-            for r in fresh:
-                if insert(sf_closure_of(sr, r), "closure"):
-                    inner = grew = True
-    return grew
+    sat = FiniteSaturation(rho, eta, want_trace)
+    sat.insert(sat.pack(eta.codomain.identity, rho.semiring.one), "seed")
+    for n, r in zip(eta.letter_images, rho.letter_images):
+        sat.insert(sat.pack(n, r), "letter")
+    sat.rounds = 1
+    while sat.close_round(jump=True):
+        sat.rounds += 1
+    return sat
 
 
 def _max_reduce(values) -> tuple:
@@ -273,52 +298,51 @@ def _group_step(
 
 def saturate_group(
     g: GroupClass, rho: RatingMap, config: Config = DEFAULT, want_trace: bool = False
-) -> GroupSaturation:
-    sr = rho.semiring
-    sat = GroupSaturation(rho, Antichain(), 0, [] if want_trace else None)
-
-    def insert(r, rule: str) -> bool:
-        if sat.chain.insert(r):
-            _trace_add(sat.trace, rule, r, sr)
-            return True
-        return False
-
+) -> Saturation:
+    sat = Saturation(rho.semiring, want_trace)
     changed = True
     while changed:
         changed = False
         sat.rounds += 1
         for r in _group_step(g, rho, sat.chain, config):
-            if insert(r, "group"):
+            if sat.insert(r, "group"):
                 changed = True
-        if _close_products(sat.chain, insert, sr, sat.seen, jump=True):
+        while sat.close_round(jump=True):
             changed = True
     return sat
 
 
 def _opt_chain_group(
     g: GroupClass, rho: RatingMap, config: Config, want_trace: bool = False
-) -> GroupSaturation:
+) -> Saturation:
     """Saturation extended with word values and product closure: the
     maximal elements of the optimal imprint."""
     sat = saturate_group(g, rho, config=config, want_trace=want_trace)
-    sr = rho.semiring
-
-    def insert(r, rule: str) -> bool:
-        if sat.chain.insert(r):
-            _trace_add(sat.trace, rule, r, sr)
-            return True
-        return False
-
-    insert(sr.one, "word")
+    sat.insert(rho.semiring.one, "word")
     for img in rho.letter_images:
-        insert(img, "word")
-    _close_products(sat.chain, insert, sr, sat.seen, jump=False)
+        sat.insert(img, "word")
+    while sat.close_round(jump=False):
+        pass
     return sat
 
 
+def _optimal(cls, rho: RatingMap, config: Config, want_trace: bool = False) -> Saturation:
+    """The saturation whose maxima are those of the optimal imprint."""
+    if isinstance(cls, FinitePrevariety):
+        return saturate_finite(cls, rho, want_trace=want_trace)
+    if isinstance(cls, GroupClass):
+        return _opt_chain_group(cls, rho, config, want_trace=want_trace)
+    raise InputError(f"unsupported class object {cls!r}")
+
+
+def opt_finite(c: FinitePrevariety, rho: RatingMap) -> list:
+    """The optimal imprint, fully materialized.  Meant for small carriers;
+    decision procedures use the maximal elements instead."""
+    return sorted(downset(rho.semiring, _optimal(c, rho, DEFAULT).maxima()))
+
+
 def opt_group(g: GroupClass, rho: RatingMap, config: Config = DEFAULT) -> list:
-    sat = _opt_chain_group(g, rho, config)
-    return sorted(downset(rho.semiring, sat.chain.snapshot()))
+    return sorted(downset(rho.semiring, _optimal(g, rho, config).maxima()))
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +403,10 @@ def is_coverable(cls, l0, others, config: Config = DEFAULT) -> CoverReport:
     instance = reduce_cover_instance(
         l0, others, monoid_cap=config.monoid_cap, powerset_cap=config.powerset_cap
     )
-    if isinstance(cls, FinitePrevariety):
-        sat = saturate_finite(cls, instance.rho, want_trace=config.trace)
-        maxima = sat.projection_max()
-        rounds = sat.rounds
-        trace = sat.trace
-    elif isinstance(cls, GroupClass):
-        sat = _opt_chain_group(cls, instance.rho, config, want_trace=config.trace)
-        maxima = sat.chain.snapshot()
-        rounds = sat.rounds
-        trace = sat.trace
-    else:
-        raise InputError(f"unsupported class object {cls!r}")
+    sat = _optimal(cls, instance.rho, config, want_trace=config.trace)
+    maxima = sat.maxima()
     answer = not any(instance.is_bad(v) for v in maxima)
-    return CoverReport(answer, len(maxima), rounds, trace)
+    return CoverReport(answer, len(maxima), sat.rounds, sat.trace)
 
 
 def is_separable(cls, left, right, config: Config = DEFAULT) -> CoverReport:

@@ -45,7 +45,7 @@ MOD = GroupClass("mod")
 AMT = GroupClass("amt")
 GR = GroupClass("gr")
 
-_GROUP_CLASSES = {"mod": MOD, "amt": AMT, "gr": GR}
+GROUP_CLASSES = {"mod": MOD, "amt": AMT, "gr": GR}
 
 
 def trivial_morphism(alphabet) -> Morphism:

@@ -1,29 +1,26 @@
 """Powerset semirings of finite monoids, and rating maps into them.
 
-Every rating value is one int:
-
-  * PowersetSemiring: subsets of a finite monoid as int bitmasks, with
-    union as addition and setwise product as multiplication.
-  * ProductSemiring: a product of powerset semirings, each value packed
-    into one int.  Component i is a bitmask at a fixed bit offset, with
-    component 0 in the highest bits, so int order is the lexicographic
-    order of the component tuples.  Addition is bitwise or on the whole
-    int and multiplication works per component.
+Every rating value is one int.  ProductSemiring(monoids) is the product
+of the powerset semirings of some finite monoids: component i is the
+bitmask of a subset of monoid i, at a fixed bit offset, with component 0
+in the highest bits, so int order is the lexicographic order of the
+component tuples.  A one-language rating map is the one-component case.
+Addition is bitwise or on the whole int, and multiplication is the
+setwise product per component.
 
 Addition is idempotent, so x <= y iff x + y = y is a partial order, and
-for these values it is bit inclusion, x | y == y, which is what the
-covering solvers' antichains rely on.  Every element has a finite
-downset: its submasks.
+for these values it is bit inclusion on the whole int, x | y == y, which
+is what the covering solvers' antichains rely on.  Every element has a
+finite downset: the submasks of its int.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .automata import Alphabet
 from .errors import InputError, ResourceLimitError
-from .monoid import FiniteMonoid, RecognizedLanguage, omega_power
+from .monoid import RecognizedLanguage, omega_power
 
 
 def sf_closure_of(sr, x: int) -> int:
@@ -32,49 +29,82 @@ def sf_closure_of(sr, x: int) -> int:
     return w | sr.mul(w, x)
 
 
-class PowersetSemiring:
-    """Subsets of a finite monoid, encoded as bitmasks."""
+def _members(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    def __init__(self, monoid: FiniteMonoid, cap: int = 16) -> None:
-        if monoid.size > cap:
-            raise ResourceLimitError(
-                f"monoid of size {monoid.size} exceeds the powerset cap of {cap}"
-            )
-        self.monoid = monoid
-        self.zero = 0
-        self.one = 1 << monoid.identity
-        # singleton product rows let setwise products run on bit tricks
-        self._single = tuple(
-            tuple(1 << monoid.mul[x][y] for y in range(monoid.size))
-            for x in range(monoid.size)
+
+class ProductSemiring:
+    """Product of the powerset semirings of some finite monoids, with each
+    value packed into one int.
+
+    Component i takes as many bits as monoid i has elements, at
+    `offsets[i]`; component 0 sits in the highest bits.
+    """
+
+    def __init__(self, monoids) -> None:
+        self.monoids = tuple(monoids)
+        if not self.monoids:
+            raise InputError("product semiring needs at least one component")
+        widths = [m.size for m in self.monoids]
+        self.width = sum(widths)
+        self.offsets = tuple(sum(widths[i + 1:]) for i in range(len(widths)))
+        # per component: offset, field mask, field width, multiplication
+        # table, and a cache of shifted field products keyed by the two
+        # field values side by side
+        self._fields = tuple(
+            (offset, (1 << m.size) - 1, m.size, m.mul, {})
+            for m, offset in zip(self.monoids, self.offsets)
         )
-        self._mul_cache: dict[tuple[int, int], int] = {}
+        self.zero = 0
+        self.one = self.pack(1 << m.identity for m in self.monoids)
+        # x -> {y -> x * y}
+        self._mul_cache: dict[int, dict[int, int]] = {}
 
-    @staticmethod
-    def _bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+    def pack(self, parts) -> int:
+        """The int holding one bitmask per component."""
+        value = 0
+        for part, offset in zip(parts, self.offsets):
+            value |= part << offset
+        return value
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The component bitmasks of a packed value."""
+        return tuple((x >> offset) & mask for offset, mask, _, _, _ in self._fields)
 
     def add(self, x, y):
         return x | y
 
     def mul(self, x, y):
-        key = (x, y)
-        cached = self._mul_cache.get(key)
-        if cached is not None:
-            return cached
-        result = 0
-        for i in self._bits(x):
-            row = self._single[i]
-            for j in self._bits(y):
-                result |= row[j]
-        self._mul_cache[key] = result
-        return result
+        products = self._mul_cache.get(x)
+        if products is None:
+            products = self._mul_cache[x] = {}
+        value = products.get(y)
+        if value is None:
+            value = 0
+            for offset, mask, width, table, cache in self._fields:
+                a = x >> offset & mask
+                b = y >> offset & mask
+                key = a << width | b
+                part = cache.get(key)
+                if part is None:
+                    part = 0
+                    right = _members(b)
+                    for i in _members(a):
+                        row = table[i]
+                        for j in right:
+                            part |= 1 << row[j]
+                    part = cache[key] = part << offset
+                value |= part
+            products[y] = value
+        return value
 
     def elements(self):
-        return range(1 << self.monoid.size)
+        return range(1 << self.width)
 
     def downset_of(self, x):
         # all submasks, including 0, in increasing order
@@ -87,77 +117,8 @@ class PowersetSemiring:
             sub = (sub - x) & x
         return subs
 
-    def singleton(self, element: int) -> int:
-        return 1 << element
-
     def element_to_json(self, x):
-        return list(self._bits(x))
-
-
-class ProductSemiring:
-    """Product of powerset semirings with each value packed into one int.
-
-    Component i takes as many bits as its monoid has elements, at
-    `offsets[i]`; component 0 sits in the highest bits.
-    """
-
-    def __init__(self, components) -> None:
-        self.components = tuple(components)
-        if not self.components:
-            raise InputError("product semiring needs at least one component")
-        for c in self.components:
-            if not isinstance(c, PowersetSemiring):
-                raise InputError("product semiring components must be powerset semirings")
-        widths = [c.monoid.size for c in self.components]
-        self.offsets = tuple(sum(widths[i + 1:]) for i in range(len(widths)))
-        self._fields = tuple(
-            (c, offset, (1 << width) - 1)
-            for c, offset, width in zip(self.components, self.offsets, widths)
-        )
-        self.zero = 0
-        self.one = self.pack(c.one for c in self.components)
-        self._mul_cache: dict[tuple[int, int], int] = {}
-
-    def pack(self, parts) -> int:
-        """The int holding one bitmask per component."""
-        value = 0
-        for part, offset in zip(parts, self.offsets):
-            value |= part << offset
-        return value
-
-    def unpack(self, x: int) -> tuple[int, ...]:
-        """The component bitmasks of a packed value."""
-        return tuple((x >> offset) & mask for _, offset, mask in self._fields)
-
-    def add(self, x, y):
-        return x | y
-
-    def mul(self, x, y):
-        key = (x, y)
-        cached = self._mul_cache.get(key)
-        if cached is None:
-            cached = 0
-            for c, offset, mask in self._fields:
-                cached |= c.mul((x >> offset) & mask, (y >> offset) & mask) << offset
-            self._mul_cache[key] = cached
-        return cached
-
-    def elements(self):
-        return (
-            self.pack(parts)
-            for parts in itertools.product(*(c.elements() for c in self.components))
-        )
-
-    def downset_of(self, x):
-        return [
-            self.pack(parts)
-            for parts in itertools.product(
-                *(c.downset_of(a) for c, a in zip(self.components, self.unpack(x)))
-            )
-        ]
-
-    def element_to_json(self, x):
-        return [c.element_to_json(a) for c, a in zip(self.components, self.unpack(x))]
+        return [_members(part) for part in self.unpack(x)]
 
 
 def downset(sr, subset) -> list:
@@ -180,7 +141,7 @@ def downset(sr, subset) -> list:
 class RatingMap:
     """A multiplicative rating map determined by its letter images."""
 
-    semiring: PowersetSemiring | ProductSemiring
+    semiring: ProductSemiring
     alphabet: Alphabet
     letter_images: tuple
 
@@ -201,9 +162,13 @@ def rho_alpha(lang: RecognizedLanguage, cap: int = 16) -> RatingMap:
     """The canonical rating map of a recognized language: words rate to the
     singleton of their image, languages to their whole image set."""
     morphism = lang.morphism
-    sr = PowersetSemiring(morphism.codomain, cap=cap)
-    letters = tuple(sr.singleton(s) for s in morphism.letter_images)
-    return RatingMap(sr, morphism.alphabet, letters)
+    monoid = morphism.codomain
+    if monoid.size > cap:
+        raise ResourceLimitError(
+            f"monoid of size {monoid.size} exceeds the powerset cap of {cap}"
+        )
+    letters = tuple(1 << s for s in morphism.letter_images)
+    return RatingMap(ProductSemiring([monoid]), morphism.alphabet, letters)
 
 
 def product_rating_map(maps) -> RatingMap:
@@ -214,8 +179,11 @@ def product_rating_map(maps) -> RatingMap:
     for rm in maps[1:]:
         if rm.alphabet != alphabet:
             raise InputError("all rating maps must share one alphabet")
-    sr = ProductSemiring(rm.semiring for rm in maps)
-    letters = tuple(
-        sr.pack(rm.letter_images[i] for rm in maps) for i in range(len(alphabet))
-    )
-    return RatingMap(sr, alphabet, letters)
+    sr = ProductSemiring(m for rm in maps for m in rm.semiring.monoids)
+    letters = []
+    for i in range(len(alphabet)):
+        value = 0
+        for rm in maps:
+            value = value << rm.semiring.width | rm.letter_images[i]
+        letters.append(value)
+    return RatingMap(sr, alphabet, tuple(letters))

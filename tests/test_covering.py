@@ -137,7 +137,7 @@ def closure_residual_finite(cls, rho, sat):
     sr = rho.semiring
     eta = cls.eta
     additions = []
-    pairs = [(n, r) for n, chain in sat.chains.items() for r in chain.snapshot()]
+    pairs = sat.pairs()
     seeds = [(eta.codomain.identity, sr.one)] + [
         (eta.of_letter(sym), rho.of_word(sym)) for sym in rho.alphabet
     ]
@@ -227,8 +227,10 @@ def test_packed_semi_naive_matches_naive_tuple_saturation(
         }[cls_name]
         sat = saturate_finite(cls, instance.rho, want_trace=True)
         maxima, rounds, trace = naive_saturate_finite(cls.eta, languages)
-        assert {n: [unpack(r) for r in chain.snapshot()]
-                for n, chain in sat.chains.items()} == maxima
+        by_class: dict[int, list] = {}
+        for n, r in sat.pairs():
+            by_class.setdefault(n, []).append(unpack(r))
+        assert by_class == maxima
         merged = TupleAntichain(tuple_rating(languages)[0])
         for n in sorted(maxima):
             for r in maxima[n]:

@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from bruteforce import validate_semiring, words_up_to
+from bruteforce import TupleProduct, validate_semiring, words_up_to
 from conftest import recognized
 from sfclosure.automata import make_alphabet
 from sfclosure.covering import _mu_image_monoid
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import omega_power
 from sfclosure.semiring import (
-    PowersetSemiring,
     ProductSemiring,
     RatingMap,
     downset,
@@ -24,31 +23,37 @@ A = make_alphabet("a")
 
 
 def test_powerset_semiring_laws():
+    # the one-component product is the powerset semiring of one monoid
     for pattern, alphabet in [("(aa)*", A), ("(ab)*", AB)]:
-        sr = PowersetSemiring(recognized(pattern, alphabet).morphism.codomain)
+        sr = ProductSemiring([recognized(pattern, alphabet).morphism.codomain])
         assert validate_semiring(sr) is None
 
 
 def test_powerset_operations_golden():
     m = recognized("(aa)*", A).morphism.codomain
-    sr = PowersetSemiring(m)
-    one, g = sr.one, sr.singleton(1 - m.identity)
+    sr = ProductSemiring([m])
+    one, g = sr.one, 1 << (1 - m.identity)
+    assert one == 1 << m.identity
     assert sr.mul(g, g) == one
     assert sr.add(one, g) == one | g
     assert sr.downset_of(one | g) == [0, one, g, one | g]
-    assert sr.element_to_json(one | g) == [0, 1]
+    assert sr.element_to_json(one | g) == [[0, 1]]
 
 
 def test_powerset_cap():
-    m = recognized("(aa+bb)*", AB).morphism.codomain
-    with pytest.raises(ResourceLimitError):
-        PowersetSemiring(m, cap=8)
+    # rho_alpha refuses a monoid above the cap before building its semiring
+    lang = recognized("(aa+bb)*", AB)
+    with pytest.raises(
+        ResourceLimitError, match=r"^monoid of size 15 exceeds the powerset cap of 8$"
+    ):
+        rho_alpha(lang, cap=8)
+    assert rho_alpha(lang, cap=15).semiring.width == 15
 
 
 def test_omega_and_sf_closure():
     m = recognized("(aa)*", A).morphism.codomain
-    sr = PowersetSemiring(m)
-    g = sr.singleton(1 - m.identity)
+    sr = ProductSemiring([m])
+    g = 1 << (1 - m.identity)
     w = omega_power(g, sr.mul)
     assert sr.mul(w, w) == w
     assert w == sr.one
@@ -77,75 +82,82 @@ def test_table_semiring_law_violation_is_named():
 
 
 def test_product_semiring_laws_and_downsets():
-    sra = PowersetSemiring(recognized("(aa)*", A).morphism.codomain)
-    srb = PowersetSemiring(recognized("~%a~%", AB).morphism.codomain)
-    sr = ProductSemiring([sra, srb])
+    ma = recognized("(aa)*", A).morphism.codomain
+    mb = recognized("~%a~%", AB).morphism.codomain
+    sr = ProductSemiring([ma, mb])
     assert validate_semiring(sr) is None
-    pair = sr.pack((sra.one, srb.one))
+    pair = sr.one
     down = sr.downset_of(pair)
-    assert {sr.unpack(v) for v in down} == {(x, y) for x in sra.downset_of(sra.one)
-                                            for y in srb.downset_of(srb.one)}
+    assert {sr.unpack(v) for v in down} == {
+        (x, y) for x in (0, 1 << ma.identity) for y in (0, 1 << mb.identity)
+    }
+    assert down == sorted(down)
     assert downset(sr, [pair]) == sorted(down)
+
+
+THREE = ("(aa)*", "(ab)*", "~%a~%")
 
 
 def three_component_product():
     # fields of 3, 6 and 2 bits at offsets 8, 2 and 0
-    return ProductSemiring(
-        PowersetSemiring(recognized(p).morphism.codomain)
-        for p in ("(aa)*", "(ab)*", "~%a~%")
-    )
+    return ProductSemiring(recognized(p).morphism.codomain for p in THREE)
+
+
+def all_parts(sr) -> list:
+    return list(itertools.product(*(range(1 << m.size) for m in sr.monoids)))
 
 
 def test_pack_unpack_round_trip():
     sr = three_component_product()
-    parts = list(itertools.product(*(c.elements() for c in sr.components)))
-    assert sr.offsets == (8, 2, 0) and len(parts) == 1 << 11
+    parts = all_parts(sr)
+    assert sr.offsets == (8, 2, 0) and sr.width == 11 and len(parts) == 1 << 11
     for t in parts:
         assert sr.unpack(sr.pack(t)) == t
     assert sorted(sr.pack(t) for t in parts) == list(range(1 << 11))
-    assert sr.unpack(sr.one) == tuple(c.one for c in sr.components)
+    assert list(sr.elements()) == list(range(1 << 11))
+    assert sr.unpack(sr.one) == tuple(1 << m.identity for m in sr.monoids)
     assert sr.pack((0b101, 0b100001, 0b10)) == 0b101_100001_10
     assert sr.element_to_json(0b101_100001_10) == [[0, 2], [0, 5], [1]]
 
 
 def test_int_order_is_tuple_order():
     sr = three_component_product()
-    parts = list(itertools.product(*(c.elements() for c in sr.components)))
+    parts = all_parts(sr)
     random.Random(5).shuffle(parts)
     assert [sr.pack(t) for t in sorted(parts)] == sorted(sr.pack(t) for t in parts)
 
 
 def test_packed_operations_are_componentwise():
     sr = three_component_product()
+    reference = TupleProduct(sr.monoids)
     rng = random.Random(11)
     values = [rng.randrange(1 << 11) for _ in range(60)]
     for x in values:
         for y in values:
-            pairs = list(zip(sr.components, sr.unpack(x), sr.unpack(y)))
-            assert sr.unpack(sr.mul(x, y)) == tuple(c.mul(a, b) for c, a, b in pairs)
-            assert sr.unpack(sr.add(x, y)) == tuple(c.add(a, b) for c, a, b in pairs)
+            a, b = sr.unpack(x), sr.unpack(y)
+            assert sr.unpack(sr.mul(x, y)) == reference.mul(a, b)
+            assert sr.unpack(sr.add(x, y)) == reference.add(a, b)
             # the order is bit inclusion, on the packed int and per component
-            assert (x | y == y) == all(a | b == b for _, a, b in pairs)
+            assert (x | y == y) == reference.leq(a, b)
+            assert sr.element_to_json(x) == reference.to_json(a)
 
 
-def test_product_components_must_be_powersets():
-    with pytest.raises(InputError):
-        ProductSemiring([XorSemiring()])
-    with pytest.raises(InputError):
+def test_empty_product_is_rejected():
+    with pytest.raises(InputError, match="at least one component"):
         ProductSemiring([])
 
 
 def test_rho_alpha_rates_words_and_languages():
     lang = recognized("(aa)*", A)
     rho = rho_alpha(lang)
-    sr = rho.semiring
+    assert rho.semiring.monoids == (lang.morphism.codomain,)
     for w in words_up_to(A, 5):
-        assert rho.of_word(w) == sr.singleton(lang.morphism.of_word(w))
+        assert rho.of_word(w) == 1 << lang.morphism.of_word(w)
 
 
 def test_rating_map_validates_letter_count():
     lang = recognized("(aa)*", A)
-    sr = PowersetSemiring(lang.morphism.codomain)
+    sr = ProductSemiring([lang.morphism.codomain])
     with pytest.raises(InputError):
         RatingMap(sr, AB, (sr.one,))
 
@@ -159,9 +171,8 @@ def test_mu_image_monoid_of_singletons_mirrors_codomain():
     rho = rho_alpha(lang)
     mu = _mu_image_monoid(rho, singleton_sets(rho), cap=16)
     assert mu.codomain.size == lang.morphism.codomain.size
-    sr = rho.semiring
     for w in words_up_to(AB, 4):
-        assert mu.labels[mu.of_word(w)] == (sr.singleton(lang.morphism.of_word(w)),)
+        assert mu.labels[mu.of_word(w)] == (1 << lang.morphism.of_word(w),)
 
 
 def test_mu_image_monoid_cap():
