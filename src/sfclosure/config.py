@@ -20,7 +20,8 @@ class Config:
     powerset_cap: int = 16
     # largest multiplicative closure inside the group step of covering
     powerset2_cap: int = 16
-    # commutativity analysis is exponential in the alphabet
+    # the amt kernel walks (element, R-classes entered, residue in Z^|A|)
+    # states, so its cost grows with the image and with the alphabet
     amt_alphabet_cap: int = 3
     amt_monoid_cap: int = 10
     # default search bound for synchronization delays

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Dfa
+from .config import DEFAULT, Config
 from .monoid import (
     RecognizedLanguage,
     aperiodicity_witness,
@@ -71,7 +72,7 @@ def sf_membership_finite(
 
 
 def sf_membership_group(
-    g: GroupClass, dfa: Dfa, monoid_cap: int = 4096, config=None
+    g: GroupClass, dfa: Dfa, monoid_cap: int = 4096, config: Config = DEFAULT
 ) -> MembershipVerdict:
     lang = syntactic_morphism(dfa, cap=monoid_cap)
     alpha = lang.morphism
@@ -86,7 +87,9 @@ def sf_membership_group(
     )
 
 
-def sf_membership(cls, dfa: Dfa, monoid_cap: int = 4096, config=None) -> MembershipVerdict:
+def sf_membership(
+    cls, dfa: Dfa, monoid_cap: int = 4096, config: Config = DEFAULT
+) -> MembershipVerdict:
     if isinstance(cls, FinitePrevariety):
         return sf_membership_finite(cls, dfa, monoid_cap=monoid_cap)
     return sf_membership_group(g=cls, dfa=dfa, monoid_cap=monoid_cap, config=config)

@@ -14,7 +14,9 @@ elements whose fiber is inseparable from the empty word:
   * mod: the stable monoid {1} + alpha(A^d), from one walk of the powers
     of the letter set A until a power repeats.
   * amt: elements reachable with all letter counts divisible by every
-    modulus at once, via Parikh decompositions and integer lattices.
+    modulus at once: one walk over the image whose residues are taken
+    modulo the cycle lattices of the R-classes it passes through, each
+    lattice spanned by spanning-tree potential differences.
   * gr:  Ash's type-II closure, evaluated semi-naively: each round
     combines only the elements new since the last round with the kernel.
 """
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
+from .config import DEFAULT, Config
 from .errors import InputError, ResourceLimitError
 from .monoid import FiniteMonoid, Morphism
 
@@ -202,16 +205,20 @@ def mod_kernel(alpha: Morphism) -> frozenset[int]:
 #
 # An element s belongs to the kernel when for every q >= 1 some word with
 # all letter counts divisible by q maps to s.  Walk the right Cayley graph
-# of the image submonoid: the Parikh vectors of the walks from the
-# identity to s form a finite union of linear sets, one per set Q of
-# visited vertices, with base walks of length at most |Q|^2 and periods
-# the simple cycles inside Q.  For a linear set b + N-span(P), divisible
-# vectors exist for every modulus exactly when b lies in the integer span
-# of P: reducing modulo q = n! for growing n kills the free part of
-# Z^dim / span(P) and then its torsion, and conversely integer
-# coefficients can be shifted upward by multiples of q into N.  So s is in
-# the kernel iff some walk of length at most |image|^2 reaches s with a
-# Parikh vector inside the lattice of the cycles it could have grafted.
+# of the image.  Its strongly connected components are the R-classes
+# (s*image = t*image; Froidure & Pin 1997).  Give each vertex u a potential
+# pi(u), the Parikh vector of a path inside its component from the
+# component's first element; the vectors pi(u) + e_a - pi(u*a) over the
+# letter edges inside the component span the integer lattice of its cycles.
+# A walk can be padded with closed walks covering each component it enters,
+# so divisible vectors exist for every modulus exactly when some walk to s
+# has its Parikh vector in the lattice L of the components it entered:
+# reducing modulo q = n! for growing n kills the free part of Z^dim / L and
+# then its torsion, and integer coefficients can be shifted upward by
+# multiples of q into N.  The walk keys its states by element, set of
+# components and residue modulo their L.  Inside a component the residue is
+# the residue at entry plus a difference of potentials, so the walk ends
+# without a round bound.
 
 
 class IntegerLattice:
@@ -293,37 +300,6 @@ class IntegerLattice:
         return all(c == 0 for c in self.reduce(vector))
 
 
-def _image_cayley(alpha: Morphism):
-    """Vertices (sorted image elements) and letter-indexed successor rows."""
-    m = alpha.codomain
-    vertices = sorted(alpha.image)
-    pos = {s: k for k, s in enumerate(vertices)}
-    succ = [
-        [pos[m.mul[s][g]] for g in alpha.letter_images] for s in vertices
-    ]
-    return vertices, pos, succ
-
-
-def _simple_cycles(succ, width: int):
-    """Parikh vector and vertex set of every simple cycle in the graph."""
-    size = len(succ)
-    cycles: list[tuple[int, tuple[int, ...]]] = []  # (vertex mask, parikh)
-    for root in range(size):
-        # cycles whose least vertex is the root: DFS through larger vertices
-        stack = [(root, 1 << root, (0,) * width)]
-        while stack:
-            v, mask, parikh = stack.pop()
-            for i in range(width):
-                nxt = succ[v][i]
-                counted = list(parikh)
-                counted[i] += 1
-                if nxt == root:
-                    cycles.append((mask, tuple(counted)))
-                elif nxt > root and not (mask >> nxt) & 1:
-                    stack.append((nxt, mask | (1 << nxt), tuple(counted)))
-    return cycles
-
-
 def amt_kernel(
     alpha: Morphism, alphabet_cap: int = 3, monoid_cap: int = 10
 ) -> frozenset[int]:
@@ -336,46 +312,64 @@ def amt_kernel(
         raise ResourceLimitError(
             f"image of size {len(alpha.image)} exceeds the counting cap of {monoid_cap}"
         )
-    vertices, pos, succ = _image_cayley(alpha)
-    cycles = _simple_cycles(succ, width)
+    mul = alpha.codomain.mul
+    image = sorted(alpha.image)
+    edges = tuple(enumerate(alpha.letter_images))
+    # components: the R-classes, keyed by the right ideal s * image
+    classes: dict[frozenset[int], int] = {}
+    component = {
+        s: classes.setdefault(frozenset(map(mul[s].__getitem__, image)), len(classes))
+        for s in image
+    }
+    # potentials: a breadth-first tree inside each component from its first
+    # element; every other edge inside the component adds its cycle vector
+    zero = (0,) * width
+    potential: dict[int, tuple[int, ...]] = {}
+    cycles = [IntegerLattice(width) for _ in classes]
+    for root in image:
+        if root in potential:
+            continue
+        potential[root] = zero
+        c = component[root]
+        queue = [root]
+        for u in queue:
+            for i, g in edges:
+                v = mul[u][g]
+                if component[v] != c:
+                    continue
+                path = list(potential[u])
+                path[i] += 1
+                if v in potential:
+                    cycles[c].add([a - b for a, b in zip(path, potential[v])])
+                else:
+                    potential[v] = tuple(path)
+                    queue.append(v)
 
     lattices: dict[int, IntegerLattice] = {}
 
     def lattice_for(mask: int) -> IntegerLattice:
         lat = lattices.get(mask)
         if lat is None:
-            lat = IntegerLattice(
-                width,
-                (parikh for cmask, parikh in cycles if cmask & ~mask == 0),
-            )
-            lattices[mask] = lat
+            rows = [row for c, part in enumerate(cycles) if mask >> c & 1 for _, row in part.rows]
+            lat = lattices[mask] = IntegerLattice(width, rows)
         return lat
 
-    m = alpha.codomain
-    start = pos[m.identity]
-    zero = (0,) * width
-    initial = (start, 1 << start, lattice_for(1 << start).reduce(zero))
+    initial = (alpha.codomain.identity, 1 << component[alpha.codomain.identity], zero)
     seen = {initial}
-    frontier = [initial]
-    hits = {start}
-    for _ in range(len(vertices) ** 2):
-        if not frontier:
-            break
-        fresh = []
-        for v, mask, residue in frontier:
-            for i in range(width):
-                nxt = succ[v][i]
-                nmask = mask | (1 << nxt)
-                stepped = list(residue)
-                stepped[i] += 1
-                state = (nxt, nmask, lattice_for(nmask).reduce(stepped))
-                if state not in seen:
-                    seen.add(state)
-                    fresh.append(state)
-                    if state[2] == zero:
-                        hits.add(nxt)
-        frontier = fresh
-    return frozenset(vertices[v] for v in hits)
+    stack = [initial]
+    while stack:
+        s, mask, residue = stack.pop()
+        row = mul[s]
+        for i, g in edges:
+            t = row[g]
+            nmask = mask | 1 << component[t]
+            stepped = list(residue)
+            stepped[i] += 1
+            state = (t, nmask, lattice_for(nmask).reduce(stepped))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return frozenset(s for s, _, residue in seen if residue == zero)
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +429,17 @@ def gr_kernel(alpha: Morphism) -> frozenset[int]:
     return frozenset(kernel)
 
 
-def group_kernel(cls: GroupClass, alpha: Morphism, config=None) -> frozenset[int]:
+def group_kernel(
+    cls: GroupClass, alpha: Morphism, config: Config = DEFAULT
+) -> frozenset[int]:
     if not isinstance(cls, GroupClass):
         raise InputError(f"kernels are defined for group classes, not {cls!r}")
     if cls.tag == "mod":
         return mod_kernel(alpha)
     if cls.tag == "amt":
-        if config is not None:
-            return amt_kernel(
-                alpha,
-                alphabet_cap=config.amt_alphabet_cap,
-                monoid_cap=config.amt_monoid_cap,
-            )
-        return amt_kernel(alpha)
+        return amt_kernel(
+            alpha, alphabet_cap=config.amt_alphabet_cap, monoid_cap=config.amt_monoid_cap
+        )
     if cls.tag == "gr":
         return gr_kernel(alpha)
     raise InputError(f"unknown group class {cls.tag!r}")

@@ -158,12 +158,12 @@ def has_sync_delay(k: Dfa, d: int) -> bool:
 
 
 def min_sync_delay(k: Dfa, dmax: int = 8) -> int | None:
-    """Least delay bound up to dmax, or None.  Requires a prefix code.
+    """Least delay bound up to dmax >= 1, or None.  Requires a prefix code.
 
     The prefix-code check, k+ and its prefix and suffix maps are done
     once; each d adds only the k^d automaton and the witness search."""
     if dmax < 1:
-        return None
+        raise InputError("synchronization delay bound must be at least 1")
     _require_prefix_code(k)
     maps = _plus_maps(k)
     for d in range(1, dmax + 1):

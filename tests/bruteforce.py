@@ -33,7 +33,7 @@ from sfclosure.monoid import (
     is_aperiodic,
     syntactic_morphism,
 )
-from sfclosure.oracles import group_kernel
+from sfclosure.oracles import IntegerLattice, group_kernel
 from sfclosure.sd import prefix_code_violation
 
 
@@ -453,6 +453,95 @@ def zero_parikh_images(alpha, q: int) -> frozenset[int]:
         frontier = nxt
     zero = (0,) * width
     return frozenset(s for s, residue in seen if residue == zero)
+
+
+def _image_cayley(alpha: Morphism):
+    """Vertices (sorted image elements) and letter-indexed successor rows."""
+    m = alpha.codomain
+    vertices = sorted(alpha.image)
+    pos = {s: k for k, s in enumerate(vertices)}
+    succ = [
+        [pos[m.mul[s][g]] for g in alpha.letter_images] for s in vertices
+    ]
+    return vertices, pos, succ
+
+
+def _simple_cycles(succ, width: int):
+    """Parikh vector and vertex set of every simple cycle in the graph."""
+    size = len(succ)
+    cycles: list[tuple[int, tuple[int, ...]]] = []  # (vertex mask, parikh)
+    for root in range(size):
+        # cycles whose least vertex is the root: DFS through larger vertices
+        stack = [(root, 1 << root, (0,) * width)]
+        while stack:
+            v, mask, parikh = stack.pop()
+            for i in range(width):
+                nxt = succ[v][i]
+                counted = list(parikh)
+                counted[i] += 1
+                if nxt == root:
+                    cycles.append((mask, tuple(counted)))
+                elif nxt > root and not (mask >> nxt) & 1:
+                    stack.append((nxt, mask | (1 << nxt), tuple(counted)))
+    return cycles
+
+
+def naive_amt_kernel(
+    alpha: Morphism, alphabet_cap: int = 3, monoid_cap: int = 10
+) -> frozenset[int]:
+    """The amt kernel from the simple cycles of the image's Cayley graph:
+    a walk over (vertex, visited-vertex set, residue modulo the span of
+    the simple cycles inside that set), cut off after |image|^2 rounds.
+    Exponential in the image."""
+    width = len(alpha.alphabet)
+    if width > alphabet_cap:
+        raise ResourceLimitError(
+            f"alphabet of size {width} exceeds the counting cap of {alphabet_cap}"
+        )
+    if len(alpha.image) > monoid_cap:
+        raise ResourceLimitError(
+            f"image of size {len(alpha.image)} exceeds the counting cap of {monoid_cap}"
+        )
+    vertices, pos, succ = _image_cayley(alpha)
+    cycles = _simple_cycles(succ, width)
+
+    lattices: dict[int, IntegerLattice] = {}
+
+    def lattice_for(mask: int) -> IntegerLattice:
+        lat = lattices.get(mask)
+        if lat is None:
+            lat = IntegerLattice(
+                width,
+                (parikh for cmask, parikh in cycles if cmask & ~mask == 0),
+            )
+            lattices[mask] = lat
+        return lat
+
+    m = alpha.codomain
+    start = pos[m.identity]
+    zero = (0,) * width
+    initial = (start, 1 << start, lattice_for(1 << start).reduce(zero))
+    seen = {initial}
+    frontier = [initial]
+    hits = {start}
+    for _ in range(len(vertices) ** 2):
+        if not frontier:
+            break
+        fresh = []
+        for v, mask, residue in frontier:
+            for i in range(width):
+                nxt = succ[v][i]
+                nmask = mask | (1 << nxt)
+                stepped = list(residue)
+                stepped[i] += 1
+                state = (nxt, nmask, lattice_for(nmask).reduce(stepped))
+                if state not in seen:
+                    seen.add(state)
+                    fresh.append(state)
+                    if state[2] == zero:
+                        hits.add(nxt)
+        frontier = fresh
+    return frozenset(vertices[v] for v in hits)
 
 
 def naive_ltl(formula, word: str, position: int) -> bool:

@@ -192,6 +192,16 @@ def recognized(pattern: str, alphabet=AB) -> RecognizedLanguage:
     return syntactic_morphism(compile_pattern(pattern, alphabet))
 
 
+def transformation_dfa(n: int) -> Dfa:
+    """States 0..n-1 over {a, b, c}: a cycles, b swaps 0 and 1, c sends 0
+    to 1.  Its transition monoid is the full transformation monoid T_n,
+    with n^n elements."""
+    delta = tuple(
+        ((q + 1) % n, {0: 1, 1: 0}.get(q, q), 1 if q == 0 else q) for q in range(n)
+    )
+    return Dfa(make_alphabet("abc"), n, 0, frozenset({0}), delta)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 
@@ -220,16 +230,16 @@ def transformation_morphisms(draw, width: int, max_points: int = 3):
 
 
 @st.composite
-def syntactic_morphisms(draw, max_states: int = 5, cap: int = 80):
-    """The syntactic morphism of a random DFA over {a, b}, for monoids of
-    at most `cap` elements."""
+def syntactic_morphisms(draw, max_states: int = 5, cap: int = 80, alphabet=AB):
+    """The syntactic morphism of a random DFA over the alphabet ({a, b} by
+    default), for monoids of at most `cap` elements."""
     states = draw(st.integers(1, max_states))
     delta = tuple(
-        tuple(draw(st.integers(0, states - 1)) for _ in AB) for _ in range(states)
+        tuple(draw(st.integers(0, states - 1)) for _ in alphabet) for _ in range(states)
     )
     finals = frozenset(q for q in range(states) if draw(st.booleans()))
     try:
-        lang = syntactic_morphism(Dfa(AB, states, 0, finals, delta), cap=cap)
+        lang = syntactic_morphism(Dfa(alphabet, states, 0, finals, delta), cap=cap)
     except ResourceLimitError:
         assume(False)
     return lang.morphism

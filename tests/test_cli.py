@@ -231,6 +231,14 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "nested deeper" in err
 
+    @pytest.mark.parametrize("dmax", ["0", "-3"])
+    @pytest.mark.parametrize("code", ["a+ab", "aab+b"], ids=["not-a-prefix-code", "prefix-code"])
+    def test_sd_delay_bound_below_one_is_input_error(self, capsys, code, dmax):
+        status, out, err = run(capsys, "sd", "delay", code, "--alphabet", "ab", "--dmax", dmax)
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at least 1" in err
+
     @pytest.mark.parametrize("kind", ["formula", "sd", "morphism", "config"])
     def test_non_utf8_file_is_input_error(self, capsys, tmp_path, kind):
         path = tmp_path / "latin1.txt"

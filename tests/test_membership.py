@@ -1,8 +1,8 @@
 import pytest
 
 from bruteforce import schutzenberger_check
-from conftest import recognized
-from sfclosure.automata import Dfa, compile_pattern, complement, make_alphabet
+from conftest import recognized, transformation_dfa
+from sfclosure.automata import compile_pattern, complement, make_alphabet
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.membership import recheck_witness, sf_membership
 from sfclosure.monoid import idempotent_power, syntactic_morphism
@@ -111,16 +111,6 @@ def test_verdict_json_shape():
         "monoid_size": 2,
         "witness": None,
     }
-
-
-def transformation_dfa(n: int) -> Dfa:
-    """States 0..n-1 over {a, b, c}: a cycles, b swaps 0 and 1, c sends 0
-    to 1.  Its transition monoid is the full transformation monoid T_n,
-    with n^n elements."""
-    delta = tuple(
-        ((q + 1) % n, {0: 1, 1: 0}.get(q, q), 1 if q == 0 else q) for q in range(n)
-    )
-    return Dfa(make_alphabet("abc"), n, 0, frozenset({0}), delta)
 
 
 @pytest.mark.parametrize("selector", ["st", "mod"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bruteforce import (
     images_by_length,
+    naive_amt_kernel,
     naive_c_orbit,
     naive_c_pairs,
     naive_gr_kernel,
@@ -18,13 +19,15 @@ from conftest import (
     permutation_morphism,
     recognized,
     syntactic_morphisms,
+    transformation_dfa,
     transformation_morphisms,
 )
+from test_golden_monoid import LANGUAGES, LARGER
 from sfclosure import oracles
 from sfclosure.automata import make_alphabet
 from sfclosure.config import DEFAULT
 from sfclosure.errors import InputError, ResourceLimitError
-from sfclosure.monoid import idempotents
+from sfclosure.monoid import idempotents, syntactic_morphism
 from sfclosure.oracles import (
     AMT,
     GR,
@@ -150,6 +153,15 @@ class TestAmtKernel:
             amt_kernel(big, monoid_cap=10)
         assert big.codomain.identity in amt_kernel(big, monoid_cap=12)
 
+    def test_full_transformation_monoid_t4(self):
+        # 256 elements in 15 R-classes: far above the default counting cap
+        alpha = syntactic_morphism(transformation_dfa(4)).morphism
+        assert len(alpha.image) == 256
+        kernel = amt_kernel(alpha, monoid_cap=256)
+        assert gr_kernel(alpha) <= kernel <= mod_kernel(alpha)
+        for q in range(1, 5):
+            assert kernel <= zero_parikh_images(alpha, q)
+
 
 class TestGrKernel:
     def test_group_morphism_kernel_is_identity(self, s3_morphism):
@@ -264,6 +276,20 @@ def test_oracles_match_references_on_syntactic_monoids(alpha, eta):
     _assert_kernels_match(alpha)
     _assert_pairs_match(st_class(AB), alpha)
     _assert_pairs_match(FinitePrevariety(eta), alpha)
+
+
+@settings(max_examples=200)
+@given(_widths.flatmap(
+    lambda k: syntactic_morphisms(cap=16, alphabet=make_alphabet("abc"[:k]))))
+def test_amt_kernel_matches_simple_cycle_reference(alpha):
+    assert amt_kernel(alpha, monoid_cap=16) == naive_amt_kernel(alpha, monoid_cap=16)
+
+
+@pytest.mark.parametrize("pattern", [*LANGUAGES.values(), *LARGER.values(), "s3"])
+def test_amt_kernel_matches_reference_on_golden_monoids(pattern, s3_morphism):
+    alpha = s3_morphism if pattern == "s3" else recognized(pattern).morphism
+    size = len(alpha.image)
+    assert amt_kernel(alpha, monoid_cap=size) == naive_amt_kernel(alpha, monoid_cap=size)
 
 
 def _outcome(compute):
