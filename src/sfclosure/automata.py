@@ -114,7 +114,10 @@ class _RegexParser(_Scanner):
     MAX_NESTING.  `depth` counts the '(' and '~' levels open around the
     cursor, which stops the recursion before it can overflow.  Operands
     are compiled in post-order as they are read, and the loops combine
-    them from the left, so a long flat word does not recurse.
+    them from the left, so a long flat word does not recurse.  `factor`
+    reads each maximal run of letters that no '*' follows (blanks
+    skipped) as one word and builds its DFA as a chain in one step, so a
+    flat word compiles in linear time.
     """
 
     what = "regex"
@@ -147,12 +150,29 @@ class _RegexParser(_Scanner):
         return ch != "" and (ch in self.alphabet or ch in "_%~(")
 
     def factor(self) -> tuple[Dfa, int]:
-        if not self.at_atom():
-            return minimize(_dfa_epsilon(self.alphabet)), 0
-        dfa, height = self.atom()
+        dfa, height = None, 0
         while self.at_atom():
-            right, right_height = self.atom()
-            dfa, height = minimize(concat(dfa, right)), max(height, right_height)
+            # a run of letters with no '*' after them is one word; the run
+            # is read here rather than in a helper, so that nesting costs
+            # no extra frame per level
+            word = []
+            while self.peek() in self.alphabet:
+                start = self.pos
+                self.pos += 1
+                if self.peek() == "*":
+                    self.pos = start
+                    break
+                word.append(self.text[start])
+            if word:
+                right, right_height = _dfa_word(self.alphabet, "".join(word)), 0
+            else:
+                right, right_height = self.atom()
+            if dfa is None:
+                dfa, height = right, right_height
+            else:
+                dfa, height = minimize(concat(dfa, right)), max(height, right_height)
+        if dfa is None:
+            return _dfa_word(self.alphabet, ""), 0
         return dfa, height
 
     def atom(self) -> tuple[Dfa, int]:
@@ -173,11 +193,11 @@ class _RegexParser(_Scanner):
             height = self.bounded(height + 1)
             self.eat(")")
         elif ch == "_":
-            dfa = minimize(_dfa_epsilon(self.alphabet))
+            dfa = _dfa_word(self.alphabet, "")
         elif ch == "%":
             dfa = _dfa_empty(self.alphabet)
         else:
-            dfa = minimize(_dfa_letter(self.alphabet, ch))
+            dfa = _dfa_word(self.alphabet, ch)
         while self.peek() == "*":
             self.pos += 1
             height = self.bounded(height + 1)
@@ -361,54 +381,77 @@ def star(dfa: Dfa) -> Dfa:
 def minimize(dfa: Dfa) -> Dfa:
     """Minimal complete DFA with canonical state numbering.
 
-    Numbering is breadth-first from the initial state, exploring letters in
-    alphabet order, so equal languages yield identical structures.
+    Hopcroft's partition refinement on the reachable states, in
+    O(n·|A|·log n) (Hopcroft 1971; Valmari & Lehtinen, STACS 2008).  A
+    split block keeps its number for the larger half, and the smaller half
+    is queued as a splitter for every letter: whether or not the block was
+    queued itself, that is the half Hopcroft's rule queues.  `_canonical`
+    then numbers the blocks breadth-first, so equal languages yield
+    identical structures.
     """
+    delta = dfa.delta
+    width = len(dfa.alphabet)
     # restrict to reachable states
     reach = [dfa.initial]
     seen = {dfa.initial}
-    queue = deque(reach)
-    while queue:
-        q = queue.popleft()
-        for target in dfa.delta[q]:
+    for q in reach:
+        for target in delta[q]:
             if target not in seen:
                 seen.add(target)
                 reach.append(target)
-                queue.append(target)
-    # Moore refinement on the reachable part
-    block = {q: int(q in dfa.finals) for q in reach}
-    while True:
-        signature = {
-            q: (block[q], tuple(block[t] for t in dfa.delta[q])) for q in reach
-        }
-        renumber: dict[tuple, int] = {}
-        for q in reach:
-            renumber.setdefault(signature[q], len(renumber))
-        new_block = {q: renumber[signature[q]] for q in reach}
-        if new_block == block:
-            break
-        block = new_block
-    # canonical breadth-first numbering of the blocks
-    repr_of: dict[int, int] = {}
+    # inverse[a][t]: the reachable states with an a-edge to t
+    inverse: list[dict[int, list[int]]] = [{} for _ in range(width)]
     for q in reach:
-        repr_of.setdefault(block[q], q)
+        for a, target in enumerate(delta[q]):
+            inverse[a].setdefault(target, []).append(q)
+    accepting = {q for q in reach if q in dfa.finals}
+    blocks = [part for part in (accepting, seen - accepting) if part]
+    block = {q: b for b, part in enumerate(blocks) for q in part}
+    work = []
+    if len(blocks) == 2:
+        smaller = int(len(blocks[1]) < len(blocks[0]))
+        work = [(smaller, a) for a in range(width)]
+    while work:
+        splitter, a = work.pop()
+        into = inverse[a]
+        touched: dict[int, list[int]] = {}
+        for target in blocks[splitter]:
+            for q in into.get(target, ()):
+                touched.setdefault(block[q], []).append(q)
+        for b, part in touched.items():
+            members = blocks[b]
+            if len(part) == len(members):
+                continue
+            if 2 * len(part) <= len(members):
+                moved = set(part)
+                members -= moved
+            else:
+                moved = members - set(part)
+                blocks[b] = set(part)
+            new = len(blocks)
+            blocks.append(moved)
+            for q in moved:
+                block[q] = new
+            work.extend((new, c) for c in range(width))
+    return _canonical(dfa, block)
+
+
+def _canonical(dfa: Dfa, block) -> Dfa:
+    """The quotient of `dfa` by a congruence, numbered breadth-first from
+    the initial block, letters in alphabet order.  `block[q]` names the
+    class of each reachable state q; finality and edges must respect it."""
+    delta = dfa.delta
     canon = {block[dfa.initial]: 0}
-    order = [block[dfa.initial]]
-    queue = deque(order)
-    while queue:
-        b = queue.popleft()
-        q = repr_of[b]
-        for target in dfa.delta[q]:
-            tb = block[target]
-            if tb not in canon:
-                canon[tb] = len(canon)
-                order.append(tb)
-                queue.append(tb)
-    delta = tuple(
-        tuple(canon[block[t]] for t in dfa.delta[repr_of[b]]) for b in order
-    )
-    finals = frozenset(canon[b] for b in order if repr_of[b] in dfa.finals)
-    return Dfa(dfa.alphabet, len(order), 0, finals, delta)
+    reps = [dfa.initial]
+    for q in reps:
+        for target in delta[q]:
+            b = block[target]
+            if b not in canon:
+                canon[b] = len(reps)
+                reps.append(target)
+    rows = tuple(tuple(canon[block[t]] for t in delta[q]) for q in reps)
+    finals = frozenset(k for k, q in enumerate(reps) if q in dfa.finals)
+    return Dfa(dfa.alphabet, len(reps), 0, finals, rows)
 
 
 def _dfa_empty(alphabet: Alphabet) -> Dfa:
@@ -416,16 +459,19 @@ def _dfa_empty(alphabet: Alphabet) -> Dfa:
     return Dfa(alphabet, 1, 0, frozenset(), ((0,) * width,))
 
 
-def _dfa_epsilon(alphabet: Alphabet) -> Dfa:
+def _dfa_word(alphabet: Alphabet, word: str) -> Dfa:
+    """Minimal canonical DFA of the one-word language {word}: a chain of
+    len(word) + 1 states, the last one final, then a dead state."""
     width = len(alphabet)
-    return Dfa(alphabet, 2, 0, frozenset({0}), ((1,) * width, (1,) * width))
-
-
-def _dfa_letter(alphabet: Alphabet, symbol: str) -> Dfa:
-    width = len(alphabet)
-    idx = alphabet.index(symbol)
-    row0 = tuple(1 if i == idx else 2 for i in range(width))
-    return Dfa(alphabet, 3, 0, frozenset({1}), (row0, (2,) * width, (2,) * width))
+    dead = len(word) + 1
+    rows = []
+    for sym in word:
+        row = [dead] * width
+        row[alphabet.index(sym)] = len(rows) + 1
+        rows.append(tuple(row))
+    rows += [(dead,) * width] * 2
+    chain = Dfa(alphabet, dead + 1, 0, frozenset({dead - 1}), tuple(rows))
+    return _canonical(chain, range(dead + 1))
 
 
 def compile_pattern(text: str, alphabet: Alphabet) -> Dfa:

@@ -279,8 +279,10 @@ class IntegerLattice:
         return v
 
     def _normalize(self) -> None:
-        # entries above each pivot reduced into [0, pivot)
-        for k in range(len(self.rows) - 1, -1, -1):
+        # entries above each pivot reduced into [0, pivot); row k only
+        # changes columns from its own pivot on, so going down the pivots
+        # leaves the columns already reduced as they are
+        for k in range(len(self.rows)):
             col, row = self.rows[k]
             for j in range(k):
                 cj, rj = self.rows[j]

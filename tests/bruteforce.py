@@ -16,8 +16,6 @@ from sfclosure.automata import (
     Alphabet,
     Dfa,
     _dfa_empty,
-    _dfa_epsilon,
-    _dfa_letter,
     accepts,
     complement,
     concat,
@@ -1008,6 +1006,69 @@ class _RegexParser:
                 return node, height
 
 
+def naive_minimize(dfa: Dfa) -> Dfa:
+    """Moore refinement on the reachable states, then the breadth-first
+    numbering of the blocks: `automata.minimize` before Hopcroft's
+    refinement replaced it."""
+    # restrict to reachable states
+    reach = [dfa.initial]
+    seen = {dfa.initial}
+    queue = deque(reach)
+    while queue:
+        q = queue.popleft()
+        for target in dfa.delta[q]:
+            if target not in seen:
+                seen.add(target)
+                reach.append(target)
+                queue.append(target)
+    # Moore refinement on the reachable part
+    block = {q: int(q in dfa.finals) for q in reach}
+    while True:
+        signature = {
+            q: (block[q], tuple(block[t] for t in dfa.delta[q])) for q in reach
+        }
+        renumber: dict[tuple, int] = {}
+        for q in reach:
+            renumber.setdefault(signature[q], len(renumber))
+        new_block = {q: renumber[signature[q]] for q in reach}
+        if new_block == block:
+            break
+        block = new_block
+    # canonical breadth-first numbering of the blocks
+    repr_of: dict[int, int] = {}
+    for q in reach:
+        repr_of.setdefault(block[q], q)
+    canon = {block[dfa.initial]: 0}
+    order = [block[dfa.initial]]
+    queue = deque(order)
+    while queue:
+        b = queue.popleft()
+        q = repr_of[b]
+        for target in dfa.delta[q]:
+            tb = block[target]
+            if tb not in canon:
+                canon[tb] = len(canon)
+                order.append(tb)
+                queue.append(tb)
+    delta = tuple(
+        tuple(canon[block[t]] for t in dfa.delta[repr_of[b]]) for b in order
+    )
+    finals = frozenset(canon[b] for b in order if repr_of[b] in dfa.finals)
+    return Dfa(dfa.alphabet, len(order), 0, finals, delta)
+
+
+def _dfa_epsilon(alphabet: Alphabet) -> Dfa:
+    width = len(alphabet)
+    return Dfa(alphabet, 2, 0, frozenset({0}), ((1,) * width, (1,) * width))
+
+
+def _dfa_letter(alphabet: Alphabet, symbol: str) -> Dfa:
+    width = len(alphabet)
+    idx = alphabet.index(symbol)
+    row0 = tuple(1 if i == idx else 2 for i in range(width))
+    return Dfa(alphabet, 3, 0, frozenset({1}), (row0, (2,) * width, (2,) * width))
+
+
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     return _RegexParser(text, alphabet).parse()
 
@@ -1017,17 +1078,17 @@ def compile_regex(node: Regex, alphabet: Alphabet) -> Dfa:
     if isinstance(node, Empty):
         return _dfa_empty(alphabet)
     if isinstance(node, Epsilon):
-        return minimize(_dfa_epsilon(alphabet))
+        return naive_minimize(_dfa_epsilon(alphabet))
     if isinstance(node, Letter):
         if node.symbol not in alphabet:
             raise InputError(f"letter {node.symbol!r} is not in the alphabet")
-        return minimize(_dfa_letter(alphabet, node.symbol))
+        return naive_minimize(_dfa_letter(alphabet, node.symbol))
     if isinstance(node, Union):
-        return minimize(
+        return naive_minimize(
             product(compile_regex(node.left, alphabet), compile_regex(node.right, alphabet), "union")
         )
     if isinstance(node, Intersect):
-        return minimize(
+        return naive_minimize(
             product(
                 compile_regex(node.left, alphabet),
                 compile_regex(node.right, alphabet),
@@ -1035,16 +1096,17 @@ def compile_regex(node: Regex, alphabet: Alphabet) -> Dfa:
             )
         )
     if isinstance(node, Concat):
-        return minimize(
+        return naive_minimize(
             concat(compile_regex(node.left, alphabet), compile_regex(node.right, alphabet))
         )
     if isinstance(node, Star):
-        return minimize(star(compile_regex(node.child, alphabet)))
+        return naive_minimize(star(compile_regex(node.child, alphabet)))
     if isinstance(node, Complement):
         return complement(compile_regex(node.child, alphabet))
     raise InputError(f"unknown regex node {node!r}")
 
 
 def naive_compile_pattern(text: str, alphabet: Alphabet) -> Dfa:
-    """Parse and compile in one go."""
+    """Parse into a syntax tree, then compile the tree in post-order with
+    one letter per atom and Moore's minimization after each step."""
     return compile_regex(parse_regex(text, alphabet), alphabet)

@@ -1,9 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import accepted_slice, naive_compile_pattern, nerode_class_count, words_up_to
+from bruteforce import (
+    accepted_slice,
+    naive_compile_pattern,
+    naive_minimize,
+    nerode_class_count,
+    words_up_to,
+)
 from sfclosure.automata import (
     MAX_NESTING,
+    Dfa,
     accepts,
     compile_pattern,
     complement,
@@ -185,6 +192,27 @@ def test_minimize_is_idempotent_and_canonical(corpus):
         assert minimize(complement(complement(dfa))) == dfa
 
 
+@st.composite
+def _complete_dfas(draw):
+    # 1-3 letters, 1-12 states and a random initial state, so that some
+    # states are often unreachable
+    alphabet = make_alphabet("abc"[: draw(st.integers(1, 3))])
+    states = draw(st.integers(1, 12))
+    targets = st.integers(0, states - 1)
+    delta = tuple(
+        tuple(draw(targets) for _ in alphabet) for _ in range(states)
+    )
+    finals = frozenset(draw(st.sets(targets)))
+    return Dfa(alphabet, states, draw(targets), finals, delta)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_complete_dfas())
+def test_minimize_matches_moore_refinement(dfa):
+    # Hopcroft's refinement against the Moore loop it replaced
+    assert minimize(dfa) == naive_minimize(dfa)
+
+
 _pattern = st.deferred(
     lambda: st.one_of(
         st.sampled_from(["a", "b", "_", "%"]),
@@ -233,7 +261,14 @@ _regex_text = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(alphabet="ab_%~()+&* c", max_size=20), _regex_text))
+@given(
+    st.one_of(
+        st.text(alphabet="ab_%~()+&* c", max_size=20),
+        _regex_text,
+        # letter-heavy: letter runs, blanks before '*', runs next to groups
+        st.text(alphabet="ab* ()+", max_size=40),
+    )
+)
 def test_compiling_while_parsing_matches_the_syntax_tree(text):
     # the same minimal DFA, or the same error, as parsing the whole text
     # into a syntax tree first and compiling that tree in post-order

@@ -280,10 +280,14 @@ class TestExitCodes:
         assert status == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("pattern", ["_" * 3000, "~%" * 1500], ids=["epsilons", "fulls"])
-    def test_long_flat_regex_compiles(self, capsys, pattern):
+    @pytest.mark.parametrize(
+        "pattern, states",
+        [("_" * 3000, 2), ("~%" * 1500, 1), ("ab" * 1500, 3002)],
+        ids=["epsilons", "fulls", "word"],
+    )
+    def test_long_flat_regex_compiles(self, capsys, pattern, states):
         doc = run_json(capsys, "regex", pattern, "--alphabet", "ab")
-        assert doc["states"] == (2 if pattern[0] == "_" else 1)
+        assert doc["states"] == states
 
     @pytest.mark.parametrize("problem", ["missing", "malformed"])
     @pytest.mark.parametrize("command", ["regex", "ltl eval", "ltl compare"])

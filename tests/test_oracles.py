@@ -234,6 +234,22 @@ class TestIntegerLattice:
         assert not lat.add((0, 0))
         assert lat.contains((0, 0))
 
+    def test_rows_are_in_hermite_form(self):
+        # normalizing from the last pivot up left -2 above the pivot 10
+        lat = IntegerLattice(3, [(1, 4, 3), (-1, 4, -3), (2, 4, 1)])
+        assert lat.rows == [(0, [1, 0, 8]), (1, [0, 4, 5]), (2, [0, 0, 10])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=4), st.data())
+    def test_rows_are_hermite_and_independent_of_vector_order(self, vectors, data):
+        lat = IntegerLattice(3, vectors)
+        for k, (col, row) in enumerate(lat.rows):
+            assert all(c == 0 for c in row[:col])
+            for _, above in lat.rows[:k]:
+                assert 0 <= above[col] < row[col]
+        shuffled = data.draw(st.permutations(vectors))
+        assert IntegerLattice(3, shuffled).rows == lat.rows
+
 
 # ---------------------------------------------------------------------------
 # the oracles against the references they replaced (tests/bruteforce.py)
