@@ -39,6 +39,17 @@ class FiniteMonoid:
                 entry = next(e for e in row if not 0 <= e < self.size)
                 raise InputError(f"multiplication entry {entry} out of range")
 
+    @classmethod
+    def _from_closure(cls, mul: tuple[tuple[int, ...], ...]) -> FiniteMonoid:
+        """The monoid of a table that `cayley_closure` filled, identity 0.
+        Every entry is an index the closure numbered, so the entry scan of
+        __post_init__, which reads all |M|^2 entries, is skipped."""
+        monoid = object.__new__(cls)
+        object.__setattr__(monoid, "size", len(mul))
+        object.__setattr__(monoid, "identity", 0)
+        object.__setattr__(monoid, "mul", mul)
+        return monoid
+
 
 def validate_monoid(m: FiniteMonoid) -> None:
     """Raise InputError on the first broken identity or associativity law."""
@@ -78,33 +89,6 @@ def idempotent_power(m: FiniteMonoid, s: int) -> int:
 
 def idempotents(m: FiniteMonoid) -> tuple[int, ...]:
     return tuple(s for s in range(m.size) if m.mul[s][s] == s)
-
-
-def is_aperiodic(m: FiniteMonoid, subset=None) -> bool:
-    """True when s^(w+1) = s^w for every s in the subset (default: all).
-
-    The subset must be closed under multiplication, otherwise the question
-    is not well posed and we raise InputError.
-    """
-    if subset is None:
-        elems = range(m.size)
-    else:
-        elems = sorted(set(subset))
-        for s in elems:
-            if not 0 <= s < m.size:
-                raise InputError(f"subset element {s} out of range")
-        member = set(elems)
-        for s in elems:
-            for t in elems:
-                if m.mul[s][t] not in member:
-                    raise InputError(
-                        f"subset is not closed under multiplication: {s}*{t} escapes"
-                    )
-    for s in elems:
-        w = idempotent_power(m, s)
-        if m.mul[w][s] != w:
-            return False
-    return True
 
 
 def aperiodicity_witness(m: FiniteMonoid, subset) -> int | None:
@@ -217,7 +201,7 @@ def cayley_closure(alphabet: Alphabet, identity, step, cap: int, cap_message: st
         mul.append(tuple(map(mul[parent[x]].__getitem__, left[last[x]])))
     return Morphism(
         alphabet=alphabet,
-        codomain=FiniteMonoid(size, 0, tuple(mul)),
+        codomain=FiniteMonoid._from_closure(tuple(mul)),
         letter_images=letters,
         image=frozenset(range(size)),
         labels=tuple(labels),

@@ -17,15 +17,22 @@ elements whose fiber is inseparable from the empty word:
     modulus at once: one walk over the image whose residues are taken
     modulo the cycle lattices of the R-classes it passes through, each
     lattice spanned by spanning-tree potential differences.
-  * gr:  Ash's type-II closure, evaluated semi-naively: each round
-    combines only the elements new since the last round with the kernel.
+  * gr:  Ash's type-II closure, the least submonoid T with s*T*t and
+    t*T*s inside T for every weak pair s*t*s = s.  Every idempotent e is
+    in T, because (e, e) is a weak pair and e*1*e = e, so T is seeded
+    with the submonoid the idempotents generate.  A weak pair with s and
+    t both in T already holds, because T is closed under products, so
+    only the pairs that touch image - T are checked, each s by two
+    bitmask inclusions; what a failed check forces is added until
+    nothing is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
-from operator import itemgetter
+from operator import and_, eq, getitem, itemgetter
 
 from .config import DEFAULT, Config
 from .errors import InputError, ResourceLimitError
@@ -76,11 +83,6 @@ class PairSet:
 
     by_witness: dict[int, frozenset[int]]
     by_element: dict[int, frozenset[int]]
-
-    def related(self, s: int, t: int) -> bool:
-        witnesses = self.by_element.get(s)
-        others = self.by_element.get(t)
-        return bool(witnesses and others) and not witnesses.isdisjoint(others)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -189,11 +191,6 @@ def _stable_power(alpha: Morphism) -> tuple[int, frozenset[int]]:
     return d, powers[i - 1 + (d - i) % period]
 
 
-def mod_stability_index(alpha: Morphism) -> int:
-    """Least d >= 1 with alpha(A^d) = alpha(A^2d)."""
-    return _stable_power(alpha)[0]
-
-
 def mod_kernel(alpha: Morphism) -> frozenset[int]:
     """The stable monoid: the identity plus alpha(A^d) for the stability
     index d, read off the one walk of the powers of A that finds d."""
@@ -205,8 +202,9 @@ def mod_kernel(alpha: Morphism) -> frozenset[int]:
 #
 # An element s belongs to the kernel when for every q >= 1 some word with
 # all letter counts divisible by q maps to s.  Walk the right Cayley graph
-# of the image.  Its strongly connected components are the R-classes
-# (s*image = t*image; Froidure & Pin 1997).  Give each vertex u a potential
+# of the image.  Its strongly connected components, from one Tarjan pass
+# over the letter edges, are the R-classes (s*image = t*image; Froidure &
+# Pin 1997).  Give each vertex u a potential
 # pi(u), the Parikh vector of a path inside its component from the
 # component's first element; the vectors pi(u) + e_a - pi(u*a) over the
 # letter edges inside the component span the integer lattice of its cycles.
@@ -302,6 +300,47 @@ class IntegerLattice:
         return all(c == 0 for c in self.reduce(vector))
 
 
+def _components(nodes, successors) -> dict[int, int]:
+    """The strongly connected components of the graph on `nodes` whose
+    edges run from v to each of `successors(v)`: node -> component number,
+    numbered 0, 1, ... in the order they close (Tarjan 1972, with an
+    explicit stack instead of recursion)."""
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    component: dict[int, int] = {}
+    stack: list[int] = []
+    count = 0
+    for root in nodes:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append(w)
+                    work.append((w, iter(successors(w))))
+                    break
+                # a reached node without a component is still on the stack
+                if w not in component and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return component
+
+
 def amt_kernel(
     alpha: Morphism, alphabet_cap: int = 3, monoid_cap: int = 10
 ) -> frozenset[int]:
@@ -317,17 +356,12 @@ def amt_kernel(
     mul = alpha.codomain.mul
     image = sorted(alpha.image)
     edges = tuple(enumerate(alpha.letter_images))
-    # components: the R-classes, keyed by the right ideal s * image
-    classes: dict[frozenset[int], int] = {}
-    component = {
-        s: classes.setdefault(frozenset(map(mul[s].__getitem__, image)), len(classes))
-        for s in image
-    }
+    component = _components(image, lambda s: map(mul[s].__getitem__, alpha.letter_images))
     # potentials: a breadth-first tree inside each component from its first
     # element; every other edge inside the component adds its cycle vector
     zero = (0,) * width
     potential: dict[int, tuple[int, ...]] = {}
-    cycles = [IntegerLattice(width) for _ in classes]
+    cycles = [IntegerLattice(width) for _ in range(max(component.values()) + 1)]
     for root in image:
         if root in potential:
             continue
@@ -379,55 +413,140 @@ def amt_kernel(
 # conjecture and some related decision procedures", IJAC 1991)
 
 
-def gr_kernel(alpha: Morphism) -> frozenset[int]:
-    """Least submonoid T with s*T*t and t*T*s inside T whenever s*t*s = s.
-
-    Semi-naive evaluation in rounds: each round takes only the elements
-    new since the previous one (the delta D) and
-      * multiplies them on both sides with all of T, so that each product
-        of two members is formed once or twice: at most 2 |T|^2 lookups;
-      * for each regular s of the image, with weak inverses
-        W_s = {t : s*t*s = s}, adds (s*x)*t and t*(x*s) for x in D and t
-        in W_s.  These depend on x only through s*x and x*s, so a per-s
-        done set expands each distinct value once: at most
-        sum over s of (|s*T| + |T*s|) |W_s| lookups.
-    Listing the W_s reads |image|^2 products; the result is the same
-    fixpoint as re-applying every rule to all of T until nothing changes.
-    """
-    m = alpha.codomain
-    mul = m.mul
-    elems = sorted(alpha.image)
-    rules = []
-    for s in elems:
-        row, column = mul[s], list(map(itemgetter(s), mul))
-        # the t with (s*t)*s == s
-        sts = map(column.__getitem__, map(row.__getitem__, elems))
-        weak = list(compress(elems, map(s.__eq__, sts)))
-        if weak:
-            rules.append((row, itemgetter(s), weak, [mul[t] for t in weak], set(), set()))
-    kernel = {m.identity}
-    members = [m.identity]
-    delta = members[:]
-    while delta and len(kernel) < len(elems):
-        delta_rows = [mul[x] for x in delta]
-        fresh = set()
-        for row_x in delta_rows:
-            fresh.update(map(row_x.__getitem__, members))
-        for y in members:
-            fresh.update(map(mul[y].__getitem__, delta))
-        for row_s, at_s, weak, weak_rows, left_done, right_done in rules:
-            lefts = set(map(row_s.__getitem__, delta)) - left_done
-            left_done |= lefts
-            for y in lefts:
-                fresh.update(map(mul[y].__getitem__, weak))
-            rights = set(map(at_s, delta_rows)) - right_done
-            right_done |= rights
-            for z in rights:
-                fresh.update(map(itemgetter(z), weak_rows))
-        fresh -= kernel
+def _extend(mul, kernel: set, members: list, gens: list, new: list) -> None:
+    """Add the generators `new` to the submonoid `kernel`, listed in
+    `members` and closed under right products with `gens`: every member
+    times a new generator, then every new member times every generator,
+    until nothing new appears."""
+    fresh = set()
+    for g in new:
+        fresh.update(map(itemgetter(g), map(mul.__getitem__, members)))
+    gens += new
+    fresh -= kernel
+    while fresh:
         kernel |= fresh
         delta = list(fresh)
         members += delta
+        fresh = set()
+        for x in delta:
+            fresh.update(map(mul[x].__getitem__, gens))
+        fresh -= kernel
+
+
+def _weak_pairs(mul, image, members, inside: str, idempotent: str) -> dict[int, list[int]]:
+    """s -> the t of the image with s*t*s = s, for the pairs with s or t
+    outside the kernel.  `inside` and `idempotent` hold "1" at the members
+    and at the idempotents.  s*t*s = s makes s*t and t*s idempotents, so
+    each row is screened for them first: row s over the image for s
+    outside, row t over the members for t outside."""
+    weak: dict[int, list[int]] = {}
+    for x in image:
+        if inside[x] == "1":
+            continue
+        row = mul[x]
+        flags = map(idempotent.__getitem__, map(row.__getitem__, image))
+        found = [t for t in compress(image, map("1".__eq__, flags)) if mul[row[t]][x] == x]
+        if found:
+            weak[x] = found
+        flags = map(idempotent.__getitem__, map(row.__getitem__, members))
+        for s in compress(members, map("1".__eq__, flags)):
+            if mul[s][row[s]] == s:
+                weak.setdefault(s, []).append(x)
+    return weak
+
+
+def _forced(mul, members, gens, inside: str, weak) -> set[int]:
+    """The s*x*t and t*x*s, for x in the kernel T and t listed under s,
+    that a failed check finds outside T (empty when every check passes).
+
+    s*T*t lies in T for every listed t exactly when s*T lies in the AND of
+    the right masks {y : y*t in T}, and t*T*s exactly when T*s lies in the
+    AND of the left masks {y : t*y in T}.  A mask is read from one column
+    or row of the table as a binary numeral whose y-th digit stands for
+    element y; the digits of elements outside the image are never read.
+    Members of T in one component of T's right Cayley graph over `gens`
+    share s*T, and those in one component of the left graph share T*s, so
+    each component is checked once, against the AND over all its t.
+    """
+    width = f"0{len(inside)}b"
+    listed = {t for found in weak.values() for t in found}
+    right = {t: int("".join(map(inside.__getitem__, map(itemgetter(t), mul))), 2) for t in listed}
+    left = {t: int("".join(map(inside.__getitem__, mul[t])), 2) for t in listed}
+    gen_rows = [mul[g] for g in gens]
+    right_class = _components(members, lambda x: set(map(mul[x].__getitem__, gens)))
+    left_class = _components(members, lambda x: set(map(itemgetter(x), gen_rows)))
+    by_right: dict[int, list[int]] = {}
+    by_left: dict[int, list[int]] = {}
+    for s in weak:
+        if inside[s] == "1":
+            by_right.setdefault(right_class[s], []).append(s)
+            by_left.setdefault(left_class[s], []).append(s)
+        else:
+            by_right[-1 - s] = by_left[-1 - s] = [s]
+    forced = set()
+    member_rows = [mul[x] for x in members]
+    for group in by_right.values():
+        mask = format(reduce(and_, [right[t] for s in group for t in weak[s]]), width)
+        ideal = set(map(mul[group[0]].__getitem__, members))
+        for y in compress(ideal, map("0".__eq__, map(mask.__getitem__, ideal))):
+            for s in group:
+                forced.update(map(mul[y].__getitem__, weak[s]))
+    for group in by_left.values():
+        mask = format(reduce(and_, [left[t] for s in group for t in weak[s]]), width)
+        ideal = set(map(itemgetter(group[0]), member_rows))
+        for y in compress(ideal, map("0".__eq__, map(mask.__getitem__, ideal))):
+            for s in group:
+                forced.update(mul[t][y] for t in weak[s])
+    return forced
+
+
+def gr_kernel(alpha: Morphism) -> frozenset[int]:
+    """Least submonoid T with s*T*t and t*T*s inside T whenever s*t*s = s.
+
+    Seed, check, repair:
+      * every idempotent e is in T, since (e, e) is a weak pair and
+        e*1*e = e, so T starts as the submonoid that the idempotents of
+        the image generate (each one a generator only when the ones
+        before it do not generate it already);
+      * a weak pair with s and t both in T needs no check, because T is
+        closed under products, so only the pairs that touch image - T are
+        listed: 2 |image| |image - T| products;
+      * the listed pairs are checked by bitmask inclusions (`_forced`);
+        what a failed check forces is added, T is closed again, and the
+        check repeats until nothing is forced.
+    Every element added lies in the least fixpoint, and the last check
+    shows that T is a fixpoint, so T is the least one.
+    """
+    m = alpha.codomain
+    mul = m.mul
+    image = sorted(alpha.image)
+    every = range(m.size)
+    idempotent = "".join(map("01".__getitem__, map(eq, map(getitem, mul, every), every)))
+    kernel, members, gens = {m.identity}, [m.identity], []
+    for e in image:
+        if idempotent[e] == "1" and e not in kernel:
+            _extend(mul, kernel, members, gens, [e])
+    weak = None
+    while len(kernel) < len(image):
+        flags = ["0"] * m.size
+        for x in members:
+            flags[x] = "1"
+        inside = "".join(flags)
+        if weak is None:
+            weak = _weak_pairs(mul, image, members, inside, idempotent)
+        else:
+            # s now in T keeps only the t still outside
+            listed = {}
+            for s, found in weak.items():
+                if inside[s] == "1":
+                    found = [t for t in found if inside[t] == "0"]
+                if found:
+                    listed[s] = found
+            weak = listed
+        forced = _forced(mul, members, gens, inside, weak) - kernel
+        if not forced:
+            break
+        _extend(mul, kernel, members, gens, sorted(forced))
     return frozenset(kernel)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from sfclosure.automata import (
     MAX_NESTING,
@@ -28,10 +30,10 @@ from sfclosure.monoid import (
     FiniteMonoid,
     Morphism,
     RecognizedLanguage,
-    is_aperiodic,
+    idempotent_power,
     syntactic_morphism,
 )
-from sfclosure.oracles import IntegerLattice, group_kernel
+from sfclosure.oracles import IntegerLattice, PairSet, _stable_power, group_kernel
 from sfclosure.sd import prefix_code_violation
 
 
@@ -114,6 +116,33 @@ def naive_syntactic_morphism(dfa: Dfa, cap: int = 4096) -> RecognizedLanguage:
         i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals
     )
     return RecognizedLanguage(morphism, accepting)
+
+
+def is_aperiodic(m: FiniteMonoid, subset=None) -> bool:
+    """True when s^(w+1) = s^w for every s in the subset (default: all).
+
+    The subset must be closed under multiplication, otherwise the question
+    is not well posed and we raise InputError.
+    """
+    if subset is None:
+        elems = range(m.size)
+    else:
+        elems = sorted(set(subset))
+        for s in elems:
+            if not 0 <= s < m.size:
+                raise InputError(f"subset element {s} out of range")
+        member = set(elems)
+        for s in elems:
+            for t in elems:
+                if m.mul[s][t] not in member:
+                    raise InputError(
+                        f"subset is not closed under multiplication: {s}*{t} escapes"
+                    )
+    for s in elems:
+        w = idempotent_power(m, s)
+        if m.mul[w][s] != w:
+            return False
+    return True
 
 
 def is_group(m: FiniteMonoid) -> bool:
@@ -335,7 +364,8 @@ def images_by_length(alpha, length: int) -> list[frozenset[int]]:
 
 # ---------------------------------------------------------------------------
 # Class oracles as first written: the materialised pair set, the two-pass
-# stable monoid and the round-based type-II fixpoint.
+# stable monoid, the round-based type-II fixpoint and its semi-naive
+# successor; and the pair test and stability index that only tests read.
 
 
 def naive_c_pairs(c, alpha: Morphism) -> frozenset[tuple[int, int]]:
@@ -427,6 +457,71 @@ def naive_gr_kernel(alpha: Morphism) -> frozenset[int]:
                     if p not in kernel:
                         kernel.add(p)
                         changed = True
+    return frozenset(kernel)
+
+
+def pairs_related(pairs: PairSet, s: int, t: int) -> bool:
+    """Whether s and t are a pair: some eta-image is reached with both."""
+    witnesses = pairs.by_element.get(s)
+    others = pairs.by_element.get(t)
+    return bool(witnesses and others) and not witnesses.isdisjoint(others)
+
+
+def mod_stability_index(alpha: Morphism) -> int:
+    """Least d >= 1 with alpha(A^d) = alpha(A^2d), from the library's walk
+    of the powers of A (so a patched `oracles._stability_bound` applies)."""
+    return _stable_power(alpha)[0]
+
+
+def seminaive_gr_kernel(alpha: Morphism) -> frozenset[int]:
+    """Least submonoid T with s*T*t and t*T*s inside T whenever s*t*s = s.
+
+    Semi-naive evaluation in rounds: each round takes only the elements
+    new since the previous one (the delta D) and
+      * multiplies them on both sides with all of T, so that each product
+        of two members is formed once or twice: at most 2 |T|^2 lookups;
+      * for each regular s of the image, with weak inverses
+        W_s = {t : s*t*s = s}, adds (s*x)*t and t*(x*s) for x in D and t
+        in W_s.  These depend on x only through s*x and x*s, so a per-s
+        done set expands each distinct value once: at most
+        sum over s of (|s*T| + |T*s|) |W_s| lookups.
+    Listing the W_s reads |image|^2 products; the result is the same
+    fixpoint as re-applying every rule to all of T until nothing changes.
+    """
+    m = alpha.codomain
+    mul = m.mul
+    elems = sorted(alpha.image)
+    rules = []
+    for s in elems:
+        row, column = mul[s], list(map(itemgetter(s), mul))
+        # the t with (s*t)*s == s
+        sts = map(column.__getitem__, map(row.__getitem__, elems))
+        weak = list(compress(elems, map(s.__eq__, sts)))
+        if weak:
+            rules.append((row, itemgetter(s), weak, [mul[t] for t in weak], set(), set()))
+    kernel = {m.identity}
+    members = [m.identity]
+    delta = members[:]
+    while delta and len(kernel) < len(elems):
+        delta_rows = [mul[x] for x in delta]
+        fresh = set()
+        for row_x in delta_rows:
+            fresh.update(map(row_x.__getitem__, members))
+        for y in members:
+            fresh.update(map(mul[y].__getitem__, delta))
+        for row_s, at_s, weak, weak_rows, left_done, right_done in rules:
+            lefts = set(map(row_s.__getitem__, delta)) - left_done
+            left_done |= lefts
+            for y in lefts:
+                fresh.update(map(mul[y].__getitem__, weak))
+            rights = set(map(at_s, delta_rows)) - right_done
+            right_done |= rights
+            for z in rights:
+                fresh.update(map(itemgetter(z), weak_rows))
+        fresh -= kernel
+        kernel |= fresh
+        delta = list(fresh)
+        members += delta
     return frozenset(kernel)
 
 

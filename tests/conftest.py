@@ -243,3 +243,16 @@ def syntactic_morphisms(draw, max_states: int = 5, cap: int = 80, alphabet=AB):
     except ResourceLimitError:
         assume(False)
     return lang.morphism
+
+
+@st.composite
+def proper_image_morphisms(draw):
+    """A morphism from {a, b} whose letters generate a proper submonoid of
+    its codomain: two elements of a syntactic monoid over {a, b, c} of at
+    most 40 elements."""
+    full = draw(syntactic_morphisms(max_states=4, cap=40, alphabet=make_alphabet("abc")))
+    codomain = full.codomain
+    letters = tuple(draw(st.lists(st.integers(0, codomain.size - 1), min_size=2, max_size=2)))
+    image = generated_image(codomain, letters)
+    assume(len(image) < codomain.size)
+    return Morphism(AB, codomain, letters, image)

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 from bruteforce import (
     check_delay_witness,
     images_by_length,
+    mod_stability_index,
+    pairs_related,
     search_delay_violation,
     search_prefix_violation,
     zero_parikh_images,
@@ -50,7 +52,6 @@ from sfclosure.oracles import (
     c_pairs,
     gr_kernel,
     mod_kernel,
-    mod_stability_index,
     st_class,
 )
 from sfclosure.sd import (
@@ -121,9 +122,9 @@ def test_criterion_3_pairs_orbits(alphabet_testable, flat_morphism):
     with criterion(3, "pairs and orbits"):
         one, a, b, zero = 0, 1, 2, 3
         pairs = c_pairs(alphabet_testable, flat_morphism)
-        assert pairs.related(a, zero)
-        assert pairs.related(zero, b)
-        assert not pairs.related(a, b)
+        assert pairs_related(pairs, a, zero)
+        assert pairs_related(pairs, zero, b)
+        assert not pairs_related(pairs, a, b)
         assert c_orbit(pairs, flat_morphism, zero) == {zero}
 
 

@@ -113,13 +113,21 @@ def test_verdict_json_shape():
     }
 
 
-@pytest.mark.parametrize("selector", ["st", "mod"])
+@pytest.mark.parametrize("selector", ["st", "mod", "gr"])
 def test_full_transformation_monoid_t5(selector):
-    # 3,125 elements: the pair set had 9.8 M entries and the stable monoid
-    # search squared every power of the letter set
+    # 3,125 elements: the pair set had 9.8 M entries, the stable monoid
+    # search squared every power of the letter set, and the type-II
+    # closure listed 362,745 weak pairs
     dfa = transformation_dfa(5)
-    cls = st_class(dfa.alphabet) if selector == "st" else MOD
+    cls = {"st": st_class(dfa.alphabet), "mod": MOD, "gr": GR}[selector]
     verdict = sf_membership(cls, dfa)
     assert verdict.monoid_size == 3125
     assert not verdict.answer
-    assert recheck_witness(verdict, syntactic_morphism(dfa))
+    lang = syntactic_morphism(dfa)
+    assert recheck_witness(verdict, lang)
+    if selector == "gr":
+        # the identity and every non-permutation
+        kernel = verdict.detail["kernel"]
+        assert len(kernel) == 3006
+        labels = lang.morphism.labels
+        assert kernel == [0] + [s for s, label in enumerate(labels) if len(set(label)) < 5]

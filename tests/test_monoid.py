@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import is_group, naive_syntactic_morphism, syntactic_class_count, words_up_to
+from bruteforce import (
+    is_aperiodic,
+    is_group,
+    naive_syntactic_morphism,
+    syntactic_class_count,
+    words_up_to,
+)
 from conftest import recognized
 from sfclosure.automata import Dfa, accepts, compile_pattern, make_alphabet
 from sfclosure.errors import InputError, ResourceLimitError
@@ -12,7 +18,6 @@ from sfclosure.monoid import (
     generated_image,
     idempotent_power,
     idempotents,
-    is_aperiodic,
     morphism_from_json,
     morphism_to_json,
     syntactic_morphism,

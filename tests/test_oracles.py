@@ -2,21 +2,25 @@ import dataclasses
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
     images_by_length,
+    mod_stability_index,
     naive_amt_kernel,
     naive_c_orbit,
     naive_c_pairs,
     naive_gr_kernel,
     naive_mod_kernel,
     naive_mod_stability_index,
+    pairs_related,
+    seminaive_gr_kernel,
     zero_parikh_images,
 )
 from conftest import (
     permutation_morphism,
+    proper_image_morphisms,
     recognized,
     syntactic_morphisms,
     transformation_dfa,
@@ -24,7 +28,7 @@ from conftest import (
 )
 from test_golden_monoid import LANGUAGES, LARGER
 from sfclosure import oracles
-from sfclosure.automata import make_alphabet
+from sfclosure.automata import Dfa, make_alphabet
 from sfclosure.config import DEFAULT
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import idempotents, syntactic_morphism
@@ -40,7 +44,6 @@ from sfclosure.oracles import (
     gr_kernel,
     group_kernel,
     mod_kernel,
-    mod_stability_index,
     st_class,
     trivial_morphism,
 )
@@ -60,9 +63,9 @@ class TestPairsAndOrbits:
     def test_flat_monoid_pairs(self, alphabet_testable, flat_morphism):
         # the letters a, b sit at indices 1, 2 and the zero at index 3
         pairs = c_pairs(alphabet_testable, flat_morphism)
-        assert pairs.related(1, 3)
-        assert pairs.related(3, 2)
-        assert not pairs.related(1, 2)
+        assert pairs_related(pairs, 1, 3)
+        assert pairs_related(pairs, 3, 2)
+        assert not pairs_related(pairs, 1, 2)
 
     def test_flat_monoid_zero_orbit(self, alphabet_testable, flat_morphism):
         pairs = c_pairs(alphabet_testable, flat_morphism)
@@ -79,7 +82,7 @@ class TestPairsAndOrbits:
         image = sorted(lang.morphism.image)
         for s in image:
             for t in image:
-                assert pairs.related(s, t)
+                assert pairs_related(pairs, s, t)
         for e in idempotents(lang.morphism.codomain):
             m = lang.morphism.codomain
             want = {m.mul[m.mul[e][s]][e] for s in image}
@@ -174,6 +177,15 @@ class TestGrKernel:
     def test_trivial(self):
         assert gr_kernel(trivial_morphism(AB)) == {0}
 
+    def test_kernel_that_takes_two_repairs(self):
+        # the elements forced by the first failed check make a second
+        # check fail, which forces two more
+        delta = ((3, 1), (4, 2), (1, 2), (2, 4), (4, 4))
+        alpha = syntactic_morphism(Dfa(AB, 5, 0, frozenset({2, 3, 4}), delta)).morphism
+        kernel = gr_kernel(alpha)
+        assert len(alpha.image) == 15 and len(kernel) == 12
+        assert kernel == naive_gr_kernel(alpha)
+
     def test_dispatch(self, s3_morphism):
         assert group_kernel(GR, s3_morphism) == {0}
         assert group_kernel(MOD, s3_morphism) == frozenset(range(6))
@@ -262,7 +274,7 @@ def _assert_pairs_match(c, alpha):
     size = alpha.codomain.size
     for s in range(size):
         for t in range(size):
-            assert pairs.related(s, t) == ((s, t) in reference)
+            assert pairs_related(pairs, s, t) == ((s, t) in reference)
     for e in idempotents(alpha.codomain):
         assert c_orbit(pairs, alpha, e) == naive_c_orbit(reference, alpha, e)
 
@@ -292,6 +304,52 @@ def test_oracles_match_references_on_syntactic_monoids(alpha, eta):
     _assert_kernels_match(alpha)
     _assert_pairs_match(st_class(AB), alpha)
     _assert_pairs_match(FinitePrevariety(eta), alpha)
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda k: syntactic_morphisms(cap=256, alphabet=make_alphabet("abc"[:k]))))
+def test_gr_kernel_matches_seminaive_reference_on_larger_monoids(alpha):
+    # 17 to 256 elements, where the naive fixpoint is too slow
+    assume(len(alpha.image) >= 17)
+    assert gr_kernel(alpha) == seminaive_gr_kernel(alpha)
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)))
+def test_components_are_the_mutual_reachability_classes(edges):
+    nodes = range(len(edges))
+    reach = []
+    for v in nodes:
+        seen, todo = {v}, [v]
+        while todo:
+            for w in edges[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    component = oracles._components(nodes, edges.__getitem__)
+    assert sorted(set(component.values())) == list(range(len(set(component.values()))))
+    for v in nodes:
+        for w in nodes:
+            assert (component[v] == component[w]) == (w in reach[v] and v in reach[w])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gr_kernel_of_full_transformation_monoids(n):
+    # the idempotents generate the identity and every non-permutation
+    alpha = syntactic_morphism(transformation_dfa(n)).morphism
+    kernel = gr_kernel(alpha)
+    assert kernel == seminaive_gr_kernel(alpha)
+    expected = {alpha.codomain.identity} | {
+        s for s, label in enumerate(alpha.labels) if len(set(label)) < n
+    }
+    assert kernel == expected
+
+
+@settings(max_examples=200)
+@given(proper_image_morphisms())
+def test_gr_kernel_stays_inside_a_proper_image(alpha):
+    assert gr_kernel(alpha) == naive_gr_kernel(alpha)
 
 
 @settings(max_examples=200)
