@@ -178,8 +178,8 @@ class TestGrKernel:
         assert gr_kernel(trivial_morphism(AB)) == {0}
 
     def test_kernel_that_takes_two_repairs(self):
-        # the elements forced by the first failed check make a second
-        # check fail, which forces two more
+        # the first repair leaves a kernel of 10 whose check fails again;
+        # the second repair brings it to 12
         delta = ((3, 1), (4, 2), (1, 2), (2, 4), (4, 4))
         alpha = syntactic_morphism(Dfa(AB, 5, 0, frozenset({2, 3, 4}), delta)).morphism
         kernel = gr_kernel(alpha)
