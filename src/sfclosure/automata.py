@@ -244,20 +244,6 @@ def accepts(dfa: Dfa, word: str) -> bool:
     return dfa.step(dfa.initial, word) in dfa.finals
 
 
-def is_empty(dfa: Dfa) -> bool:
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        if q in dfa.finals:
-            return False
-        for target in dfa.delta[q]:
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return True
-
-
 def shortest_word(dfa: Dfa) -> str | None:
     """A length-lexicographically least accepted word, or None."""
     if dfa.initial in dfa.finals:
@@ -491,18 +477,3 @@ def dfa_to_json(dfa: Dfa) -> dict:
         "finals": sorted(dfa.finals),
         "delta": [list(row) for row in dfa.delta],
     }
-
-
-def dfa_from_json(data: dict) -> Dfa:
-    if not isinstance(data, dict):
-        raise InputError("DFA document must be a JSON object")
-    try:
-        alphabet = Alphabet(tuple(data["alphabet"]))
-        states = int(data["states"])
-        initial = int(data["initial"])
-        finals = frozenset(int(q) for q in data["finals"])
-        delta = tuple(tuple(int(t) for t in row) for row in data["delta"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed DFA document: {exc}") from exc
-    return Dfa(alphabet, states, initial, finals, delta)
-

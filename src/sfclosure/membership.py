@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 from .automata import Dfa
 from .config import DEFAULT, Config
-from .monoid import (
-    RecognizedLanguage,
-    aperiodicity_witness,
-    idempotent_power,
-    idempotents,
-    syntactic_morphism,
-)
+from .monoid import aperiodicity_witness, idempotents, syntactic_morphism
 from .oracles import (
     FinitePrevariety,
     GroupClass,
@@ -94,20 +88,3 @@ def sf_membership(
         return sf_membership_finite(cls, dfa, monoid_cap=monoid_cap)
     return sf_membership_group(g=cls, dfa=dfa, monoid_cap=monoid_cap, config=config)
 
-
-def recheck_witness(verdict: MembershipVerdict, lang: RecognizedLanguage) -> bool:
-    """Confirm that a negative verdict's witness really breaks aperiodicity
-    inside the reported kernel or orbit."""
-    if verdict.answer:
-        return verdict.witness is None
-    s = verdict.witness
-    if s is None:
-        return False
-    m = lang.morphism.codomain
-    if "kernel" in verdict.detail:
-        if s not in verdict.detail["kernel"]:
-            return False
-    elif not any(s in orbit for orbit in verdict.detail["orbits"].values()):
-        return False
-    w = idempotent_power(m, s)
-    return m.mul[w][s] != w

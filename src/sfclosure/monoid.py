@@ -4,11 +4,14 @@ A monoid is a multiplication table over 0..size-1.  Every generated
 monoid is built by one closure, `cayley_closure`: elements are numbered
 breadth-first from the identity with letters in alphabet order, the
 right Cayley graph gives each element a shortest word, and the table is
-filled from the Cayley graphs by integer lookups, never by multiplying
-labels (Froidure & Pin, "Algorithms for computing finite semigroups",
-1997).  The syntactic morphism of a regular language is the transition
-monoid of its minimal complete DFA built this way, so the numbering is
-canonical for a canonical input DFA.
+filled from the Cayley graphs, never by multiplying labels (Froidure &
+Pin, "Algorithms for computing finite semigroups", 1997).  Each row is
+one C-level gather (`gather`, an `operator.itemgetter`) of an earlier
+row at the entries of a left-Cayley column, so no table entry costs an
+interpreted call.  The syntactic morphism of a regular language is the
+transition monoid of its minimal complete DFA built this way, composing
+transformations by the same gather, so the numbering is canonical for a
+canonical input DFA.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .automata import Alphabet, Dfa, minimize
 from .errors import InputError, ResourceLimitError
@@ -51,18 +55,37 @@ class FiniteMonoid:
         return monoid
 
 
+def gather(indices):
+    """The function that reads a sequence at `indices`, in order, as a
+    tuple: `operator.itemgetter(*indices)`, which gathers in C."""
+    indices = tuple(indices)
+    # itemgetter returns a bare item for one index and fails for none, and
+    # a row or label must stay a tuple
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
 def validate_monoid(m: FiniteMonoid) -> None:
-    """Raise InputError on the first broken identity or associativity law."""
+    """Raise InputError on the first broken identity or associativity law.
+
+    (x*y)*z = x*(y*z) for all z is one row comparison: row x*y against
+    row x read at the entries of row y.  Only a row that differs is
+    scanned for its first z."""
     e = m.identity
+    mul = m.mul
     for s in range(m.size):
-        if m.mul[e][s] != s or m.mul[s][e] != s:
+        if mul[e][s] != s or mul[s][e] != s:
             raise InputError(f"element {e} is not an identity at {s}")
-    for x in range(m.size):
-        for y in range(m.size):
-            xy = m.mul[x][y]
-            for z in range(m.size):
-                if m.mul[xy][z] != m.mul[x][m.mul[y][z]]:
-                    raise InputError(f"associativity fails at ({x}, {y}, {z})")
+    for x, row in enumerate(mul):
+        for y, xy in enumerate(row):
+            x_yz = gather(mul[y])(row)
+            if mul[xy] != x_yz:
+                z = next(z for z, (u, v) in enumerate(zip(mul[xy], x_yz)) if u != v)
+                raise InputError(f"associativity fails at ({x}, {y}, {z})")
 
 
 def omega_power(x, mul):
@@ -167,7 +190,8 @@ def cayley_closure(alphabet: Alphabet, identity, step, cap: int, cap_message: st
     times its last letter, which spells a shortest word for it.  Walking
     each letter a along those words gives the left Cayley graph a * y,
     and row x of the table is row parent(x) read at the entries of
-    last(x) * y, since x * y = parent(x) * (last(x) * y).
+    last(x) * y, since x * y = parent(x) * (last(x) * y): one C-level
+    gather per row, with one gather built per letter's left column.
     """
     index = {identity: 0}
     labels = [identity]
@@ -196,9 +220,10 @@ def cayley_closure(alphabet: Alphabet, identity, step, cap: int, cap_message: st
         for y in range(1, size):
             column.append(right[column[parent[y]]][last[y]])
         left.append(column)
+    gathers = [gather(column) for column in left]
     mul = [tuple(range(size))]
     for x in range(1, size):
-        mul.append(tuple(map(mul[parent[x]].__getitem__, left[last[x]])))
+        mul.append(gathers[last[x]](mul[parent[x]]))
     return Morphism(
         alphabet=alphabet,
         codomain=FiniteMonoid._from_closure(tuple(mul)),
@@ -213,7 +238,8 @@ def syntactic_morphism(dfa: Dfa, cap: int = 4096) -> RecognizedLanguage:
 
     Element i is a transformation of the state set, labelled by the tuple
     of state images; composition is in diagram order, so mul[x][y] means
-    "apply x, then y".  Raises ResourceLimitError when more than `cap`
+    "apply x, then y", and t followed by letter i is generator i read at
+    the entries of t.  Raises ResourceLimitError when more than `cap`
     transformations appear.
     """
     dfa = minimize(dfa)
@@ -223,7 +249,7 @@ def syntactic_morphism(dfa: Dfa, cap: int = 4096) -> RecognizedLanguage:
     morphism = cayley_closure(
         dfa.alphabet,
         tuple(range(dfa.states)),
-        lambda t, i: tuple(map(generators[i].__getitem__, t)),
+        lambda t, i: gather(t)(generators[i]),
         cap,
         f"syntactic monoid exceeds the cap of {cap} elements",
     )

@@ -36,7 +36,7 @@ from operator import and_, eq, getitem, itemgetter
 
 from .config import DEFAULT, Config
 from .errors import InputError, ResourceLimitError
-from .monoid import FiniteMonoid, Morphism
+from .monoid import FiniteMonoid, Morphism, gather
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ def c_orbit(pairs: PairSet, alpha: Morphism, e: int) -> frozenset[int]:
     witnesses = pairs.by_element.get(e, ())
     related = set().union(*(pairs.by_witness[x] for x in witnesses))
     mul = m.mul
-    return frozenset(mul[y][e] for y in set(map(mul[e].__getitem__, related)))
+    left = set(gather(related)(mul[e]))
+    return frozenset(map(itemgetter(e), map(mul.__getitem__, left)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +434,24 @@ def _extend(mul, kernel: set, members: list, gens: list, new: list) -> None:
         fresh -= kernel
 
 
-def _weak_pairs(mul, image, members, inside: str, idempotent: str) -> dict[int, list[int]]:
+def _weak_pairs(mul, image, members, inside: str, idempotent: tuple) -> dict[int, list[int]]:
     """s -> the t of the image with s*t*s = s, for the pairs with s or t
-    outside the kernel.  `inside` and `idempotent` hold "1" at the members
-    and at the idempotents.  s*t*s = s makes s*t and t*s idempotents, so
-    each row is screened for them first: row s over the image for s
-    outside, row t over the members for t outside."""
+    outside the kernel.  `inside` holds "1" at the members, `idempotent`
+    is True at the idempotents.  s*t*s = s makes s*t and t*s idempotents,
+    so each row is screened for them first, by two gathers: row s over
+    the image for s outside, row t over the members for t outside."""
     weak: dict[int, list[int]] = {}
+    at_image = gather(image)
+    at_members = gather(members)
     for x in image:
         if inside[x] == "1":
             continue
         row = mul[x]
-        flags = map(idempotent.__getitem__, map(row.__getitem__, image))
-        found = [t for t in compress(image, map("1".__eq__, flags)) if mul[row[t]][x] == x]
+        screen = gather(at_image(row))(idempotent)
+        found = [t for t in compress(image, screen) if mul[row[t]][x] == x]
         if found:
             weak[x] = found
-        flags = map(idempotent.__getitem__, map(row.__getitem__, members))
-        for s in compress(members, map("1".__eq__, flags)):
+        for s in compress(members, gather(at_members(row))(idempotent)):
             if mul[s][row[s]] == s:
                 weak.setdefault(s, []).append(x)
     return weak
@@ -464,17 +466,19 @@ def _forced(mul, members, gens, inside: str, weak) -> set[int]:
     AND of the left masks {y : t*y in T}.  A mask is read from one column
     or row of the table as a binary numeral whose y-th digit stands for
     element y; the digits of elements outside the image are never read.
-    Members of T in one component of T's right Cayley graph over `gens`
-    share s*T, and those in one component of the left graph share T*s, so
-    each component is checked once, against the AND over all its t.
+    Masks and ideals are read by C-level gathers.  Members of T in one
+    component of T's right Cayley graph over `gens` share s*T, and those
+    in one component of the left graph share T*s, so each component is
+    checked once, against the AND over all its t.
     """
     width = f"0{len(inside)}b"
     listed = {t for found in weak.values() for t in found}
-    right = {t: int("".join(map(inside.__getitem__, map(itemgetter(t), mul))), 2) for t in listed}
-    left = {t: int("".join(map(inside.__getitem__, mul[t])), 2) for t in listed}
+    right = {t: int("".join(gather(map(itemgetter(t), mul))(inside)), 2) for t in listed}
+    left = {t: int("".join(gather(mul[t])(inside)), 2) for t in listed}
+    at_gens = gather(gens)
     gen_rows = [mul[g] for g in gens]
-    right_class = _components(members, lambda x: set(map(mul[x].__getitem__, gens)))
-    left_class = _components(members, lambda x: set(map(itemgetter(x), gen_rows)))
+    right_class = _components(members, lambda x: at_gens(mul[x]))
+    left_class = _components(members, lambda x: map(itemgetter(x), gen_rows))
     by_right: dict[int, list[int]] = {}
     by_left: dict[int, list[int]] = {}
     for s in weak:
@@ -484,17 +488,18 @@ def _forced(mul, members, gens, inside: str, weak) -> set[int]:
         else:
             by_right[-1 - s] = by_left[-1 - s] = [s]
     forced = set()
+    at_members = gather(members)
     member_rows = [mul[x] for x in members]
     for group in by_right.values():
         mask = format(reduce(and_, [right[t] for s in group for t in weak[s]]), width)
-        ideal = set(map(mul[group[0]].__getitem__, members))
-        for y in compress(ideal, map("0".__eq__, map(mask.__getitem__, ideal))):
+        ideal = set(at_members(mul[group[0]]))
+        for y in compress(ideal, map("0".__eq__, gather(ideal)(mask))):
             for s in group:
-                forced.update(map(mul[y].__getitem__, weak[s]))
+                forced.update(gather(weak[s])(mul[y]))
     for group in by_left.values():
         mask = format(reduce(and_, [left[t] for s in group for t in weak[s]]), width)
         ideal = set(map(itemgetter(group[0]), member_rows))
-        for y in compress(ideal, map("0".__eq__, map(mask.__getitem__, ideal))):
+        for y in compress(ideal, map("0".__eq__, gather(ideal)(mask))):
             for s in group:
                 forced.update(mul[t][y] for t in weak[s])
     return forced
@@ -521,10 +526,10 @@ def gr_kernel(alpha: Morphism) -> frozenset[int]:
     mul = m.mul
     image = sorted(alpha.image)
     every = range(m.size)
-    idempotent = "".join(map("01".__getitem__, map(eq, map(getitem, mul, every), every)))
+    idempotent = tuple(map(eq, map(getitem, mul, every), every))
     kernel, members, gens = {m.identity}, [m.identity], []
     for e in image:
-        if idempotent[e] == "1" and e not in kernel:
+        if idempotent[e] and e not in kernel:
             _extend(mul, kernel, members, gens, [e])
     weak = None
     while len(kernel) < len(image):

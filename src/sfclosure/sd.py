@@ -153,10 +153,6 @@ def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
     return _delay_witness(_plus_maps(k), _power(k, d))
 
 
-def has_sync_delay(k: Dfa, d: int) -> bool:
-    return sync_delay_witness(k, d) is None
-
-
 def min_sync_delay(k: Dfa, dmax: int = 8) -> int | None:
     """Least delay bound up to dmax >= 1, or None.  Requires a prefix code.
 
@@ -239,10 +235,6 @@ def ambiguity_witness(k: Dfa, l: Dfa) -> str | None:
                         parent[spawn] = (nxt, None)
                         queue.append(spawn)
     return None
-
-
-def is_unambiguous_concat(k: Dfa, l: Dfa) -> bool:
-    return ambiguity_witness(k, l) is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here recomputes answers from first principles (word enumeration
 and dynamic programming over explicit words), deliberately avoiding the
-algorithms under test.
+algorithms under test.  The few helpers that only tests call (DFA JSON
+reading, emptiness, witness rechecks) live here too, not in the library.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from sfclosure.automata import (
     star,
 )
 from sfclosure.errors import InputError, ResourceLimitError
+from sfclosure.membership import MembershipVerdict
 from sfclosure.monoid import (
     FiniteMonoid,
     Morphism,
@@ -34,7 +36,7 @@ from sfclosure.monoid import (
     syntactic_morphism,
 )
 from sfclosure.oracles import IntegerLattice, PairSet, _stable_power, group_kernel
-from sfclosure.sd import prefix_code_violation
+from sfclosure.sd import ambiguity_witness, prefix_code_violation, sync_delay_witness
 
 
 def words_up_to(alphabet, maxlen: int):
@@ -47,6 +49,34 @@ def words_up_to(alphabet, maxlen: int):
 
 def accepted_slice(dfa: Dfa, maxlen: int) -> set[str]:
     return {w for w in words_up_to(dfa.alphabet, maxlen) if accepts(dfa, w)}
+
+
+def is_empty(dfa: Dfa) -> bool:
+    seen = {dfa.initial}
+    queue = deque([dfa.initial])
+    while queue:
+        q = queue.popleft()
+        if q in dfa.finals:
+            return False
+        for target in dfa.delta[q]:
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+    return True
+
+
+def dfa_from_json(data: dict) -> Dfa:
+    if not isinstance(data, dict):
+        raise InputError("DFA document must be a JSON object")
+    try:
+        alphabet = Alphabet(tuple(data["alphabet"]))
+        states = int(data["states"])
+        initial = int(data["initial"])
+        finals = frozenset(int(q) for q in data["finals"])
+        delta = tuple(tuple(int(t) for t in row) for row in data["delta"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed DFA document: {exc}") from exc
+    return Dfa(alphabet, states, initial, finals, delta)
 
 
 def nerode_class_count(accept, alphabet, word_depth: int, ext_depth: int) -> int:
@@ -116,6 +146,39 @@ def naive_syntactic_morphism(dfa: Dfa, cap: int = 4096) -> RecognizedLanguage:
         i for i, t in enumerate(order) if t[dfa.initial] in dfa.finals
     )
     return RecognizedLanguage(morphism, accepting)
+
+
+def naive_validate_monoid(m: FiniteMonoid) -> None:
+    """Raise InputError on the first broken identity or associativity law,
+    checking (x*y)*z = x*(y*z) one triple at a time."""
+    e = m.identity
+    for s in range(m.size):
+        if m.mul[e][s] != s or m.mul[s][e] != s:
+            raise InputError(f"element {e} is not an identity at {s}")
+    for x in range(m.size):
+        for y in range(m.size):
+            xy = m.mul[x][y]
+            for z in range(m.size):
+                if m.mul[xy][z] != m.mul[x][m.mul[y][z]]:
+                    raise InputError(f"associativity fails at ({x}, {y}, {z})")
+
+
+def recheck_witness(verdict: MembershipVerdict, lang: RecognizedLanguage) -> bool:
+    """Confirm that a negative verdict's witness really breaks aperiodicity
+    inside the reported kernel or orbit."""
+    if verdict.answer:
+        return verdict.witness is None
+    s = verdict.witness
+    if s is None:
+        return False
+    m = lang.morphism.codomain
+    if "kernel" in verdict.detail:
+        if s not in verdict.detail["kernel"]:
+            return False
+    elif not any(s in orbit for orbit in verdict.detail["orbits"].values()):
+        return False
+    w = idempotent_power(m, s)
+    return m.mul[w][s] != w
 
 
 def is_aperiodic(m: FiniteMonoid, subset=None) -> bool:
@@ -252,6 +315,14 @@ def search_delay_violation(kdfa: Dfa, d: int, maxlen: int = 8):
                 if not plus[j]:
                     return x[:i], x[i:j], x[j:]
     return None
+
+
+def has_sync_delay(k: Dfa, d: int) -> bool:
+    return sync_delay_witness(k, d) is None
+
+
+def is_unambiguous_concat(k: Dfa, l: Dfa) -> bool:
+    return ambiguity_witness(k, l) is None
 
 
 def naive_power(k: Dfa, d: int) -> Dfa:

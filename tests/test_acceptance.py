@@ -15,6 +15,7 @@ from bruteforce import (
     images_by_length,
     mod_stability_index,
     pairs_related,
+    recheck_witness,
     search_delay_violation,
     search_prefix_violation,
     zero_parikh_images,
@@ -41,7 +42,7 @@ from sfclosure.covering import (
     saturate_group,
 )
 from sfclosure.ltl import compare_sampled, parse_formula
-from sfclosure.membership import recheck_witness, sf_membership
+from sfclosure.membership import sf_membership
 from sfclosure.monoid import idempotent_power, syntactic_morphism
 from sfclosure.oracles import (
     AMT,

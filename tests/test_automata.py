@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import (
     accepted_slice,
+    dfa_from_json,
+    is_empty,
     naive_compile_pattern,
     naive_minimize,
     nerode_class_count,
@@ -15,9 +17,7 @@ from sfclosure.automata import (
     compile_pattern,
     complement,
     concat,
-    dfa_from_json,
     dfa_to_json,
-    is_empty,
     make_alphabet,
     minimize,
     product,

@@ -83,6 +83,15 @@ class TestGoldenOutputs:
         assert len(doc["mul"]) == 2
         assert doc["accepting"] == [0]
 
+    @pytest.mark.parametrize("pattern, accepting", [("~%", "[0]"), ("%", "[]")])
+    def test_one_state_monoid_document(self, capsys, pattern, accepting):
+        status, out, err = run(capsys, "monoid", "--lang", pattern, "--alphabet", "ab")
+        assert (status, err) == (0, "")
+        assert out == (
+            f'{{"accepting": {accepting}, "identity": 0, "letters": {{"a": 0, "b": 0}}, '
+            '"mul": [[0]], "size": 1}\n'
+        )
+
     def test_orbits_document(self, capsys):
         doc = run_json(
             capsys, "orbits", "--class", "st", "--lang", "(ab)*", "--alphabet", "ab"

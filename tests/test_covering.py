@@ -12,6 +12,7 @@ from sfclosure.automata import Dfa, compile_pattern, make_alphabet, minimize
 from sfclosure.config import DEFAULT, Config
 from sfclosure.covering import (
     Antichain,
+    _mu_image_monoid,
     _opt_chain_group,
     is_coverable,
     is_separable,
@@ -22,7 +23,7 @@ from sfclosure.covering import (
     saturate_group,
 )
 from sfclosure.errors import InputError, ResourceLimitError
-from sfclosure.monoid import idempotents, syntactic_morphism
+from sfclosure.monoid import FiniteMonoid, idempotents, syntactic_morphism, validate_monoid
 from sfclosure.oracles import GR, MOD, FinitePrevariety, st_class
 from sfclosure.semiring import rho_alpha, sf_closure_of
 
@@ -129,6 +130,22 @@ class TestCoverable:
         covered = compile_pattern("(aa)*", A)
         report = is_coverable(MOD, covered, [compile_pattern("a(aa)*", A)])
         assert report.answer
+
+
+def test_mu_image_monoids_of_one_and_two_elements():
+    rho = rho_alpha(recognized("~%a~%", AB))
+    one = rho.semiring.one
+    # every letter set {1}: the identity is the only value
+    mu = _mu_image_monoid(rho, [(one,), (one,)], cap=16)
+    assert mu.codomain == FiniteMonoid(1, 0, ((0,),))
+    assert (mu.letter_images, mu.labels) == ((0, 0), ((one,),))
+    # an empty letter set sends everything it touches to the empty antichain
+    mu = _mu_image_monoid(rho, [(one,), ()], cap=16)
+    assert mu.codomain == FiniteMonoid(2, 0, ((0, 1), (1, 1)))
+    assert (mu.letter_images, mu.labels) == ((0, 1), ((one,), ()))
+    validate_monoid(mu.codomain)
+    mu = _mu_image_monoid(rho, [(), ()], cap=16)
+    assert (mu.codomain.mul, mu.letter_images) == (((0, 1), (1, 1)), (1, 1))
 
 
 def closure_residual_finite(cls, rho, sat):

@@ -1,10 +1,10 @@
 import pytest
 
-from bruteforce import schutzenberger_check
+from bruteforce import recheck_witness, schutzenberger_check
 from conftest import recognized, transformation_dfa
 from sfclosure.automata import compile_pattern, complement, make_alphabet
 from sfclosure.errors import InputError, ResourceLimitError
-from sfclosure.membership import recheck_witness, sf_membership
+from sfclosure.membership import sf_membership
 from sfclosure.monoid import idempotent_power, syntactic_morphism
 from sfclosure.oracles import AMT, GR, MOD, st_class
 

@@ -5,16 +5,18 @@ from bruteforce import (
     is_aperiodic,
     is_group,
     naive_syntactic_morphism,
+    naive_validate_monoid,
     syntactic_class_count,
     words_up_to,
 )
-from conftest import recognized
-from sfclosure.automata import Dfa, accepts, compile_pattern, make_alphabet
+from conftest import recognized, syntactic_morphisms
+from sfclosure.automata import Dfa, accepts, compile_pattern, make_alphabet, minimize
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import (
     FiniteMonoid,
     Morphism,
     aperiodicity_witness,
+    gather,
     generated_image,
     idempotent_power,
     idempotents,
@@ -90,6 +92,26 @@ def test_cayley_closure_matches_composed_tables(dfa, cap):
     assert syntactic_morphism(dfa, cap=cap) == expected
 
 
+@pytest.mark.parametrize("indices", [(), (2,), (3, 0, 3, 1)], ids=["none", "one", "several"])
+def test_gather_always_returns_a_tuple(indices):
+    row = (10, 11, 12, 13)
+    expected = tuple(row[i] for i in indices)
+    assert gather(indices)(row) == expected
+    assert gather(iter(indices))(row) == expected
+
+
+@pytest.mark.parametrize("pattern, accepting", [("~%", {0}), ("%", set())])
+def test_one_state_dfa_has_the_trivial_monoid(pattern, accepting):
+    dfa = compile_pattern(pattern, AB)
+    assert minimize(dfa).states == 1
+    lang = syntactic_morphism(dfa)
+    assert lang == naive_syntactic_morphism(dfa)
+    assert lang.morphism.codomain == FiniteMonoid(1, 0, ((0,),))
+    assert lang.morphism.letter_images == (0, 0)
+    assert lang.morphism.labels == ((0,),)
+    assert lang.accepting == frozenset(accepting)
+
+
 def test_syntactic_morphism_identity_label():
     lang = recognized("(ab)*")
     m = lang.morphism
@@ -102,6 +124,40 @@ def test_validate_monoid_reports_broken_tables():
     # fails x(yz) = (xy)z at some triple
     with pytest.raises(InputError, match="associat"):
         validate_monoid(FiniteMonoid(3, 0, ((0, 1, 2), (1, 2, 2), (2, 2, 1))))
+
+
+@st.composite
+def broken_tables(draw):
+    """A random table of at most four elements, often with a lawful
+    identity, or a syntactic monoid's table with up to three entries
+    overwritten."""
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 4))
+        cell = st.integers(0, size - 1)
+        mul = [draw(st.lists(cell, min_size=size, max_size=size)) for _ in range(size)]
+        if draw(st.booleans()):
+            for s in range(size):
+                mul[0][s] = mul[s][0] = s
+        return FiniteMonoid(size, 0, tuple(map(tuple, mul)))
+    m = draw(syntactic_morphisms(max_states=4, cap=40)).codomain
+    mul = [list(row) for row in m.mul]
+    cell = st.integers(0, m.size - 1)
+    for x, y, v in draw(st.lists(st.tuples(cell, cell, cell), max_size=3)):
+        mul[x][y] = v
+    return FiniteMonoid(m.size, m.identity, tuple(map(tuple, mul)))
+
+
+@settings(max_examples=300)
+@given(broken_tables())
+def test_row_validation_reports_the_first_broken_triple(m):
+    try:
+        naive_validate_monoid(m)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            validate_monoid(m)
+        assert str(raised.value) == str(exc)
+    else:
+        validate_monoid(m)
 
 
 def test_monoid_shape_validation():

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import (
     accepted_slice,
     check_delay_witness,
+    has_sync_delay,
+    is_unambiguous_concat,
     naive_min_sync_delay,
     naive_power,
     naive_sync_delay_witness,
@@ -25,9 +27,7 @@ from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD
 from sfclosure.sd import (
     _power,
-    has_sync_delay,
     is_prefix_code,
-    is_unambiguous_concat,
     min_sync_delay,
     parse_sd_expression,
     prefix_code_violation,
