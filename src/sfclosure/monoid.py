@@ -323,7 +323,7 @@ def load_morphism(path: str):
             data = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} nests too deep: {exc}") from exc

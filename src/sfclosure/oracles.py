@@ -242,8 +242,7 @@ class IntegerLattice:
         work = [v]
         grew = False
         while work:
-            v = work.pop()
-            v = self._partial_reduce(v)
+            v = list(self.reduce(work.pop()))
             col = next((i for i, c in enumerate(v) if c), None)
             if col is None:
                 continue
@@ -268,14 +267,6 @@ class IntegerLattice:
         if grew:
             self._normalize()
         return grew
-
-    def _partial_reduce(self, v: list[int]) -> list[int]:
-        for col, row in self.rows:
-            if v[col]:
-                q = v[col] // row[col]
-                if q:
-                    v = [a - q * b for a, b in zip(v, row)]
-        return v
 
     def _normalize(self) -> None:
         # entries above each pivot reduced into [0, pivot); row k only

@@ -6,6 +6,11 @@ codes with bounded synchronization delay denotes a language in the
 star-free closure by construction.  The validator compiles every node
 and checks each structural side condition, reporting violations as data
 with witness words.
+
+A delay bound d of a prefix code k is read off one breadth-first walk
+over (state of k+, factors of k read, state of k) that starts no factor
+past the d-th: no automaton for k^d is built, and the least delay is
+found within |k+| + 1 one-factor steps, whatever the search bound.
 """
 
 from __future__ import annotations
@@ -53,45 +58,12 @@ def _require_prefix_code(k: Dfa) -> None:
         raise InputError(f"not a prefix code, witness {bad!r}")
 
 
-def _power(k: Dfa, d: int) -> Dfa:
-    """k^d for a prefix code k, read along the unique factorization.
-
-    State c * |k| + q means "in state q of k after c complete factors";
-    from a final q the next factor starts, as from the initial state, and
-    a factor past the d-th leads to the dead state (d + 1) * |k|.
-    """
-    n, width = k.states, len(k.alphabet)
-    dead = (d + 1) * n
-    delta = []
-    for c in range(d + 1):
-        for q in range(n):
-            row = []
-            for target in k.delta[k.initial if q in k.finals else q]:
-                if target not in k.finals:
-                    row.append(c * n + target)
-                elif c < d:
-                    row.append((c + 1) * n + target)
-                else:
-                    row.append(dead)
-            delta.append(tuple(row))
-    delta.append((dead,) * width)
-    finals = frozenset(d * n + q for q in k.finals)
-    return Dfa(k.alphabet, dead + 1, k.initial, finals, tuple(delta))
-
-
-@dataclass(frozen=True)
-class _PlusMaps:
+def _plus_maps(k: Dfa) -> tuple[Dfa, dict[int, str], dict[int, str]]:
     """k+ with, per state, a shortest word reaching it from the initial
-    state and a shortest word leading from it into a final state; `order`
-    lists the reachable states breadth-first."""
-
-    plus: Dfa
-    prefix: dict[int, str]
-    suffix: dict[int, str]
-    order: list[int]
-
-
-def _plus_maps(k: Dfa) -> _PlusMaps:
+    state and, per live state, a shortest word leading from it into a
+    final state.  `minimize` numbers the states breadth-first, letters in
+    alphabet order, so one pass in state order gives each state its
+    breadth-first shortest prefix."""
     plus = minimize(concat(k, star(k)))
     symbols = k.alphabet.symbols
     width = len(symbols)
@@ -106,41 +78,47 @@ def _plus_maps(k: Dfa) -> _PlusMaps:
                 if plus.delta[q][i] == target and q not in suffix:
                     suffix[q] = symbols[i] + suffix[target]
                     queue.append(q)
-    # breadth-first shortest prefixes u
     prefix = {plus.initial: ""}
-    order = [plus.initial]
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for i in range(width):
-            nxt = plus.delta[q][i]
+    for q in range(plus.states):
+        for symbol, nxt in zip(symbols, plus.delta[q]):
             if nxt not in prefix:
-                prefix[nxt] = prefix[q] + symbols[i]
-                order.append(nxt)
+                prefix[nxt] = prefix[q] + symbol
+    return plus, prefix, suffix
+
+
+def _factor_walk(k: Dfa, plus: Dfa, starts, limit: int):
+    """Breadth-first over (state of k+, factors of k read, state of k) from
+    (p, 0, initial state of k) for each p in `starts`, yielding each node
+    with the shortest word reaching it.  After a final state of k the next
+    letter is read from k's initial row, and no factor past the limit-th
+    is started."""
+    symbols = k.alphabet.symbols
+    words = {(p, 0, k.initial): "" for p in starts}
+    queue = deque(words)
+    while queue:
+        node = queue.popleft()
+        word = words[node]
+        yield node, word
+        p, count, q = node
+        if q in k.finals:
+            if count == limit:
+                continue
+            q = k.initial
+        for symbol, nxt_p, t in zip(symbols, plus.delta[p], k.delta[q]):
+            nxt = (nxt_p, count + (t in k.finals), t)
+            if nxt not in words:
+                words[nxt] = word + symbol
                 queue.append(nxt)
-    return _PlusMaps(plus, prefix, suffix, order)
 
 
-def _delay_witness(maps: _PlusMaps, block: Dfa) -> tuple[str, str, str] | None:
-    """The first (u, v, w) with v in the block language, uvw in k+ and uv
-    not in k+, trying u in breadth-first order and then shortest v."""
-    plus, suffix = maps.plus, maps.suffix
-    symbols = block.alphabet.symbols
-    width = len(symbols)
-    for p1 in maps.order:
-        # shortest v per (state of k+, state of k^d) from (p1, start)
-        start = (p1, block.initial)
-        mids = {start: ""}
-        frontier = deque([start])
-        while frontier:
-            p, b = frontier.popleft()
-            if b in block.finals and p not in plus.finals and p in suffix:
-                return (maps.prefix[p1], mids[(p, b)], suffix[p])
-            for i in range(width):
-                nxt = (plus.delta[p][i], block.delta[b][i])
-                if nxt not in mids:
-                    mids[nxt] = mids[(p, b)] + symbols[i]
-                    frontier.append(nxt)
+def _delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
+    """The first (u, v, w) with v in k^d, uvw in k+ and uv not in k+,
+    trying u in breadth-first order and then shortest v."""
+    plus, prefix, suffix = _plus_maps(k)
+    for p1 in sorted(suffix):
+        for (p, count, _), v in _factor_walk(k, plus, (p1,), d):
+            if count == d and p not in plus.finals and p in suffix:
+                return (prefix[p1], v, suffix[p])
     return None
 
 
@@ -150,21 +128,30 @@ def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
     if d < 1:
         raise InputError("synchronization delay must be at least 1")
     _require_prefix_code(k)
-    return _delay_witness(_plus_maps(k), _power(k, d))
+    return _delay_witness(k, d)
 
 
 def min_sync_delay(k: Dfa, dmax: int = 8) -> int | None:
     """Least delay bound up to dmax >= 1, or None.  Requires a prefix code.
 
-    The prefix-code check, k+ and its prefix and suffix maps are done
-    once; each d adds only the k^d automaton and the witness search."""
+    R_0 is the set of live states of k+, and R_d the live states that one
+    factor of k leads to from R_{d-1}; d is a delay bound iff R_d holds
+    only final states.  R_1 is inside R_0 and the step is monotone, so R
+    shrinks, and once it stops shrinking with a non-final state in it no
+    bound exists: at most |k+| + 1 steps, whatever dmax is."""
     if dmax < 1:
         raise InputError("synchronization delay bound must be at least 1")
     _require_prefix_code(k)
-    maps = _plus_maps(k)
+    plus, _, live = _plus_maps(k)
+    reached = set(live)
     for d in range(1, dmax + 1):
-        if _delay_witness(maps, _power(k, d)) is None:
+        walk = _factor_walk(k, plus, reached, 1)
+        ends = {p for (p, count, _q), _v in walk if count == 1 and p in live}
+        if ends <= plus.finals:
             return d
+        if ends == reached:
+            return None
+        reached = ends
     return None
 
 
@@ -343,11 +330,16 @@ class _SdParser(_Scanner):
             self.eat("=")
             self.peek()
             digits = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            # ASCII digits only: str.isdigit also takes "²", which int rejects
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
             if digits == self.pos:
                 self.fail("expected a delay bound")
-            delay = int(self.text[digits:self.pos])
+            try:
+                delay = int(self.text[digits:self.pos])
+            except ValueError:  # past Python's digit limit for int()
+                self.pos = digits
+                self.fail("delay bound has too many digits")
             self.eat(")")
             return SdStar(child, delay)
         if len(name) == 1 and name in self.alphabet:
@@ -416,7 +408,7 @@ def validate_sd_expression(
             if bad is not None:
                 violations.append(SdViolation(path, "prefix-code", bad))
             else:
-                triple = _delay_witness(_plus_maps(child), _power(child, node.delay))
+                triple = _delay_witness(child, node.delay)
                 if triple is not None:
                     violations.append(SdViolation(path, "sync-delay", list(triple)))
             return minimize(star(child))

@@ -240,6 +240,33 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "nested deeper" in err
 
+    @pytest.mark.parametrize(
+        "delay", ["²", "9" * 5000], ids=["superscript-digit", "past-int-digit-limit"]
+    )
+    def test_bad_star_delay_is_syntax_error(self, capsys, tmp_path, delay):
+        expression = tmp_path / "delay.sd"
+        expression.write_text(f"star(a, d={delay})", encoding="utf-8")
+        status, out, err = run(capsys, "sd", "validate", str(expression), "--alphabet", "a")
+        assert status == 2 and out == ""
+        assert err.startswith("error: expression syntax error at offset 10")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("how", ["morphism", "finite"])
+    def test_number_past_int_digit_limit_in_morphism_file(self, capsys, tmp_path, how):
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"size": ' + "1" * 5000 + ', "identity": 0, "mul": [[0]], "letters": {"a": 0}}',
+            encoding="utf-8",
+        )
+        argv = {
+            "morphism": ["kernel", "--class", "mod", "--morphism", str(path)],
+            "finite": ["membership", "--class", f"finite:{path}", "--lang", "a",
+                       "--alphabet", "a"],
+        }[how]
+        status, out, err = run(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON") and err.count("\n") == 1
+
     @pytest.mark.parametrize("dmax", ["0", "-3"])
     @pytest.mark.parametrize("code", ["a+ab", "aab+b"], ids=["not-a-prefix-code", "prefix-code"])
     def test_sd_delay_bound_below_one_is_input_error(self, capsys, code, dmax):

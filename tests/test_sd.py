@@ -9,11 +9,11 @@ from bruteforce import (
     has_sync_delay,
     is_unambiguous_concat,
     naive_min_sync_delay,
-    naive_power,
     naive_sync_delay_witness,
     search_delay_violation,
     search_prefix_violation,
 )
+from sfclosure import sd
 from sfclosure.automata import (
     MAX_NESTING,
     Dfa,
@@ -26,7 +26,6 @@ from sfclosure.errors import InputError
 from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD
 from sfclosure.sd import (
-    _power,
     is_prefix_code,
     min_sync_delay,
     parse_sd_expression,
@@ -312,17 +311,20 @@ def outcome(fn, *args):
         return ("input error", str(exc))
 
 
-DMAX = 4
-
-
 @settings(max_examples=100)
-@given(st.one_of(finite_codes(), dfa_codes(), dfa_codes(seal=False)))
-def test_delay_ladder_matches_per_d_rebuild(k):
-    # the ladder answers what the first d without a per-d witness says
-    assert outcome(min_sync_delay, k, DMAX) == outcome(naive_min_sync_delay, k, DMAX)
-    for d in range(1, DMAX + 1):
+@given(st.one_of(finite_codes(), dfa_codes(), dfa_codes(seal=False)), st.integers(1, 8))
+def test_delay_ladder_matches_per_d_rebuild(k, dmax):
+    # the factor walk answers what the first d without a per-d witness says
+    assert outcome(min_sync_delay, k, dmax) == outcome(naive_min_sync_delay, k, dmax)
+    for d in range(1, dmax + 1):
         triple = outcome(sync_delay_witness, k, d)
         assert triple == outcome(naive_sync_delay_witness, k, d)
-    if is_prefix_code(k):
-        for d in range(1, DMAX + 1):
-            assert minimize(_power(k, d)) == naive_power(k, d)
+
+
+def test_unbounded_delay_stops_at_the_fixpoint(monkeypatch):
+    # from every live state of (aa)+ one factor leads to {odd, even >= 2},
+    # and so does a second: two walks answer, however large dmax is
+    walk, walks = sd._factor_walk, []
+    monkeypatch.setattr(sd, "_factor_walk", lambda *args: walks.append(args) or walk(*args))
+    assert min_sync_delay(code("aa", A), dmax=10**6) is None
+    assert len(walks) == 2
