@@ -244,29 +244,40 @@ def accepts(dfa: Dfa, word: str) -> bool:
     return dfa.step(dfa.initial, word) in dfa.finals
 
 
+def breadth_first(starts, successors, links: dict):
+    """Yield the nodes reachable from `starts` in breadth-first order.
+
+    `successors(node)` gives (symbol, next node) pairs in the order to
+    explore them.  The walk fills the empty dict `links` with, for each
+    node reached, the (previous node, symbol) of the edge that first
+    reached it, or None for a start; `spell` reads a word off it."""
+    links.update(dict.fromkeys(starts))
+    queue = deque(links)
+    while queue:
+        node = queue.popleft()
+        yield node
+        for symbol, nxt in successors(node):
+            if nxt not in links:
+                links[nxt] = (node, symbol)
+                queue.append(nxt)
+
+
+def spell(links: dict, node) -> str:
+    """The word along the links from a start of the walk to `node`."""
+    chunks = []
+    while links[node] is not None:
+        node, symbol = links[node]
+        chunks.append(symbol)
+    return "".join(reversed(chunks))
+
+
 def shortest_word(dfa: Dfa) -> str | None:
     """A length-lexicographically least accepted word, or None."""
-    if dfa.initial in dfa.finals:
-        return ""
-    parent: dict[int, tuple[int, str]] = {}
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        for i, sym in enumerate(dfa.alphabet):
-            target = dfa.delta[q][i]
-            if target in seen:
-                continue
-            seen.add(target)
-            parent[target] = (q, sym)
-            if target in dfa.finals:
-                chunks = []
-                state = target
-                while state != dfa.initial:
-                    state, sym2 = parent[state]
-                    chunks.append(sym2)
-                return "".join(reversed(chunks))
-            queue.append(target)
+    symbols = dfa.alphabet.symbols
+    links: dict = {}
+    for q in breadth_first((dfa.initial,), lambda q: zip(symbols, dfa.delta[q]), links):
+        if q in dfa.finals:
+            return spell(links, q)
     return None
 
 

@@ -178,41 +178,40 @@ class _FormulaParser(_Scanner):
 
     def primary(self) -> Formula:
         self.peek()
-        rest = self.text[self.pos:]
-        if rest.startswith("top"):
+        if self.text.startswith("top", self.pos):
             self.pos += 3
             return Top()
-        if rest.startswith("min"):
+        if self.text.startswith("min", self.pos):
             self.pos += 3
             return Min()
-        if rest.startswith("max"):
+        if self.text.startswith("max", self.pos):
             self.pos += 3
             return Max()
-        if rest.startswith("U"):
+        if self.text.startswith("U", self.pos):
             self.pos += 1
             bound = self.bound_dfa("~%")
             left, right = self.pair()
             return Until(bound, left, right)
-        if rest.startswith("S"):
+        if self.text.startswith("S", self.pos):
             self.pos += 1
             bound = self.bound_dfa("~%")
             left, right = self.pair()
             return Since(bound, left, right)
-        if rest.startswith("F"):
+        if self.text.startswith("F", self.pos):
             self.pos += 1
             bound = self.bound_dfa("~%")
             self.eat("(")
             child = self.formula()
             self.eat(")")
             return Until(bound, Top(), child)
-        if rest.startswith("X"):
+        if self.text.startswith("X", self.pos):
             self.pos += 1
             self.eat("(")
             child = self.formula()
             self.eat(")")
             empty_word = compile_pattern("_", self.alphabet)
             return Until(empty_word, Not(Top()), child)
-        if rest.startswith("("):
+        if self.text.startswith("(", self.pos):
             self.eat("(")
             node = self.formula()
             self.eat(")")

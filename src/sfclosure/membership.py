@@ -66,8 +66,10 @@ def sf_membership_finite(
 
 
 def sf_membership_group(
-    g: GroupClass, dfa: Dfa, monoid_cap: int = 4096, config: Config = DEFAULT
+    g: GroupClass, dfa: Dfa, monoid_cap: int | None = None, config: Config = DEFAULT
 ) -> MembershipVerdict:
+    if monoid_cap is None:
+        monoid_cap = config.monoid_cap
     lang = syntactic_morphism(dfa, cap=monoid_cap)
     alpha = lang.morphism
     m = alpha.codomain
@@ -82,8 +84,12 @@ def sf_membership_group(
 
 
 def sf_membership(
-    cls, dfa: Dfa, monoid_cap: int = 4096, config: Config = DEFAULT
+    cls, dfa: Dfa, monoid_cap: int | None = None, config: Config = DEFAULT
 ) -> MembershipVerdict:
+    """Whether dfa's language lies in SF(cls).  The syntactic monoid may
+    have at most monoid_cap elements, config.monoid_cap when it is None."""
+    if monoid_cap is None:
+        monoid_cap = config.monoid_cap
     if isinstance(cls, FinitePrevariety):
         return sf_membership_finite(cls, dfa, monoid_cap=monoid_cap)
     return sf_membership_group(g=cls, dfa=dfa, monoid_cap=monoid_cap, config=config)

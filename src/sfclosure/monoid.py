@@ -284,16 +284,23 @@ def morphism_to_json(lang_or_morphism) -> dict:
     return doc
 
 
+def _json_int(value) -> int:
+    # JSON integers only: int() would truncate 1.7 to 1 and read true as 1
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, found {value!r}")
+    return value
+
+
 def morphism_from_json(data: dict) -> Morphism | RecognizedLanguage:
     if not isinstance(data, dict):
         raise InputError("morphism document must be a JSON object")
     try:
-        size = int(data["size"])
-        identity = int(data["identity"])
-        mul = tuple(tuple(int(v) for v in row) for row in data["mul"])
-        letters = {sym: int(s) for sym, s in dict(data["letters"]).items()}
-        accepting = frozenset(int(v) for v in data.get("accepting", ()))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        size = _json_int(data["size"])
+        identity = _json_int(data["identity"])
+        mul = tuple(tuple(_json_int(v) for v in row) for row in data["mul"])
+        letters = {sym: _json_int(s) for sym, s in dict(data["letters"]).items()}
+        accepting = frozenset(_json_int(v) for v in data.get("accepting", ()))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed morphism document: {exc}") from exc
     monoid = FiniteMonoid(size, identity, mul)
     validate_monoid(monoid)

@@ -7,10 +7,10 @@ star-free closure by construction.  The validator compiles every node
 and checks each structural side condition, reporting violations as data
 with witness words.
 
-A delay bound d of a prefix code k is read off one breadth-first walk
-over (state of k+, factors of k read, state of k) that starts no factor
-past the d-th: no automaton for k^d is built, and the least delay is
-found within |k+| + 1 one-factor steps, whatever the search bound.
+The least delay bound of a prefix code k is found by at most |k+| + 1
+breadth-first walks of one factor over (state of k+, factors of k read,
+state of k), whatever the search bound; a witness that a bound d fails
+walks d factors, and only when the least delay exceeds d.
 """
 
 from __future__ import annotations
@@ -23,29 +23,36 @@ from .automata import (
     Dfa,
     _dfa_empty,
     _Scanner,
-    accepts,
+    breadth_first,
     compile_pattern,
     concat,
     minimize,
     product,
     shortest_word,
+    spell,
     star,
 )
 from .errors import InputError
 
 
-def _a_plus(alphabet: Alphabet) -> Dfa:
-    width = len(alphabet)
-    return Dfa(alphabet, 2, 0, frozenset({1}), ((1,) * width, (1,) * width))
-
-
 def prefix_code_violation(k: Dfa) -> str | None:
     """A witness that k is not a prefix code: the empty word if present,
-    else a word of k that extends a shorter word of k."""
-    if accepts(k, ""):
+    else a shortest word of k that extends a shorter word of k.  The walk
+    runs over (state of k, a shorter prefix lies in k)."""
+    if k.initial in k.finals:
         return ""
-    proper_extensions = concat(k, _a_plus(k.alphabet))
-    return shortest_word(product(k, proper_extensions, "intersection"))
+    symbols = k.alphabet.symbols
+
+    def successors(node):
+        q, extends = node
+        extends = extends or q in k.finals
+        return [(symbol, (t, extends)) for symbol, t in zip(symbols, k.delta[q])]
+
+    links: dict = {}
+    for node in breadth_first(((k.initial, False),), successors, links):
+        if node[1] and node[0] in k.finals:
+            return spell(links, node)
+    return None
 
 
 def is_prefix_code(k: Dfa) -> bool:
@@ -58,47 +65,38 @@ def _require_prefix_code(k: Dfa) -> None:
         raise InputError(f"not a prefix code, witness {bad!r}")
 
 
-def _plus_maps(k: Dfa) -> tuple[Dfa, dict[int, str], dict[int, str]]:
-    """k+ with, per state, a shortest word reaching it from the initial
-    state and, per live state, a shortest word leading from it into a
-    final state.  `minimize` numbers the states breadth-first, letters in
-    alphabet order, so one pass in state order gives each state its
-    breadth-first shortest prefix."""
-    plus = minimize(concat(k, star(k)))
-    symbols = k.alphabet.symbols
-    width = len(symbols)
-
-    # shortest completion into a final state, per state of k+
-    suffix: dict[int, str] = {q: "" for q in plus.finals}
-    queue = deque(sorted(plus.finals))
-    while queue:
-        target = queue.popleft()
-        for q in range(plus.states):
-            for i in range(width):
-                if plus.delta[q][i] == target and q not in suffix:
-                    suffix[q] = symbols[i] + suffix[target]
-                    queue.append(q)
-    prefix = {plus.initial: ""}
-    for q in range(plus.states):
-        for symbol, nxt in zip(symbols, plus.delta[q]):
-            if nxt not in prefix:
-                prefix[nxt] = prefix[q] + symbol
-    return plus, prefix, suffix
+def _plus_maps(k: Dfa) -> tuple[Dfa, dict]:
+    """k+ for a prefix code k, and the links of a breadth-first walk from
+    its final states backward along its edges: the live states are the
+    ones the walk reaches, and each link spells, reversed, a shortest word
+    leading from its state into a final state.  No word of k extends
+    another, so k+ is k with each final row replaced by the initial row."""
+    rows = tuple(k.delta[k.initial] if q in k.finals else row for q, row in enumerate(k.delta))
+    plus = minimize(Dfa(k.alphabet, k.states, k.initial, k.finals, rows))
+    into: list[list] = [[] for _ in range(plus.states)]
+    for q, row in enumerate(plus.delta):
+        for symbol, target in zip(k.alphabet.symbols, row):
+            into[target].append((symbol, q))
+    back: dict = {}
+    for _ in breadth_first(sorted(plus.finals), into.__getitem__, back):
+        pass
+    return plus, back
 
 
-def _factor_walk(k: Dfa, plus: Dfa, starts, limit: int):
+def _factor_walk(k: Dfa, plus: Dfa, starts, limit: int, links: dict):
     """Breadth-first over (state of k+, factors of k read, state of k) from
     (p, 0, initial state of k) for each p in `starts`, yielding each node
-    with the shortest word reaching it.  After a final state of k the next
-    letter is read from k's initial row, and no factor past the limit-th
-    is started."""
+    and recording its link as `breadth_first` does.  After a final state
+    of k the next letter is read from k's initial row, and no factor past
+    the limit-th is started.  The successors are inline: a callback per
+    node slows `min_sync_delay` by a quarter."""
     symbols = k.alphabet.symbols
-    words = {(p, 0, k.initial): "" for p in starts}
-    queue = deque(words)
+    for p in starts:
+        links[p, 0, k.initial] = None
+    queue = deque(links)
     while queue:
         node = queue.popleft()
-        word = words[node]
-        yield node, word
+        yield node
         p, count, q = node
         if q in k.finals:
             if count == limit:
@@ -106,19 +104,49 @@ def _factor_walk(k: Dfa, plus: Dfa, starts, limit: int):
             q = k.initial
         for symbol, nxt_p, t in zip(symbols, plus.delta[p], k.delta[q]):
             nxt = (nxt_p, count + (t in k.finals), t)
-            if nxt not in words:
-                words[nxt] = word + symbol
+            if nxt not in links:
+                links[nxt] = (node, symbol)
                 queue.append(nxt)
+
+
+def _least_delay(k: Dfa, plus: Dfa, live, dmax: int) -> int | None:
+    """Least delay bound of k up to dmax, or None.
+
+    R_0 is the set of live states of k+, and R_d the live states that one
+    factor of k leads to from R_{d-1}; d is a delay bound iff R_d holds
+    only final states.  R_1 is inside R_0 and the step is monotone, so R
+    shrinks, and once it stops shrinking with a non-final state in it no
+    bound exists: at most |k+| + 1 steps, whatever dmax is."""
+    reached = set(live)
+    for d in range(1, dmax + 1):
+        walk = _factor_walk(k, plus, reached, 1, {})
+        ends = {p for p, count, _q in walk if count == 1 and p in live}
+        if ends <= plus.finals:
+            return d
+        if ends == reached:
+            return None
+        reached = ends
+    return None
 
 
 def _delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
     """The first (u, v, w) with v in k^d, uvw in k+ and uv not in k+,
-    trying u in breadth-first order and then shortest v."""
-    plus, prefix, suffix = _plus_maps(k)
-    for p1 in sorted(suffix):
-        for (p, count, _), v in _factor_walk(k, plus, (p1,), d):
-            if count == d and p not in plus.finals and p in suffix:
-                return (prefix[p1], v, suffix[p])
+    trying u in breadth-first order and then shortest v.  Bounds are upward
+    closed, so when one up to d holds there is none, and nothing walks d
+    factors."""
+    plus, back = _plus_maps(k)
+    if _least_delay(k, plus, back, d) is not None:
+        return None
+    symbols = k.alphabet.symbols
+    ahead: dict = {}
+    for p1 in breadth_first((plus.initial,), lambda q: zip(symbols, plus.delta[q]), ahead):
+        if p1 not in back:
+            continue
+        links: dict = {}
+        for node in _factor_walk(k, plus, (p1,), d, links):
+            p, count, _ = node
+            if count == d and p not in plus.finals and p in back:
+                return spell(ahead, p1), spell(links, node), spell(back, p)[::-1]
     return None
 
 
@@ -132,27 +160,12 @@ def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
 
 
 def min_sync_delay(k: Dfa, dmax: int = 8) -> int | None:
-    """Least delay bound up to dmax >= 1, or None.  Requires a prefix code.
-
-    R_0 is the set of live states of k+, and R_d the live states that one
-    factor of k leads to from R_{d-1}; d is a delay bound iff R_d holds
-    only final states.  R_1 is inside R_0 and the step is monotone, so R
-    shrinks, and once it stops shrinking with a non-final state in it no
-    bound exists: at most |k+| + 1 steps, whatever dmax is."""
+    """Least delay bound up to dmax >= 1, or None.  Requires a prefix code."""
     if dmax < 1:
         raise InputError("synchronization delay bound must be at least 1")
     _require_prefix_code(k)
-    plus, _, live = _plus_maps(k)
-    reached = set(live)
-    for d in range(1, dmax + 1):
-        walk = _factor_walk(k, plus, reached, 1)
-        ends = {p for (p, count, _q), _v in walk if count == 1 and p in live}
-        if ends <= plus.finals:
-            return d
-        if ends == reached:
-            return None
-        reached = ends
-    return None
+    plus, live = _plus_maps(k)
+    return _least_delay(k, plus, live, dmax)
 
 
 def disjointness_witness(k: Dfa, l: Dfa) -> str | None:
@@ -164,63 +177,37 @@ def ambiguity_witness(k: Dfa, l: Dfa) -> str | None:
 
     Breadth-first search over three phases: scanning the word inside k,
     scanning after a first chosen split, and after a second, later split.
-    Spawning the next phase is an epsilon move available whenever the
-    prefix read so far lies in k.
+    Spawning the next phase is an empty-word move available whenever the
+    prefix read so far lies in k: a spawn is linked by the letter that
+    reached its spawner, and queued right after it.
     """
     if k.alphabet != l.alphabet:
         raise InputError("concatenation requires identical alphabets")
-    width = len(k.alphabet)
 
-    def closure(node):
-        spawned = []
-        kind = node[0]
-        if kind == 0:
-            _, p = node
-            if p in k.finals:
-                spawned.append((1, p, l.initial, False))
-        elif kind == 1:
-            _, p, q1, moved = node
-            if moved and p in k.finals:
-                spawned.append((2, q1, l.initial))
-        return spawned
+    def spawns(node):
+        if node[0] == 0 and node[1] in k.finals:
+            return [(1, node[1], l.initial, False)]
+        if node[0] == 1 and node[3] and node[1] in k.finals:
+            return [(2, node[2], l.initial)]
+        return []
 
-    root = (0, k.initial)
-    parent: dict[tuple, tuple] = {root: (None, None)}
-    queue = deque([root])
-    pending = closure(root)
-    for extra in pending:
-        parent[extra] = (root, None)
-        queue.append(extra)
-
-    def build(node) -> str:
-        chunks = []
-        while node is not None:
-            prev, sym = parent[node]
-            if sym is not None:
-                chunks.append(sym)
-            node = prev
-        return "".join(reversed(chunks))
-
-    while queue:
-        node = queue.popleft()
-        if node[0] == 2 and node[1] in l.finals and node[2] in l.finals:
-            return build(node)
-        for i in range(width):
-            sym = k.alphabet.symbols[i]
-            kind = node[0]
-            if kind == 0:
+    def successors(node):
+        for i, symbol in enumerate(k.alphabet.symbols):
+            if node[0] == 0:
                 nxt = (0, k.delta[node[1]][i])
-            elif kind == 1:
+            elif node[0] == 1:
                 nxt = (1, k.delta[node[1]][i], l.delta[node[2]][i], True)
             else:
                 nxt = (2, l.delta[node[1]][i], l.delta[node[2]][i])
-            if nxt not in parent:
-                parent[nxt] = (node, sym)
-                queue.append(nxt)
-                for spawn in closure(nxt):
-                    if spawn not in parent:
-                        parent[spawn] = (nxt, None)
-                        queue.append(spawn)
+            yield symbol, nxt
+            for spawn in spawns(nxt):
+                yield symbol, spawn
+
+    root = (0, k.initial)
+    links: dict = {}
+    for node in breadth_first([root, *spawns(root)], successors, links):
+        if node[0] == 2 and node[1] in l.finals and node[2] in l.finals:
+            return spell(links, node)
     return None
 
 

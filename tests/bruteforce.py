@@ -24,6 +24,7 @@ from sfclosure.automata import (
     concat,
     minimize,
     product,
+    shortest_word,
     star,
 )
 from sfclosure.errors import InputError, ResourceLimitError
@@ -36,7 +37,7 @@ from sfclosure.monoid import (
     syntactic_morphism,
 )
 from sfclosure.oracles import IntegerLattice, PairSet, _stable_power, group_kernel
-from sfclosure.sd import ambiguity_witness, prefix_code_violation, sync_delay_witness
+from sfclosure.sd import ambiguity_witness, sync_delay_witness
 
 
 def words_up_to(alphabet, maxlen: int):
@@ -325,6 +326,109 @@ def is_unambiguous_concat(k: Dfa, l: Dfa) -> bool:
     return ambiguity_witness(k, l) is None
 
 
+# ---------------------------------------------------------------------------
+# Prefix codes as first written, each with its own search: the prefix-code
+# check through a product automaton, k+ by concatenation and star with an
+# edge scan per suffix, the ambiguity search with its own parent pointers,
+# and the per-d delay check that builds k^d.
+
+
+def naive_prefix_code_violation(k: Dfa) -> str | None:
+    """The empty word if k holds it, else the shortest word of k ∩ k·A+,
+    from the product automaton."""
+    if accepts(k, ""):
+        return ""
+    width = len(k.alphabet)
+    a_plus = Dfa(k.alphabet, 2, 0, frozenset({1}), ((1,) * width, (1,) * width))
+    return shortest_word(product(k, concat(k, a_plus), "intersection"))
+
+
+def naive_plus_maps(k: Dfa) -> tuple[Dfa, dict[int, str], dict[int, str]]:
+    """k+ by concatenation and star, with, per state, a shortest word
+    reaching it and, per live state, a shortest word leading from it into
+    a final state, found by scanning every edge for each dequeued target."""
+    plus = minimize(concat(k, star(k)))
+    symbols = k.alphabet.symbols
+    width = len(symbols)
+
+    suffix: dict[int, str] = {q: "" for q in plus.finals}
+    queue = deque(sorted(plus.finals))
+    while queue:
+        target = queue.popleft()
+        for q in range(plus.states):
+            for i in range(width):
+                if plus.delta[q][i] == target and q not in suffix:
+                    suffix[q] = symbols[i] + suffix[target]
+                    queue.append(q)
+    prefix = {plus.initial: ""}
+    for q in range(plus.states):
+        for symbol, nxt in zip(symbols, plus.delta[q]):
+            if nxt not in prefix:
+                prefix[nxt] = prefix[q] + symbol
+    return plus, prefix, suffix
+
+
+def naive_ambiguity_witness(k: Dfa, l: Dfa) -> str | None:
+    """A word of k l with two split points, from a breadth-first search
+    with explicit parent pointers and epsilon closures over three phases:
+    inside k, after a first split, after a second, later split."""
+    if k.alphabet != l.alphabet:
+        raise InputError("concatenation requires identical alphabets")
+    width = len(k.alphabet)
+
+    def closure(node):
+        spawned = []
+        kind = node[0]
+        if kind == 0:
+            _, p = node
+            if p in k.finals:
+                spawned.append((1, p, l.initial, False))
+        elif kind == 1:
+            _, p, q1, moved = node
+            if moved and p in k.finals:
+                spawned.append((2, q1, l.initial))
+        return spawned
+
+    root = (0, k.initial)
+    parent: dict[tuple, tuple] = {root: (None, None)}
+    queue = deque([root])
+    pending = closure(root)
+    for extra in pending:
+        parent[extra] = (root, None)
+        queue.append(extra)
+
+    def build(node) -> str:
+        chunks = []
+        while node is not None:
+            prev, sym = parent[node]
+            if sym is not None:
+                chunks.append(sym)
+            node = prev
+        return "".join(reversed(chunks))
+
+    while queue:
+        node = queue.popleft()
+        if node[0] == 2 and node[1] in l.finals and node[2] in l.finals:
+            return build(node)
+        for i in range(width):
+            sym = k.alphabet.symbols[i]
+            kind = node[0]
+            if kind == 0:
+                nxt = (0, k.delta[node[1]][i])
+            elif kind == 1:
+                nxt = (1, k.delta[node[1]][i], l.delta[node[2]][i], True)
+            else:
+                nxt = (2, l.delta[node[1]][i], l.delta[node[2]][i])
+            if nxt not in parent:
+                parent[nxt] = (node, sym)
+                queue.append(nxt)
+                for spawn in closure(nxt):
+                    if spawn not in parent:
+                        parent[spawn] = (nxt, None)
+                        queue.append(spawn)
+    return None
+
+
 def naive_power(k: Dfa, d: int) -> Dfa:
     """k^d as a minimal DFA, one concatenation with k at a time, starting
     from the empty-word language."""
@@ -339,7 +443,7 @@ def naive_sync_delay_witness(k: Dfa, d: int):
     shortest prefix and suffix maps, k^d, then the (k+ x k^d) search."""
     if d < 1:
         raise InputError("synchronization delay must be at least 1")
-    bad = prefix_code_violation(k)
+    bad = naive_prefix_code_violation(k)
     if bad is not None:
         raise InputError(f"not a prefix code, witness {bad!r}")
     plus = minimize(concat(k, star(k)))

@@ -206,6 +206,20 @@ def _complete_dfas(draw):
     return Dfa(alphabet, states, draw(targets), finals, delta)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_complete_dfas())
+def test_shortest_word_is_the_first_accepted_word(dfa):
+    # words_up_to lists words by length, then in alphabet order
+    word = shortest_word(dfa)
+    first = next((w for w in words_up_to(dfa.alphabet, 5) if accepts(dfa, w)), None)
+    if first is not None:
+        assert word == first
+    elif is_empty(dfa):
+        assert word is None
+    else:
+        assert len(word) > 5 and accepts(dfa, word)
+
+
 @settings(max_examples=500, deadline=None)
 @given(_complete_dfas())
 def test_minimize_matches_moore_refinement(dfa):

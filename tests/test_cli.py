@@ -299,8 +299,11 @@ class TestExitCodes:
             '{"size": 1, "identity": 0, "mul": [[-Infinity]], "letters": {"a": 0}}',
             '{"size": 1, "identity": 0, "mul": [[0]], "letters": {"a": 0},'
             ' "accepting": [1e999]}',
+            # int() would truncate each float and read true as 1
+            '{"size": 2, "identity": 0.9, "mul": [[0, 1], [1, 1.7]], "letters": {"a": 1}}',
+            '{"size": 2, "identity": false, "mul": [[0, 1], [1, 1]], "letters": {"a": true}}',
         ],
-        ids=["letter", "size", "table", "accepting"],
+        ids=["letter", "size", "table", "accepting", "float", "bool"],
     )
     def test_infinite_number_in_morphism_file(self, capsys, tmp_path, text):
         path = tmp_path / "inf.json"

@@ -3,8 +3,9 @@ import pytest
 from bruteforce import recheck_witness, schutzenberger_check
 from conftest import recognized, transformation_dfa
 from sfclosure.automata import compile_pattern, complement, make_alphabet
+from sfclosure.config import Config
 from sfclosure.errors import InputError, ResourceLimitError
-from sfclosure.membership import sf_membership
+from sfclosure.membership import sf_membership, sf_membership_group
 from sfclosure.monoid import idempotent_power, syntactic_morphism
 from sfclosure.oracles import AMT, GR, MOD, st_class
 
@@ -92,6 +93,18 @@ def test_unknown_class_object():
 def test_monoid_cap_propagates():
     with pytest.raises(ResourceLimitError):
         sf_membership(st_class(AB), lang("(aa+bb)*"), monoid_cap=8)
+
+
+@pytest.mark.parametrize(
+    "decide, cls",
+    [(sf_membership, st_class(AB)), (sf_membership, MOD), (sf_membership_group, MOD)],
+    ids=["st", "mod", "group"],
+)
+def test_monoid_cap_defaults_to_the_config(decide, cls):
+    # the syntactic monoid of (aab)*ab has 17 elements
+    with pytest.raises(ResourceLimitError):
+        decide(cls, lang("(aab)*ab"), config=Config(monoid_cap=4))
+    assert decide(cls, lang("(aab)*ab"), config=Config(monoid_cap=17)).monoid_size == 17
 
 
 def test_membership_invariant_under_complementation(corpus):

@@ -8,7 +8,10 @@ from bruteforce import (
     check_delay_witness,
     has_sync_delay,
     is_unambiguous_concat,
+    naive_ambiguity_witness,
     naive_min_sync_delay,
+    naive_plus_maps,
+    naive_prefix_code_violation,
     naive_sync_delay_witness,
     search_delay_violation,
     search_prefix_violation,
@@ -18,14 +21,18 @@ from sfclosure.automata import (
     MAX_NESTING,
     Dfa,
     accepts,
+    breadth_first,
     compile_pattern,
+    complement,
     make_alphabet,
     minimize,
+    spell,
 )
 from sfclosure.errors import InputError
 from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD
 from sfclosure.sd import (
+    ambiguity_witness,
     is_prefix_code,
     min_sync_delay,
     parse_sd_expression,
@@ -304,6 +311,9 @@ def finite_codes(draw):
     return code("+".join(kept))
 
 
+_codes = st.one_of(finite_codes(), dfa_codes(), dfa_codes(seal=False))
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -312,7 +322,7 @@ def outcome(fn, *args):
 
 
 @settings(max_examples=100)
-@given(st.one_of(finite_codes(), dfa_codes(), dfa_codes(seal=False)), st.integers(1, 8))
+@given(_codes, st.integers(1, 8))
 def test_delay_ladder_matches_per_d_rebuild(k, dmax):
     # the factor walk answers what the first d without a per-d witness says
     assert outcome(min_sync_delay, k, dmax) == outcome(naive_min_sync_delay, k, dmax)
@@ -328,3 +338,41 @@ def test_unbounded_delay_stops_at_the_fixpoint(monkeypatch):
     monkeypatch.setattr(sd, "_factor_walk", lambda *args: walks.append(args) or walk(*args))
     assert min_sync_delay(code("aa", A), dmax=10**6) is None
     assert len(walks) == 2
+
+
+def test_holding_bound_is_not_walked_to_its_depth(monkeypatch):
+    # a over {a} has delay 1, and delays are upward closed: the witness
+    # search answers from one one-factor walk instead of walking 10**6
+    walk = sd._factor_walk
+
+    def one_factor(k, plus, starts, limit, links):
+        assert limit == 1
+        return walk(k, plus, starts, limit, links)
+
+    monkeypatch.setattr(sd, "_factor_walk", one_factor)
+    assert sync_delay_witness(code("a", A), 10**6) is None
+
+
+@settings(max_examples=200)
+@given(_codes)
+def test_searches_match_their_references(k):
+    assert prefix_code_violation(k) == naive_prefix_code_violation(k)
+    if not is_prefix_code(k):
+        return
+    # k+ from k's own rows, the live states and the shortest words into a
+    # final state, and the breadth-first prefixes in state order
+    plus, back = sd._plus_maps(k)
+    naive_plus, prefix, suffix = naive_plus_maps(k)
+    assert plus == naive_plus
+    assert {q: spell(back, q)[::-1] for q in back} == suffix
+    ahead: dict = {}
+    order = list(breadth_first((0,), lambda q: zip("ab", plus.delta[q]), ahead))
+    assert order == list(range(plus.states))
+    assert {q: spell(ahead, q) for q in order} == prefix
+
+
+@settings(max_examples=200)
+@given(_codes | _codes.map(complement), _codes | _codes.map(complement))
+def test_ambiguity_witness_matches_its_reference(k, l):
+    # complements hold the empty word, so splits at either end occur too
+    assert ambiguity_witness(k, l) == naive_ambiguity_witness(k, l)
