@@ -67,11 +67,14 @@ class Antichain:
 
     With `exact` set, values that differ at or above that bit offset are
     never compared: each such high part has its own bucket of maxima.
+    `members` is the set of current maxima, so an exact duplicate of one,
+    the most common failed insert, costs one set lookup.
     """
 
     def __init__(self, exact: int | None = None) -> None:
         self._exact = exact
         self._buckets: dict[int, list] = {}
+        self.members: set = set()
 
     def covers(self, x) -> bool:
         key = 0 if self._exact is None else x >> self._exact
@@ -82,33 +85,40 @@ class Antichain:
 
     def insert(self, x) -> bool:
         """Add x; returns True when the represented set grows."""
+        members = self.members
+        if x in members:
+            return False
         key = 0 if self._exact is None else x >> self._exact
         bucket = self._buckets.get(key)
         if bucket is None:
             self._buckets[key] = [x]
+            members.add(x)
             return True
         for y in bucket:
             if x | y == y:
                 return False
-        bucket[:] = [y for y in bucket if x | y != x]
+        below = [y for y in bucket if x | y == x]
+        if below:
+            bucket[:] = [y for y in bucket if x | y != x]
+            members.difference_update(below)
         bucket.append(x)
+        members.add(x)
         return True
 
     def snapshot(self) -> list:
-        return sorted(y for bucket in self._buckets.values() for y in bucket)
+        return sorted(self.members)
 
     def __len__(self) -> int:
-        return sum(map(len, self._buckets.values()))
+        return len(self.members)
 
 
 class Saturation:
-    """A downward closed set of packed values, kept as its maxima, with
-    the rounds run so far and the trace of successful inserts.  `sr` is
-    the rating map's semiring and `mul` multiplies two values."""
+    """A downward closed set of packed values of the semiring `sr`, kept as
+    its maxima, with the rounds run so far and the trace of successful
+    inserts."""
 
     def __init__(self, sr: ProductSemiring, want_trace: bool, exact: int | None = None) -> None:
         self.sr = sr
-        self.mul = sr.mul
         self.chain = Antichain(exact)
         self.rounds = 0
         self.trace: list | None = [] if want_trace else None
@@ -141,53 +151,50 @@ class Saturation:
 
     def close_round(self, jump: bool) -> bool:
         """One semi-naive round of the product rule, then of the jump when
-        `jump` is set; returns True when the set grew."""
+        `jump` is set; returns True when the set grew.  Products are read
+        from the semiring's row of x, and one equal to a current maximum
+        is dropped without an insert."""
         snapshot = self.chain.snapshot()
         seen = self._seen
         flags = [value not in seen for value in snapshot]
         fresh = [value for value, new in zip(snapshot, flags) if new]
         seen.update(fresh)
-        mul = self.mul
+        products_of = self.sr.products_of
+        product = self.sr.product
+        members = self.chain.members
         add = self.chain.insert
         grew = False
         for x, new in zip(snapshot, flags):
+            row = products_of(x)
             for y in snapshot if new else fresh:
-                value = mul(x, y)
-                if add(value):
+                value = row.get(y)
+                if value is None:
+                    value = row[y] = product(x, y)
+                if value not in members and add(value):
                     self._record("product", value)
                     grew = True
         if jump:
             for x in fresh:
-                if self._may_jump(x) and self.insert(sf_closure_of(self, x), "closure"):
+                if self._may_jump(x) and self.insert(sf_closure_of(self.sr, x), "closure"):
                     grew = True
         return grew
 
 
 class FiniteSaturation(Saturation):
-    """The pointed saturation: each pair (n, r) is one value whose top
-    field, above the rating map's fields, is the singleton {n}."""
+    """The pointed saturation: each pair (n, r) is one value of the
+    product semiring whose top field, above the rating map's fields, is
+    the class monoid's, holding the singleton {n}."""
 
     def __init__(self, rho: RatingMap, eta: Morphism, want_trace: bool) -> None:
         n_monoid = eta.codomain
         shift = rho.semiring.width
-        super().__init__(rho.semiring, want_trace, exact=shift)
+        sr = ProductSemiring([n_monoid, *rho.semiring.monoids])
+        super().__init__(sr, want_trace, exact=shift)
+        self._rating = rho.semiring
         self._shift = shift
         self._idempotents = sum(
             1 << e for e in range(n_monoid.size) if n_monoid.mul[e][e] == e
         )
-        # singleton top fields multiply by the class table; the rating
-        # fields share one product cache across all class elements
-        tops = {
-            1 << n: {1 << m: 1 << n_monoid.mul[n][m] << shift for m in range(n_monoid.size)}
-            for n in range(n_monoid.size)
-        }
-        rating_mul = rho.semiring.mul
-        low = (1 << shift) - 1
-
-        def mul(x: int, y: int) -> int:
-            return tops[x >> shift][y >> shift] | rating_mul(x & low, y & low)
-
-        self.mul = mul
 
     def pack(self, n: int, r) -> int:
         return 1 << n << self._shift | r
@@ -207,7 +214,7 @@ class FiniteSaturation(Saturation):
 
     def _entry(self, rule: str, value) -> dict:
         n, r = self.unpack(value)
-        return {"rule": rule, "value": self.sr.element_to_json(r), "class_element": n}
+        return {"rule": rule, "value": self._rating.element_to_json(r), "class_element": n}
 
     def _may_jump(self, value) -> bool:
         return bool(value >> self._shift & self._idempotents)
@@ -375,11 +382,15 @@ class CoverInstance:
 
 
 def reduce_cover_instance(
-    l0, others, monoid_cap: int = 4096, powerset_cap: int = 16
+    l0, others, monoid_cap: int | None = None, powerset_cap: int | None = None
 ) -> CoverInstance:
+    """The product rating map of l0 and the others.  The caps default to
+    DEFAULT's monoid_cap and powerset_cap."""
     dfas = [l0, *others]
     if not others:
         raise InputError("a covering instance needs at least one avoided language")
+    if monoid_cap is None:
+        monoid_cap = DEFAULT.monoid_cap
     languages = [syntactic_morphism(d, cap=monoid_cap) for d in dfas]
     maps = [rho_alpha(lang, cap=powerset_cap) for lang in languages]
     return CoverInstance(product_rating_map(maps), languages)

@@ -16,9 +16,11 @@ finite downset: the submasks of its int.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import Alphabet
+from .config import DEFAULT
 from .errors import InputError, ResourceLimitError
 from .monoid import RecognizedLanguage, omega_power
 
@@ -63,7 +65,7 @@ class ProductSemiring:
         self.zero = 0
         self.one = self.pack(1 << m.identity for m in self.monoids)
         # x -> {y -> x * y}
-        self._mul_cache: dict[int, dict[int, int]] = {}
+        self._rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
 
     def pack(self, parts) -> int:
         """The int holding one bitmask per component."""
@@ -79,28 +81,39 @@ class ProductSemiring:
     def add(self, x, y):
         return x | y
 
+    def products_of(self, x) -> dict[int, int]:
+        """x's cached row of right products, y -> x * y.  A caller may read
+        it, and store `product(x, y)` under y on a miss."""
+        return self._rows[x]
+
+    def product(self, x, y):
+        """x * y field by field, without the whole-value cache."""
+        value = 0
+        for offset, mask, width, table, cache in self._fields:
+            a = x >> offset & mask
+            b = y >> offset & mask
+            key = a << width | b
+            part = cache.get(key)
+            if part is None:
+                part = 0
+                while a:
+                    low = a & -a
+                    a ^= low
+                    row = table[low.bit_length() - 1]
+                    rest = b
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        part |= 1 << row[bit.bit_length() - 1]
+                part = cache[key] = part << offset
+            value |= part
+        return value
+
     def mul(self, x, y):
-        products = self._mul_cache.get(x)
-        if products is None:
-            products = self._mul_cache[x] = {}
+        products = self._rows[x]
         value = products.get(y)
         if value is None:
-            value = 0
-            for offset, mask, width, table, cache in self._fields:
-                a = x >> offset & mask
-                b = y >> offset & mask
-                key = a << width | b
-                part = cache.get(key)
-                if part is None:
-                    part = 0
-                    right = _members(b)
-                    for i in _members(a):
-                        row = table[i]
-                        for j in right:
-                            part |= 1 << row[j]
-                    part = cache[key] = part << offset
-                value |= part
-            products[y] = value
+            value = products[y] = self.product(x, y)
         return value
 
     def elements(self):
@@ -158,9 +171,13 @@ class RatingMap:
         return result
 
 
-def rho_alpha(lang: RecognizedLanguage, cap: int = 16) -> RatingMap:
+def rho_alpha(lang: RecognizedLanguage, cap: int | None = None) -> RatingMap:
     """The canonical rating map of a recognized language: words rate to the
-    singleton of their image, languages to their whole image set."""
+    singleton of their image, languages to their whole image set.  The
+    monoid may have at most cap elements, DEFAULT.powerset_cap when it is
+    None."""
+    if cap is None:
+        cap = DEFAULT.powerset_cap
     morphism = lang.morphism
     monoid = morphism.codomain
     if monoid.size > cap:

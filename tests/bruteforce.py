@@ -37,7 +37,6 @@ from sfclosure.monoid import (
     syntactic_morphism,
 )
 from sfclosure.oracles import IntegerLattice, PairSet, _stable_power, group_kernel
-from sfclosure.sd import ambiguity_witness, sync_delay_witness
 
 
 def words_up_to(alphabet, maxlen: int):
@@ -318,12 +317,16 @@ def search_delay_violation(kdfa: Dfa, d: int, maxlen: int = 8):
     return None
 
 
-def has_sync_delay(k: Dfa, d: int) -> bool:
-    return sync_delay_witness(k, d) is None
+def has_sync_delay(k: Dfa, d: int, maxlen: int = 8) -> bool:
+    """No word of length at most maxlen violates delay d, by the
+    exhaustive search rather than the library's factor walk."""
+    return search_delay_violation(k, d, maxlen) is None
 
 
-def is_unambiguous_concat(k: Dfa, l: Dfa) -> bool:
-    return ambiguity_witness(k, l) is None
+def is_unambiguous_concat(k: Dfa, l: Dfa, maxlen: int = 8) -> bool:
+    """No word of length at most maxlen splits two ways, by the
+    exhaustive search rather than the library's ambiguity witness."""
+    return ambiguous_split(k, l, maxlen) is None
 
 
 # ---------------------------------------------------------------------------

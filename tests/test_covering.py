@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import TupleAntichain, naive_opt_group, naive_saturate_finite, tuple_rating
+from bruteforce import (
+    TupleAntichain,
+    TupleProduct,
+    naive_opt_group,
+    naive_saturate_finite,
+    tuple_rating,
+)
 from conftest import recognized
 from sfclosure.automata import Dfa, compile_pattern, make_alphabet, minimize
 from sfclosure.config import DEFAULT, Config
@@ -115,6 +121,32 @@ class TestAntichain:
         assert chain.insert(3)  # dominates both
         assert chain.snapshot() == [3]
         assert len(chain) == 1
+
+
+@settings(max_examples=100)
+@given(
+    exact=st.sampled_from([None, 2, 5]),
+    inserts=st.lists(st.integers(0, 127), max_size=40),
+    probes=st.lists(st.integers(0, 127), max_size=10),
+)
+def test_antichain_matches_tuple_antichains(exact, inserts, probes):
+    """Seven-bit values; with `exact` set, one reference antichain per
+    high part, holding the values as one-field tuples."""
+    chain = Antichain(exact)
+    shift = 7 if exact is None else exact
+    references: dict[int, TupleAntichain] = {}
+
+    def reference(x) -> TupleAntichain:
+        return references.setdefault(x >> shift, TupleAntichain(TupleProduct(())))
+
+    for x in inserts:
+        assert chain.insert(x) == reference(x).insert((x,))
+        expected = sorted(y for r in references.values() for (y,) in r.elems)
+        assert chain.snapshot() == expected
+        assert len(chain) == len(expected)
+        assert chain.members == set(expected)
+        for probe in probes:
+            assert chain.covers(probe) == reference(probe).covers((probe,))
 
 
 class TestCoverable:

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import TupleProduct, validate_semiring, words_up_to
-from conftest import recognized
+from conftest import recognized, syntactic_morphisms
 from sfclosure.automata import make_alphabet
 from sfclosure.covering import _mu_image_monoid
 from sfclosure.errors import InputError, ResourceLimitError
@@ -140,6 +142,26 @@ def test_packed_operations_are_componentwise():
             # the order is bit inclusion, on the packed int and per component
             assert (x | y == y) == reference.leq(a, b)
             assert sr.element_to_json(x) == reference.to_json(a)
+
+
+@settings(max_examples=60)
+@given(
+    morphisms=st.lists(syntactic_morphisms(max_states=4, cap=24), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_packed_products_match_tuple_products(morphisms, data):
+    # up to four fields of up to 24 bits each, so fields straddle bytes
+    sr = ProductSemiring(m.codomain for m in morphisms)
+    reference = TupleProduct(sr.monoids)
+    value = st.integers(0, (1 << sr.width) - 1)
+    pairs = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=20, unique=True))
+    for x, y in pairs:
+        expected = sr.pack(reference.mul(sr.unpack(x), sr.unpack(y)))
+        assert y not in sr.products_of(x)
+        assert sr.mul(x, y) == expected  # a miss, stored in x's row
+        assert sr.products_of(x)[y] == expected
+        assert sr.mul(x, y) == expected  # a hit
+        assert sr.product(x, y) == expected
 
 
 def test_empty_product_is_rejected():
