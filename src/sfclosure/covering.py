@@ -67,8 +67,8 @@ class Antichain:
 
     With `exact` set, values that differ at or above that bit offset are
     never compared: each such high part has its own bucket of maxima.
-    `members` is the set of current maxima, so an exact duplicate of one,
-    the most common failed insert, costs one set lookup.
+    `members` is the set of current maxima, so a caller can drop an exact
+    duplicate of one, the most common failed insert, with one set lookup.
     """
 
     def __init__(self, exact: int | None = None) -> None:
@@ -85,24 +85,21 @@ class Antichain:
 
     def insert(self, x) -> bool:
         """Add x; returns True when the represented set grows."""
-        members = self.members
-        if x in members:
-            return False
         key = 0 if self._exact is None else x >> self._exact
         bucket = self._buckets.get(key)
         if bucket is None:
             self._buckets[key] = [x]
-            members.add(x)
+            self.members.add(x)
             return True
         for y in bucket:
             if x | y == y:
                 return False
-        below = [y for y in bucket if x | y == x]
-        if below:
-            bucket[:] = [y for y in bucket if x | y != x]
-            members.difference_update(below)
+        kept = [y for y in bucket if x | y != x]
+        if len(kept) < len(bucket):
+            self.members.difference_update(set(bucket).difference(kept))
+            bucket[:] = kept
         bucket.append(x)
-        members.add(x)
+        self.members.add(x)
         return True
 
     def snapshot(self) -> list:
@@ -152,20 +149,20 @@ class Saturation:
     def close_round(self, jump: bool) -> bool:
         """One semi-naive round of the product rule, then of the jump when
         `jump` is set; returns True when the set grew.  Products are read
-        from the semiring's row of x, and one equal to a current maximum
-        is dropped without an insert."""
+        from the semiring's cached row of x, filled on a miss, and one equal
+        to a current maximum is dropped without an insert."""
         snapshot = self.chain.snapshot()
         seen = self._seen
         flags = [value not in seen for value in snapshot]
         fresh = [value for value, new in zip(snapshot, flags) if new]
         seen.update(fresh)
-        products_of = self.sr.products_of
+        rows = self.sr._rows
         product = self.sr.product
         members = self.chain.members
         add = self.chain.insert
         grew = False
         for x, new in zip(snapshot, flags):
-            row = products_of(x)
+            row = rows[x]
             for y in snapshot if new else fresh:
                 value = row.get(y)
                 if value is None:

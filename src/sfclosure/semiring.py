@@ -64,7 +64,8 @@ class ProductSemiring:
         )
         self.zero = 0
         self.one = self.pack(1 << m.identity for m in self.monoids)
-        # x -> {y -> x * y}
+        # x -> {y -> x * y}; covering's saturation reads and fills it in
+        # place, so a cached product there costs no call
         self._rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
 
     def pack(self, parts) -> int:
@@ -80,11 +81,6 @@ class ProductSemiring:
 
     def add(self, x, y):
         return x | y
-
-    def products_of(self, x) -> dict[int, int]:
-        """x's cached row of right products, y -> x * y.  A caller may read
-        it, and store `product(x, y)` under y on a miss."""
-        return self._rows[x]
 
     def product(self, x, y):
         """x * y field by field, without the whole-value cache."""

@@ -79,7 +79,7 @@ class TestVerdicts:
         assert is_prefix_code(k)
         assert min_sync_delay(k) == 1
         # delays are upward closed, so the nested-code bound d+1 also holds
-        assert has_sync_delay(k, 2)
+        assert sync_delay_witness(k, 2) is None and has_sync_delay(k, 2)
         assert search_delay_violation(k, 1) is None
 
     def test_prefix_pair_is_rejected(self):
@@ -94,7 +94,7 @@ class TestVerdicts:
         witness = sync_delay_witness(k, 1)
         assert witness is not None
         assert check_delay_witness(k, 1, witness)
-        assert has_sync_delay(k, 2)
+        assert sync_delay_witness(k, 2) is None and has_sync_delay(k, 2)
         assert min_sync_delay(k) == 2
         assert search_delay_violation(k, 2) is None
 
@@ -113,9 +113,11 @@ class TestDelayStructure:
         k = code(pattern)
         d = min_sync_delay(k)
         assert d is not None
-        assert not has_sync_delay(k, d - 1) if d > 1 else True
+        if d > 1:
+            assert sync_delay_witness(k, d - 1) is not None
+            assert not has_sync_delay(k, d - 1)
         for extra in range(d, d + 3):
-            assert has_sync_delay(k, extra)
+            assert sync_delay_witness(k, extra) is None and has_sync_delay(k, extra)
 
     def test_epsilon_never_in_a_prefix_code(self):
         k = code("_+a")
@@ -187,6 +189,7 @@ class TestValidation:
         rules = {v.rule for v in violations}
         assert rules == {"unambiguous"}
         assert violations[0].witness == "ab"
+        assert ambiguity_witness(code("a+ab"), code("b+_")) is not None
         assert not is_unambiguous_concat(code("a+ab"), code("b+_"))
 
     def test_star_requires_a_prefix_code(self):
