@@ -49,8 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
-from .errors import InputError
-from .monoid import Morphism, RecognizedLanguage, cayley_closure, syntactic_morphism
+from .errors import InputError, ResourceLimitError
+from .monoid import (
+    Morphism,
+    RecognizedLanguage,
+    cayley_closure,
+    omega_power,
+    syntactic_morphism,
+)
 from .oracles import FinitePrevariety, GroupClass, group_kernel
 from .semiring import (
     ProductSemiring,
@@ -62,6 +68,78 @@ from .semiring import (
 )
 
 
+class _Slices:
+    """A bucket of maxima, bit-sliced: slot i holds `values[i]`, bit i of
+    `masks[b]` is set when that value has bit b, and `used` marks the live
+    slots.  A dead slot keeps its mask bits until the slots are compacted,
+    once dead ones outnumber live ones."""
+
+    __slots__ = ("values", "masks", "used", "dead")
+
+    def __init__(self, values) -> None:
+        self._fill(values)
+
+    def _fill(self, values) -> None:
+        self.values: list = []
+        self.masks: list[int] = []
+        self.used = 0
+        self.dead = 0
+        for x in values:
+            self._add(x)
+
+    def _add(self, x) -> None:
+        slot = 1 << len(self.values)
+        self.values.append(x)
+        self.used |= slot
+        masks = self.masks
+        if x.bit_length() > len(masks):
+            masks.extend([0] * (x.bit_length() - len(masks)))
+        while x:
+            low = x & -x
+            x ^= low
+            masks[low.bit_length() - 1] |= slot
+
+    def covers(self, x) -> bool:
+        """Whether a live value has every bit of x."""
+        masks = self.masks
+        if x.bit_length() > len(masks):
+            return False
+        slots = self.used
+        while x and slots:
+            low = x & -x
+            x ^= low
+            slots &= masks[low.bit_length() - 1]
+        return slots != 0
+
+    def insert(self, x, members: set) -> bool:
+        if self.covers(x):
+            return False
+        masks = self.masks
+        # the live values below x are those without a bit that x lacks
+        lacking = ~x & ((1 << len(masks)) - 1)
+        outside = 0
+        while lacking:
+            low = lacking & -lacking
+            lacking ^= low
+            outside |= masks[low.bit_length() - 1]
+        below = self.used & ~outside
+        if below:
+            self.used ^= below
+            values = self.values
+            while below:
+                low = below & -below
+                below ^= low
+                members.discard(values[low.bit_length() - 1])
+                self.dead += 1
+        self._add(x)
+        members.add(x)
+        if 2 * self.dead > len(self.values):
+            # compact: bit i of `used`, read as a string from the lowest bit up
+            bits = format(self.used, "b")[::-1]
+            self._fill([y for y, bit in zip(self.values, bits) if bit == "1"])
+        return True
+
+
 class Antichain:
     """Maximal elements of a downward closed set of bitmask values.
 
@@ -69,16 +147,28 @@ class Antichain:
     never compared: each such high part has its own bucket of maxima.
     `members` is the set of current maxima, so a caller can drop an exact
     duplicate of one, the most common failed insert, with one set lookup.
+
+    A bucket is a plain list, scanned value by value, until it holds more
+    than `threshold` maxima; then it is bit-sliced (`_Slices`), so that
+    finding a value above x, or the values below it, costs one big-int
+    operation per bit of the values instead of one comparison per value.
+    Only tests set `threshold`.
     """
 
-    def __init__(self, exact: int | None = None) -> None:
+    def __init__(self, exact: int | None = None, threshold: int = 64) -> None:
         self._exact = exact
+        self._threshold = threshold
         self._buckets: dict[int, list] = {}
+        self._sliced: dict[int, _Slices] = {}
         self.members: set = set()
 
     def covers(self, x) -> bool:
         key = 0 if self._exact is None else x >> self._exact
-        for y in self._buckets.get(key, ()):
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            sliced = self._sliced.get(key)
+            return sliced is not None and sliced.covers(x)
+        for y in bucket:
             if x | y == y:
                 return True
         return False
@@ -88,6 +178,9 @@ class Antichain:
         key = 0 if self._exact is None else x >> self._exact
         bucket = self._buckets.get(key)
         if bucket is None:
+            sliced = self._sliced.get(key)
+            if sliced is not None:
+                return sliced.insert(x, self.members)
             self._buckets[key] = [x]
             self.members.add(x)
             return True
@@ -100,6 +193,8 @@ class Antichain:
             bucket[:] = kept
         bucket.append(x)
         self.members.add(x)
+        if len(bucket) > self._threshold:
+            self._sliced[key] = _Slices(self._buckets.pop(key))
         return True
 
     def snapshot(self) -> list:
@@ -248,6 +343,22 @@ def _max_reduce(values) -> tuple:
     return tuple(kept)
 
 
+def _products(sr: ProductSemiring, xs, ys) -> set:
+    """The setwise product of xs and ys, read from the semiring's cached
+    rows, filled from `sr.product` on a miss."""
+    rows = sr._rows
+    product = sr.product
+    values = set()
+    for x in xs:
+        row = rows[x]
+        for y in ys:
+            value = row.get(y)
+            if value is None:
+                value = row[y] = product(x, y)
+            values.add(value)
+    return values
+
+
 def _mu_image_monoid(
     rho: RatingMap, letter_sets: list[tuple], cap: int
 ) -> Morphism:
@@ -260,38 +371,63 @@ def _mu_image_monoid(
     associative, so `cayley_closure` can tabulate the monoid from the
     right products by single letter sets alone.
     """
-    mul = rho.semiring.mul
+    sr = rho.semiring
     # value -> its products with the members of each letter set
     right_products: dict[int, list[set]] = {}
 
     def times_letter(xs: tuple, i: int) -> tuple:
         values = set()
         for v in xs:
-            rows = right_products.get(v)
-            if rows is None:
-                rows = right_products[v] = [{mul(v, g) for g in gs} for gs in letter_sets]
-            values |= rows[i]
+            sets = right_products.get(v)
+            if sets is None:
+                sets = right_products[v] = [_products(sr, (v,), gs) for gs in letter_sets]
+            values |= sets[i]
         return _max_reduce(values)
 
     return cayley_closure(
         rho.alphabet,
-        (rho.semiring.one,),
+        (sr.one,),
         times_letter,
         cap,
         f"group step exceeded the cap of {cap} set values",
     )
 
 
+# the longest walk of powers `oracles._stable_power` takes: twice its
+# largest stability bound, 2^21
+_OMEGA_WALK_LIMIT = 2 * 2**21
+
+
 def _group_step(
     g: GroupClass, rho: RatingMap, chain: Antichain, config: Config
 ) -> list:
-    """Values contributed by the group rule for the current set."""
-    mul = rho.semiring.mul
+    """Values contributed by the group rule for the current set S.
+
+    The rule takes the kernel of the image monoid of µ, the map sending a
+    letter a to {s rho(a) s' : s, s' in S}, and returns the union of the
+    kernel members.  For mod the kernel is {1} ∪ X^ω, with X the letter
+    images (`oracles.mod_kernel`), and sending a set of µ-elements to the
+    union of their members is a morphism into the semiring of downsets,
+    so the values are {one} ∪ P^ω, with P the union of the letter sets and
+    the ω-power taken over reduced setwise products: no µ is built."""
+    sr = rho.semiring
     maxima = chain.snapshot()
-    letter_sets = []
-    for img in rho.letter_images:
-        lefts = [mul(s, img) for s in maxima]
-        letter_sets.append(_max_reduce(mul(s, t) for s in lefts for t in maxima))
+    letter_sets = [
+        _max_reduce(_products(sr, _products(sr, maxima, (img,)), maxima))
+        for img in rho.letter_images
+    ]
+    if g.tag == "mod":
+        walked = 0
+
+        def times(xs: tuple, ys: tuple) -> tuple:
+            nonlocal walked
+            walked += 1
+            if walked >= _OMEGA_WALK_LIMIT:
+                raise ResourceLimitError("group step's power walk exceeded its bound")
+            return _max_reduce(_products(sr, xs, ys))
+
+        powers = omega_power(_max_reduce(v for gs in letter_sets for v in gs), times)
+        return sorted({sr.one, *powers})
     mu = _mu_image_monoid(rho, letter_sets, cap=config.powerset2_cap)
     kernel = group_kernel(g, mu, config=config)
     values = set()
@@ -308,7 +444,12 @@ def saturate_group(
     while changed:
         changed = False
         sat.rounds += 1
-        for r in _group_step(g, rho, sat.chain, config):
+        if sat.rounds == 1:
+            # every letter set of the empty set is empty: the step gives {one}
+            step = [rho.semiring.one]
+        else:
+            step = _group_step(g, rho, sat.chain, config)
+        for r in step:
             if sat.insert(r, "group"):
                 changed = True
         while sat.close_round(jump=True):

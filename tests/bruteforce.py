@@ -27,6 +27,7 @@ from sfclosure.automata import (
     shortest_word,
     star,
 )
+from sfclosure.covering import _max_reduce, _mu_image_monoid
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.membership import MembershipVerdict
 from sfclosure.monoid import (
@@ -36,7 +37,13 @@ from sfclosure.monoid import (
     idempotent_power,
     syntactic_morphism,
 )
-from sfclosure.oracles import IntegerLattice, PairSet, _stable_power, group_kernel
+from sfclosure.oracles import (
+    IntegerLattice,
+    PairSet,
+    _stable_power,
+    group_kernel,
+    mod_kernel,
+)
 
 
 def words_up_to(alphabet, maxlen: int):
@@ -1087,6 +1094,24 @@ def naive_opt_group(cls, languages, config):
         insert(img, "word")
     close_products(jump=False)
     return chain.snapshot(), rounds, trace
+
+
+def naive_mod_group_step(rho, chain, cap: int) -> list:
+    """The mod group rule as the library ran it before it took {one} ∪ P^ω:
+    tabulate µ, the image monoid of a -> {s rho(a) s' : s, s' in S}, up to
+    `cap` elements, take its mod kernel and return the union of the
+    kernel members' labels, ascending.  S is `chain`'s set of maxima."""
+    mul = rho.semiring.mul
+    maxima = chain.snapshot()
+    letter_sets = []
+    for img in rho.letter_images:
+        lefts = [mul(s, img) for s in maxima]
+        letter_sets.append(_max_reduce(mul(s, t) for s in lefts for t in maxima))
+    mu = _mu_image_monoid(rho, letter_sets, cap=cap)
+    values = set()
+    for k in sorted(mod_kernel(mu)):
+        values.update(mu.labels[k])
+    return sorted(values)
 
 
 # ---------------------------------------------------------------------------

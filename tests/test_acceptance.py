@@ -140,6 +140,13 @@ def test_criterion_4_covering_goldens():
         assert opt_finite(st_class(A), rho) == [0, 1, 2, 3]
         assert opt_group(MOD, rho) == [0, 1, 2]
 
+        # S_4 on four states against its complement: one bucket of the mod
+        # saturation grows to about ten thousand maxima
+        s4 = Dfa(AB, 4, 0, frozenset({2, 3}), ((3, 3), (1, 0), (0, 1), (2, 2)))
+        report = is_separable(MOD, s4, complement(s4),
+                              config=Config(powerset_cap=32, powerset2_cap=4096))
+        assert report.to_json() == {"answer": False, "opt_size": 1, "rounds": 3}
+
 
 def test_criterion_5_consistency(corpus):
     with criterion(5, "cross-algorithm consistency"):

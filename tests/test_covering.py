@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,19 @@ from hypothesis import strategies as st
 from bruteforce import (
     TupleAntichain,
     TupleProduct,
+    naive_mod_group_step,
     naive_opt_group,
     naive_saturate_finite,
     tuple_rating,
 )
 from conftest import recognized
-from sfclosure.automata import Dfa, compile_pattern, make_alphabet, minimize
+from sfclosure.automata import Dfa, compile_pattern, complement, make_alphabet, minimize
+from sfclosure import covering, oracles
 from sfclosure.config import DEFAULT, Config
 from sfclosure.covering import (
     Antichain,
+    _group_step,
+    _max_reduce,
     _mu_image_monoid,
     _opt_chain_group,
     is_coverable,
@@ -123,17 +128,11 @@ class TestAntichain:
         assert len(chain) == 1
 
 
-@settings(max_examples=100)
-@given(
-    exact=st.sampled_from([None, 2, 5]),
-    inserts=st.lists(st.integers(0, 127), max_size=40),
-    probes=st.lists(st.integers(0, 127), max_size=10),
-)
-def test_antichain_matches_tuple_antichains(exact, inserts, probes):
-    """Seven-bit values; with `exact` set, one reference antichain per
-    high part, holding the values as one-field tuples."""
-    chain = Antichain(exact)
-    shift = 7 if exact is None else exact
+def check_against_tuple_antichains(chain, exact, bits, inserts, probes):
+    """Insert `bits`-bit values into `chain` and, with `exact` set, into one
+    reference antichain per high part, holding the values as one-field
+    tuples; every answer and view must agree after every step."""
+    shift = bits if exact is None else exact
     references: dict[int, TupleAntichain] = {}
 
     def reference(x) -> TupleAntichain:
@@ -147,6 +146,35 @@ def test_antichain_matches_tuple_antichains(exact, inserts, probes):
         assert chain.members == set(expected)
         for probe in probes:
             assert chain.covers(probe) == reference(probe).covers((probe,))
+
+
+@settings(max_examples=100)
+@given(
+    exact=st.sampled_from([None, 2, 5]),
+    inserts=st.lists(st.integers(0, 127), max_size=40),
+    probes=st.lists(st.integers(0, 127), max_size=10),
+)
+def test_antichain_matches_tuple_antichains(exact, inserts, probes):
+    check_against_tuple_antichains(Antichain(exact), exact, 7, inserts, probes)
+
+
+# twelve-bit values drawn as sets of bits, so that small and large sets,
+# hence dominated values, removals and compactions, are all common
+TWELVE_BITS = st.sets(st.integers(0, 11)).map(lambda bits: sum(1 << b for b in bits))
+
+
+@settings(max_examples=60)
+@given(
+    threshold=st.sampled_from([1, 4]),
+    exact=st.sampled_from([None, 6, 9]),
+    inserts=st.lists(TWELVE_BITS, min_size=20, max_size=200),
+    probes=st.lists(TWELVE_BITS, max_size=10),
+)
+def test_sliced_antichain_matches_tuple_antichains(threshold, exact, inserts, probes):
+    """Twelve-bit values with buckets bit-sliced above one or four maxima,
+    so that inserts, removals and compactions run on slices."""
+    chain = Antichain(exact, threshold=threshold)
+    check_against_tuple_antichains(chain, exact, 12, inserts, probes)
 
 
 class TestCoverable:
@@ -290,9 +318,15 @@ def test_packed_semi_naive_matches_naive_tuple_saturation(
         try:
             maxima, rounds, trace = naive_opt_group(cls, languages, ORACLE_CONFIG)
         except ResourceLimitError:
-            with pytest.raises(ResourceLimitError):
-                _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
-            return
+            if cls is GR:
+                with pytest.raises(ResourceLimitError):
+                    _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+                return
+            # the mod group step builds no µ, so it answers where the µ
+            # reference hits powerset2_cap; the report must match it
+            sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+            maxima = [unpack(r) for r in sat.chain.snapshot()]
+            rounds, trace = sat.rounds, sat.trace
         sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
         assert [unpack(r) for r in sat.chain.snapshot()] == maxima
     assert sat.rounds == rounds
@@ -305,3 +339,96 @@ def test_packed_semi_naive_matches_naive_tuple_saturation(
     )
     report = is_coverable(cls, dfas[0], dfas[1:], config=ORACLE_CONFIG)
     assert (report.answer, report.opt_size, report.rounds) == (not bad, len(maxima), rounds)
+
+
+# a cap no µ of the small_languages() pool reaches
+WIDE_MU_CAP = 4096
+
+
+@settings(max_examples=60)
+@given(
+    picks=st.lists(st.integers(0, 39), min_size=2, max_size=3),
+    data=st.data(),
+)
+def test_mod_group_step_matches_the_mu_kernel_step(picks, data):
+    """{one} ∪ P^ω against the union of the labels of µ's mod kernel.
+
+    On any chain the two give the same downset.  On every chain the
+    saturation passes through they also give the same successful inserts,
+    hence the same trace: the old step's values that are not maximal are
+    already covered there.  On an arbitrary chain they need not be."""
+    dfas = [small_languages()[i] for i in picks]
+    rho = reduce_cover_instance(dfas[0], dfas[1:]).rho
+    sr = rho.semiring
+    chain = Antichain()
+    for value in data.draw(st.lists(st.integers(0, (1 << sr.width) - 1), max_size=4)):
+        chain.insert(value)
+    new = _group_step(MOD, rho, chain, DEFAULT)
+    assert _max_reduce(new) == _max_reduce(naive_mod_group_step(rho, chain, WIDE_MU_CAP))
+
+    def inserted(chain, step) -> list:
+        copy = Antichain()
+        for value in chain.snapshot():
+            copy.insert(value)
+        return [value for value in step if copy.insert(value)]
+
+    steps = []
+
+    def checked_step(g, rho, chain, config):
+        new = _group_step(g, rho, chain, config)
+        old = naive_mod_group_step(rho, chain, WIDE_MU_CAP)
+        assert _max_reduce(new) == _max_reduce(old)
+        assert inserted(chain, new) == inserted(chain, old)
+        steps.append(new)
+        return new
+
+    with mock.patch.object(covering, "_group_step", checked_step):
+        sat = saturate_group(MOD, rho, want_trace=True)
+    # the first round is seeded with {one}, which is the first step's value
+    assert _group_step(MOD, rho, Antichain(), DEFAULT) == [sr.one]
+    assert naive_mod_group_step(rho, Antichain(), WIDE_MU_CAP) == [sr.one]
+    assert len(steps) == sat.rounds - 1
+
+
+def test_mod_group_step_builds_no_mu():
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mod group step must not build µ or its kernel")
+
+    with (
+        mock.patch.object(covering, "_mu_image_monoid", refuse),
+        mock.patch.object(covering, "group_kernel", refuse),
+        mock.patch.object(oracles, "mod_kernel", refuse),
+    ):
+        for dfa in small_languages()[:10]:
+            report = is_separable(MOD, dfa, complement(dfa), config=TRACED)
+            assert report.rounds >= 2
+
+
+def test_mod_group_step_ignores_the_group_step_cap():
+    """With powerset2_cap = 1 every µ reference raises, from the first
+    round on; the mod saturation still answers, exactly as the reference
+    with a wide cap does."""
+    tight = Config(powerset2_cap=1, trace=True)
+    pool = small_languages()
+    for i in range(0, 40, 4):
+        dfas = [pool[i], pool[i + 1]]
+        instance = reduce_cover_instance(dfas[0], dfas[1:])
+        languages = instance.languages
+        with pytest.raises(ResourceLimitError):
+            naive_opt_group(MOD, languages, tight)
+        maxima, rounds, trace = naive_opt_group(MOD, languages, ORACLE_CONFIG)
+        sat = _opt_chain_group(MOD, instance.rho, tight, want_trace=True)
+        unpack = instance.rho.semiring.unpack
+        assert [unpack(r) for r in sat.chain.snapshot()] == maxima
+        assert (sat.rounds, sat.trace) == (rounds, trace)
+        with pytest.raises(ResourceLimitError):
+            _opt_chain_group(GR, instance.rho, tight)
+
+
+def test_mod_power_walk_is_bounded(monkeypatch):
+    even = compile_pattern("(aa)*", A)
+    odd = compile_pattern("a(aa)*", A)
+    assert is_separable(MOD, even, odd).answer
+    monkeypatch.setattr(covering, "_OMEGA_WALK_LIMIT", 1)
+    with pytest.raises(ResourceLimitError, match="power walk"):
+        is_separable(MOD, even, odd)
