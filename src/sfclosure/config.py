@@ -18,7 +18,8 @@ class Config:
     monoid_cap: int = 4096
     # largest monoid whose powerset semiring we will build
     powerset_cap: int = 16
-    # largest multiplicative closure inside the group step of covering
+    # largest set-valued monoid the gr and amt group steps of covering
+    # tabulate; the mod group step builds none
     powerset2_cap: int = 16
     # the amt kernel walks (element, R-classes entered, residue in Z^|A|)
     # states, so its cost grows with the image and with the alphabet

@@ -9,7 +9,8 @@ monotone as well.
 
 Values are ints ordered by bit inclusion, one bit field per component
 (see semiring.py), so the antichains compare with x | y == y and sort by
-plain int order.
+plain int order.  A bucket of more than 64 maxima is bit-sliced: one int
+per bit of the values marks the maxima that have that bit.
 
 Finite base class, with canonical morphism eta into N: the pointed
 saturation is the least subset of N x R containing the letter pairs
@@ -26,10 +27,14 @@ with different class elements are never compared.
 
 Group base class: the saturation is the least downward closed subset S
 of R closed under product, the jump above, and the group step: build the
-map sending a letter to {s rho(a) s' : s, s' in S}, take the kernel of
+map mu sending a letter to {s rho(a) s' : s, s' in S}, take the kernel of
 its image monoid (built by monoid.cayley_closure, like every generated
 monoid) for the base class, and pour the union of the kernel members
-back into S.  The optimal imprint additionally absorbs the
+back into S.  For mod the kernel is {1} u X^w, X the letter images, and
+the union of the members is a morphism into the semiring of downsets, so
+the step is {one} u P^w with P the maxima of the union of the letter
+sets: no image monoid is built.  The first round's set is empty, so its
+step is {one}.  The optimal imprint additionally absorbs the
 values rho(w) of single words and closes under product again.
 
 The product and jump rules run semi-naively: a maximal element that was
@@ -393,8 +398,10 @@ def _mu_image_monoid(
     )
 
 
-# the longest walk of powers `oracles._stable_power` takes: twice its
-# largest stability bound, 2^21
+# the most products the walk of `oracles._stable_power` takes: twice its
+# largest stability bound, 2^21.  The powers P^k are the images of that
+# walk's sets, so they repeat no later, and a mod step that the old
+# kernel walk finished stays within the limit.
 _OMEGA_WALK_LIMIT = 2 * 2**21
 
 
@@ -403,13 +410,15 @@ def _group_step(
 ) -> list:
     """Values contributed by the group rule for the current set S.
 
-    The rule takes the kernel of the image monoid of µ, the map sending a
+    The rule takes the kernel of the image monoid of mu, the map sending a
     letter a to {s rho(a) s' : s, s' in S}, and returns the union of the
-    kernel members.  For mod the kernel is {1} ∪ X^ω, with X the letter
-    images (`oracles.mod_kernel`), and sending a set of µ-elements to the
-    union of their members is a morphism into the semiring of downsets,
-    so the values are {one} ∪ P^ω, with P the union of the letter sets and
-    the ω-power taken over reduced setwise products: no µ is built."""
+    kernel members.  For mod the kernel is {1} u X^w, with X the letter
+    images (`oracles.mod_kernel`), and sending a set of mu's elements to
+    the union of their members is a morphism into the semiring of
+    downsets, so the values are {one} u P^w, with P the maxima of the
+    union of the letter sets and the w-power taken over reduced setwise
+    products: no image monoid is built, and `powerset2_cap` is not read.
+    """
     sr = rho.semiring
     maxima = chain.snapshot()
     letter_sets = [
@@ -422,7 +431,7 @@ def _group_step(
         def times(xs: tuple, ys: tuple) -> tuple:
             nonlocal walked
             walked += 1
-            if walked >= _OMEGA_WALK_LIMIT:
+            if walked > _OMEGA_WALK_LIMIT:
                 raise ResourceLimitError("group step's power walk exceeded its bound")
             return _max_reduce(_products(sr, xs, ys))
 

@@ -429,6 +429,6 @@ def test_mod_power_walk_is_bounded(monkeypatch):
     even = compile_pattern("(aa)*", A)
     odd = compile_pattern("a(aa)*", A)
     assert is_separable(MOD, even, odd).answer
-    monkeypatch.setattr(covering, "_OMEGA_WALK_LIMIT", 1)
+    monkeypatch.setattr(covering, "_OMEGA_WALK_LIMIT", 0)
     with pytest.raises(ResourceLimitError, match="power walk"):
         is_separable(MOD, even, odd)
