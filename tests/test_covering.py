@@ -16,8 +16,8 @@ from bruteforce import (
     tuple_rating,
 )
 from conftest import recognized
-from sfclosure.automata import Dfa, compile_pattern, complement, make_alphabet, minimize
 from sfclosure import covering, oracles
+from sfclosure.automata import Dfa, compile_pattern, complement, make_alphabet, minimize
 from sfclosure.config import DEFAULT, Config
 from sfclosure.covering import (
     Antichain,
@@ -327,8 +327,9 @@ def test_packed_semi_naive_matches_naive_tuple_saturation(
             sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
             maxima = [unpack(r) for r in sat.chain.snapshot()]
             rounds, trace = sat.rounds, sat.trace
-        sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
-        assert [unpack(r) for r in sat.chain.snapshot()] == maxima
+        else:
+            sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+            assert [unpack(r) for r in sat.chain.snapshot()] == maxima
     assert sat.rounds == rounds
     assert sat.trace == trace
     # a cover exists iff no maximum meets every accepting set
@@ -383,7 +384,7 @@ def test_mod_group_step_matches_the_mu_kernel_step(picks, data):
         return new
 
     with mock.patch.object(covering, "_group_step", checked_step):
-        sat = saturate_group(MOD, rho, want_trace=True)
+        sat = saturate_group(MOD, rho)
     # the first round is seeded with {one}, which is the first step's value
     assert _group_step(MOD, rho, Antichain(), DEFAULT) == [sr.one]
     assert naive_mod_group_step(rho, Antichain(), WIDE_MU_CAP) == [sr.one]
