@@ -18,11 +18,10 @@ from .config import DEFAULT, Config, load_config
 from .covering import is_coverable, is_separable
 from .errors import InputError, ResourceLimitError
 from .ltl import compare_sampled, eval_at, parse_formula
-from .membership import sf_membership
+from .membership import idempotent_orbits, sf_membership
 from .monoid import (
     Morphism,
     RecognizedLanguage,
-    idempotents,
     load_morphism,
     morphism_to_json,
     syntactic_morphism,
@@ -30,8 +29,6 @@ from .monoid import (
 from .oracles import (
     GROUP_CLASSES,
     FinitePrevariety,
-    c_orbit,
-    c_pairs,
     group_kernel,
     st_class,
 )
@@ -117,13 +114,7 @@ def _cmd_orbits(args) -> dict:
     cls = _resolve_class(args.klass, args)
     if not isinstance(cls, FinitePrevariety):
         raise InputError("orbits are defined for finite classes; use st or finite:<file>")
-    alpha = _language_morphism(args, config)
-    pairs = c_pairs(cls, alpha)
-    orbits = {
-        str(e): sorted(c_orbit(pairs, alpha, e))
-        for e in idempotents(alpha.codomain)
-    }
-    return {"orbits": orbits}
+    return {"orbits": idempotent_orbits(cls, _language_morphism(args, config))}
 
 
 def _cmd_membership(args) -> dict:

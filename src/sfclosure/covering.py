@@ -33,9 +33,11 @@ monoid) for the base class, and pour the union of the kernel members
 back into S.  For mod the kernel is {1} u X^w, X the letter images, and
 the union of the members is a morphism into the semiring of downsets, so
 the step is {one} u P^w with P the maxima of the union of the letter
-sets: no image monoid is built.  The first round's set is empty, so its
-step is {one}.  The optimal imprint additionally absorbs the
-values rho(w) of single words and closes under product again.
+sets: no image monoid is built, and the power walk is
+`oracles.stable_monoid`, the one `oracles.mod_kernel` takes, under the
+same bound.  The first round's set is empty, so its step is {one}.  The
+optimal imprint additionally absorbs the values rho(w) of single words
+and closes under product again.
 
 The product and jump rules run semi-naively: a maximal element that was
 already in an earlier snapshot had its products with every other such
@@ -54,15 +56,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import DEFAULT, Config
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .monoid import (
     Morphism,
     RecognizedLanguage,
     cayley_closure,
-    omega_power,
     syntactic_morphism,
 )
-from .oracles import FinitePrevariety, GroupClass, group_kernel
+from .oracles import FinitePrevariety, GroupClass, group_kernel, stable_monoid
 from .semiring import (
     ProductSemiring,
     RatingMap,
@@ -398,13 +399,6 @@ def _mu_image_monoid(
     )
 
 
-# the most products the walk of `oracles._stable_power` takes: twice its
-# largest stability bound, 2^21.  The powers P^k are the images of that
-# walk's sets, so they repeat no later, and a mod step that the old
-# kernel walk finished stays within the limit.
-_OMEGA_WALK_LIMIT = 2 * 2**21
-
-
 def _group_step(
     g: GroupClass, rho: RatingMap, chain: Antichain, config: Config
 ) -> list:
@@ -416,8 +410,9 @@ def _group_step(
     images (`oracles.mod_kernel`), and sending a set of mu's elements to
     the union of their members is a morphism into the semiring of
     downsets, so the values are {one} u P^w, with P the maxima of the
-    union of the letter sets and the w-power taken over reduced setwise
-    products: no image monoid is built, and `powerset2_cap` is not read.
+    union of the letter sets, and `oracles.stable_monoid` takes the
+    w-power over reduced setwise products: no image monoid is built, and
+    `powerset2_cap` is not read.
     """
     sr = rho.semiring
     maxima = chain.snapshot()
@@ -426,17 +421,10 @@ def _group_step(
         for img in rho.letter_images
     ]
     if g.tag == "mod":
-        walked = 0
-
-        def times(xs: tuple, ys: tuple) -> tuple:
-            nonlocal walked
-            walked += 1
-            if walked > _OMEGA_WALK_LIMIT:
-                raise ResourceLimitError("group step's power walk exceeded its bound")
-            return _max_reduce(_products(sr, xs, ys))
-
-        powers = omega_power(_max_reduce(v for gs in letter_sets for v in gs), times)
-        return sorted({sr.one, *powers})
+        letters = _max_reduce(v for gs in letter_sets for v in gs)
+        return sorted(
+            stable_monoid(sr.one, letters, lambda xs, ys: _max_reduce(_products(sr, xs, ys)))
+        )
     mu = _mu_image_monoid(rho, letter_sets, cap=config.powerset2_cap)
     kernel = group_kernel(g, mu, config=config)
     values = set()

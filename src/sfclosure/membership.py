@@ -1,9 +1,10 @@
 """Membership in the star-free closure of a base class.
 
-Finite base classes go through pair orbits: the language belongs to the
-closure iff every orbit of an idempotent is aperiodic.  Group classes go
-through the kernel of the syntactic morphism.  Both verdicts carry a
-witness element violating aperiodicity when the answer is negative.
+One decision on the syntactic morphism: the language belongs to the
+closure iff every checked subset is aperiodic.  For a finite base class
+those are the pair orbits of the idempotents, for a group class the
+kernel.  A verdict carries them, and a witness element violating
+aperiodicity when the answer is negative.
 """
 
 from __future__ import annotations
@@ -12,14 +13,8 @@ from dataclasses import dataclass
 
 from .automata import Dfa
 from .config import DEFAULT, Config
-from .monoid import aperiodicity_witness, idempotents, syntactic_morphism
-from .oracles import (
-    FinitePrevariety,
-    GroupClass,
-    c_orbit,
-    c_pairs,
-    group_kernel,
-)
+from .monoid import Morphism, aperiodicity_witness, idempotents, syntactic_morphism
+from .oracles import FinitePrevariety, c_orbit, c_pairs, group_kernel
 
 
 @dataclass(frozen=True)
@@ -39,58 +34,39 @@ class MembershipVerdict:
         return doc
 
 
-def sf_membership_finite(
-    c: FinitePrevariety, dfa: Dfa, monoid_cap: int = 4096
-) -> MembershipVerdict:
-    lang = syntactic_morphism(dfa, cap=monoid_cap)
-    alpha = lang.morphism
-    m = alpha.codomain
+def idempotent_orbits(c: FinitePrevariety, alpha: Morphism) -> dict[str, list[int]]:
+    """The sorted orbit in c of every idempotent of alpha's codomain, keyed
+    by the idempotent as a string, in idempotent order."""
     pairs = c_pairs(c, alpha)
-    orbits = {}
-    answer = True
-    witness = None
-    for e in idempotents(m):
-        orbit = c_orbit(pairs, alpha, e)
-        orbits[str(e)] = sorted(orbit)
-        if answer:
-            bad = aperiodicity_witness(m, orbit)
-            if bad is not None:
-                answer = False
-                witness = bad
-    return MembershipVerdict(
-        answer=answer,
-        witness=witness,
-        monoid_size=m.size,
-        detail={"orbits": orbits},
-    )
-
-
-def sf_membership_group(
-    g: GroupClass, dfa: Dfa, monoid_cap: int | None = None, config: Config = DEFAULT
-) -> MembershipVerdict:
-    if monoid_cap is None:
-        monoid_cap = config.monoid_cap
-    lang = syntactic_morphism(dfa, cap=monoid_cap)
-    alpha = lang.morphism
-    m = alpha.codomain
-    kernel = group_kernel(g, alpha, config=config)
-    witness = aperiodicity_witness(m, kernel)
-    return MembershipVerdict(
-        answer=witness is None,
-        witness=witness,
-        monoid_size=m.size,
-        detail={"kernel": sorted(kernel)},
-    )
+    return {str(e): sorted(c_orbit(pairs, alpha, e)) for e in idempotents(alpha.codomain)}
 
 
 def sf_membership(
     cls, dfa: Dfa, monoid_cap: int | None = None, config: Config = DEFAULT
 ) -> MembershipVerdict:
     """Whether dfa's language lies in SF(cls).  The syntactic monoid may
-    have at most monoid_cap elements, config.monoid_cap when it is None."""
+    have at most monoid_cap elements, config.monoid_cap when it is None.
+
+    The checked subsets are the orbits, in idempotent order, for a finite
+    class and the kernel for a group class; the witness is the first
+    element that breaks aperiodicity in one of them."""
     if monoid_cap is None:
         monoid_cap = config.monoid_cap
+    alpha = syntactic_morphism(dfa, cap=monoid_cap).morphism
     if isinstance(cls, FinitePrevariety):
-        return sf_membership_finite(cls, dfa, monoid_cap=monoid_cap)
-    return sf_membership_group(g=cls, dfa=dfa, monoid_cap=monoid_cap, config=config)
-
+        orbits = idempotent_orbits(cls, alpha)
+        detail = {"orbits": orbits}
+        subsets = orbits.values()
+    else:
+        kernel = sorted(group_kernel(cls, alpha, config=config))
+        detail = {"kernel": kernel}
+        subsets = [kernel]
+    m = alpha.codomain
+    found = (aperiodicity_witness(m, subset) for subset in subsets)
+    witness = next((s for s in found if s is not None), None)
+    return MembershipVerdict(
+        answer=witness is None,
+        witness=witness,
+        monoid_size=m.size,
+        detail=detail,
+    )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .automata import Alphabet, Dfa, minimize
+from .config import DEFAULT
 from .errors import InputError, ResourceLimitError
 
 
@@ -233,15 +234,17 @@ def cayley_closure(alphabet: Alphabet, identity, step, cap: int, cap_message: st
     )
 
 
-def syntactic_morphism(dfa: Dfa, cap: int = 4096) -> RecognizedLanguage:
+def syntactic_morphism(dfa: Dfa, cap: int | None = None) -> RecognizedLanguage:
     """Transition monoid of the minimal DFA, with the accepting element set.
 
     Element i is a transformation of the state set, labelled by the tuple
     of state images; composition is in diagram order, so mul[x][y] means
     "apply x, then y", and t followed by letter i is generator i read at
     the entries of t.  Raises ResourceLimitError when more than `cap`
-    transformations appear.
+    transformations appear, DEFAULT.monoid_cap when it is None.
     """
+    if cap is None:
+        cap = DEFAULT.monoid_cap
     dfa = minimize(dfa)
     generators = [
         tuple(dfa.delta[q][i] for q in range(dfa.states)) for i in range(len(dfa.alphabet))

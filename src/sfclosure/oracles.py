@@ -11,8 +11,9 @@ is reached with) * e.
 For the group classes, the kernel of a morphism alpha collects the
 elements whose fiber is inseparable from the empty word:
 
-  * mod: the stable monoid {1} + alpha(A^d), from one walk of the powers
-    of the letter set A until a power repeats.
+  * mod: the stable monoid {1} + alpha(A)^w, from one bounded walk of
+    the powers of the letter set until one repeats (`stable_monoid`, the
+    walk covering's mod group step takes too).
   * amt: elements reachable with all letter counts divisible by every
     modulus at once: one walk over the image whose residues are taken
     modulo the cycle lattices of the R-classes it passes through, each
@@ -36,7 +37,7 @@ from operator import and_, eq, getitem, itemgetter
 
 from .config import DEFAULT, Config
 from .errors import InputError, ResourceLimitError
-from .monoid import FiniteMonoid, Morphism, gather
+from .monoid import FiniteMonoid, Morphism, gather, omega_power
 
 
 @dataclass(frozen=True)
@@ -155,47 +156,40 @@ def c_orbit(pairs: PairSet, alpha: Morphism, e: int) -> frozenset[int]:
 # mod: the stable monoid
 
 
-def _stability_bound(alpha: Morphism) -> int:
-    return 2 ** (min(len(alpha.image), 20) + 1)
+# the most products one walk of `stable_monoid` takes
+_POWER_WALK_LIMIT = 2 * 2**21
 
 
-def _stable_power(alpha: Morphism) -> tuple[int, frozenset[int]]:
-    """The stability index d and alpha(A^d), from one walk of the powers.
+def stable_monoid(one, letters, times) -> frozenset:
+    """{one} + letters^w: the identity and the idempotent power of the
+    letter set under the associative setwise product `times`.
 
-    S_k = alpha(A^k) satisfies S_(k+1) = S_k * A, so the walk S_1, S_2, ...
-    repeats for the first time at some step j with S_j = S_i, and is
-    periodic with period p = j - i from step i on.  S_d = S_2d holds
-    exactly when d >= i and p divides d, so d is the least multiple of p
-    that is at least i.  Each step costs |S_k| |A| lookups.  The index is
-    bounded by `_stability_bound`, 2^(min(|image|, 20) + 1):
-    ResourceLimitError is raised when d exceeds it, and as soon as the
-    walk grows longer than twice the bound, since then i or p, hence d,
-    exceeds it too.
+    `monoid.omega_power` walks the powers letters, letters^2, ... until one
+    repeats, taking one product per power.  ResourceLimitError is raised
+    once it takes more than `_POWER_WALK_LIMIT` products, that is, when
+    more than that many distinct powers come before the first repeat.
     """
-    mul = alpha.codomain.mul
-    letters = frozenset(alpha.letter_images)
-    limit = _stability_bound(alpha)
-    first: dict[frozenset[int], int] = {}
-    powers: list[frozenset[int]] = []
-    current = letters
-    while current not in first:
-        if len(powers) >= 2 * limit:
-            raise ResourceLimitError("stability index search exceeded its bound")
-        powers.append(current)
-        first[current] = len(powers)
-        current = frozenset(mul[s][g] for s in current for g in letters)
-    i = first[current]
-    period = len(powers) + 1 - i
-    d = -(-i // period) * period
-    if d > limit:
-        raise ResourceLimitError("stability index search exceeded its bound")
-    return d, powers[i - 1 + (d - i) % period]
+    taken = 0
+
+    def counted(xs, ys):
+        nonlocal taken
+        taken += 1
+        if taken > _POWER_WALK_LIMIT:
+            raise ResourceLimitError("power walk exceeded its bound")
+        return times(xs, ys)
+
+    return frozenset({one}).union(omega_power(letters, counted))
 
 
 def mod_kernel(alpha: Morphism) -> frozenset[int]:
-    """The stable monoid: the identity plus alpha(A^d) for the stability
-    index d, read off the one walk of the powers of A that finds d."""
-    return frozenset({alpha.codomain.identity}) | _stable_power(alpha)[1]
+    """The stable monoid {1} + alpha(A)^w, over the table's setwise
+    product: each power costs |alpha(A^k)| |A| lookups."""
+    mul = alpha.codomain.mul
+    return stable_monoid(
+        alpha.codomain.identity,
+        frozenset(alpha.letter_images),
+        lambda xs, ys: frozenset(mul[s][g] for s in xs for g in ys),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +328,14 @@ def _components(nodes, successors) -> dict[int, int]:
 
 
 def amt_kernel(
-    alpha: Morphism, alphabet_cap: int = 3, monoid_cap: int = 10
+    alpha: Morphism, alphabet_cap: int | None = None, monoid_cap: int | None = None
 ) -> frozenset[int]:
+    """The amt kernel; the caps default to DEFAULT's amt_alphabet_cap
+    and amt_monoid_cap."""
+    if alphabet_cap is None:
+        alphabet_cap = DEFAULT.amt_alphabet_cap
+    if monoid_cap is None:
+        monoid_cap = DEFAULT.amt_monoid_cap
     width = len(alpha.alphabet)
     if width > alphabet_cap:
         raise ResourceLimitError(

@@ -40,7 +40,6 @@ from sfclosure.monoid import (
 from sfclosure.oracles import (
     IntegerLattice,
     PairSet,
-    _stable_power,
     group_kernel,
     mod_kernel,
 )
@@ -590,11 +589,9 @@ def _set_product(m: FiniteMonoid, xs, ys) -> frozenset[int]:
     return frozenset(m.mul[x][y] for x in xs for y in ys)
 
 
-def naive_mod_stability_index(alpha: Morphism, limit: int | None = None) -> int:
-    """Least d >= 1 with alpha(A^d) = alpha(A^2d), squaring A^d at every d;
-    ResourceLimitError once d passes `limit` (default 2^(min(|image|, 20)+1))."""
-    if limit is None:
-        limit = 2 ** (min(len(alpha.image), 20) + 1)
+def naive_mod_stability_index(alpha: Morphism) -> int:
+    """Least d >= 1 with alpha(A^d) = alpha(A^2d), squaring A^d at every d.
+    The powers of A are eventually periodic, so some d has it."""
     m = alpha.codomain
     letters = frozenset(alpha.letter_images)
     current = letters
@@ -602,17 +599,23 @@ def naive_mod_stability_index(alpha: Morphism, limit: int | None = None) -> int:
     while _set_product(m, current, current) != current:
         current = _set_product(m, current, letters)
         d += 1
-        if d > limit:
-            raise ResourceLimitError("stability index search exceeded its bound")
     return d
 
 
 def naive_mod_kernel(alpha: Morphism, limit: int | None = None) -> frozenset[int]:
-    """Identity plus alpha(A^d), walking the powers of A a second time."""
+    """Identity plus alpha(A^d), walking the powers of A a second time.
+    ResourceLimitError when the distinct powers A, A^2, ... before the
+    first repeat number more than `limit` (no bound when it is None)."""
     m = alpha.codomain
     letters = frozenset(alpha.letter_images)
+    if limit is not None:
+        powers = [letters]
+        while (power := _set_product(m, powers[-1], letters)) not in powers:
+            powers.append(power)
+        if len(powers) > limit:
+            raise ResourceLimitError("power walk exceeded its bound")
     current = letters
-    for _ in range(naive_mod_stability_index(alpha, limit) - 1):
+    for _ in range(naive_mod_stability_index(alpha) - 1):
         current = _set_product(m, current, letters)
     return frozenset({m.identity}) | current
 
@@ -653,9 +656,9 @@ def pairs_related(pairs: PairSet, s: int, t: int) -> bool:
 
 
 def mod_stability_index(alpha: Morphism) -> int:
-    """Least d >= 1 with alpha(A^d) = alpha(A^2d), from the library's walk
-    of the powers of A (so a patched `oracles._stability_bound` applies)."""
-    return _stable_power(alpha)[0]
+    """Least d >= 1 with alpha(A^d) = alpha(A^2d).  The library never reads
+    d, so this is the independent search `naive_mod_stability_index`."""
+    return naive_mod_stability_index(alpha)
 
 
 def seminaive_gr_kernel(alpha: Morphism) -> frozenset[int]:

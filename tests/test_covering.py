@@ -35,7 +35,7 @@ from sfclosure.covering import (
 )
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import FiniteMonoid, idempotents, syntactic_morphism, validate_monoid
-from sfclosure.oracles import GR, MOD, FinitePrevariety, st_class
+from sfclosure.oracles import GR, MOD, FinitePrevariety, mod_kernel, st_class
 from sfclosure.semiring import rho_alpha, sf_closure_of
 
 AB = make_alphabet("ab")
@@ -430,6 +430,8 @@ def test_mod_power_walk_is_bounded(monkeypatch):
     even = compile_pattern("(aa)*", A)
     odd = compile_pattern("a(aa)*", A)
     assert is_separable(MOD, even, odd).answer
-    monkeypatch.setattr(covering, "_OMEGA_WALK_LIMIT", 0)
+    monkeypatch.setattr(oracles, "_POWER_WALK_LIMIT", 0)
+    with pytest.raises(ResourceLimitError, match="power walk"):
+        mod_kernel(syntactic_morphism(even).morphism)
     with pytest.raises(ResourceLimitError, match="power walk"):
         is_separable(MOD, even, odd)

@@ -5,7 +5,7 @@ from conftest import recognized, transformation_dfa
 from sfclosure.automata import compile_pattern, complement, make_alphabet
 from sfclosure.config import Config
 from sfclosure.errors import InputError, ResourceLimitError
-from sfclosure.membership import sf_membership, sf_membership_group
+from sfclosure.membership import sf_membership
 from sfclosure.monoid import idempotent_power, syntactic_morphism
 from sfclosure.oracles import AMT, GR, MOD, st_class
 
@@ -95,16 +95,12 @@ def test_monoid_cap_propagates():
         sf_membership(st_class(AB), lang("(aa+bb)*"), monoid_cap=8)
 
 
-@pytest.mark.parametrize(
-    "decide, cls",
-    [(sf_membership, st_class(AB)), (sf_membership, MOD), (sf_membership_group, MOD)],
-    ids=["st", "mod", "group"],
-)
-def test_monoid_cap_defaults_to_the_config(decide, cls):
+@pytest.mark.parametrize("cls", [st_class(AB), MOD], ids=["st", "mod"])
+def test_monoid_cap_defaults_to_the_config(cls):
     # the syntactic monoid of (aab)*ab has 17 elements
     with pytest.raises(ResourceLimitError):
-        decide(cls, lang("(aab)*ab"), config=Config(monoid_cap=4))
-    assert decide(cls, lang("(aab)*ab"), config=Config(monoid_cap=17)).monoid_size == 17
+        sf_membership(cls, lang("(aab)*ab"), config=Config(monoid_cap=4))
+    assert sf_membership(cls, lang("(aab)*ab"), config=Config(monoid_cap=17)).monoid_size == 17
 
 
 def test_membership_invariant_under_complementation(corpus):

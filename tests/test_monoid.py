@@ -10,7 +10,9 @@ from bruteforce import (
     words_up_to,
 )
 from conftest import recognized, syntactic_morphisms
+from sfclosure import monoid
 from sfclosure.automata import Dfa, accepts, compile_pattern, make_alphabet, minimize
+from sfclosure.config import Config
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import (
     FiniteMonoid,
@@ -66,6 +68,16 @@ def test_syntactic_morphism_recognizes(corpus):
 def test_syntactic_morphism_cap():
     with pytest.raises(ResourceLimitError):
         syntactic_morphism(compile_pattern("(aa+bb)*", AB), cap=8)
+
+
+def test_syntactic_morphism_cap_defaults_to_the_config(monkeypatch):
+    # the syntactic monoid of (aa+bb)* has 15 elements
+    dfa = compile_pattern("(aa+bb)*", AB)
+    monkeypatch.setattr(monoid, "DEFAULT", Config(monoid_cap=14))
+    with pytest.raises(ResourceLimitError):
+        syntactic_morphism(dfa)
+    monkeypatch.setattr(monoid, "DEFAULT", Config(monoid_cap=15))
+    assert syntactic_morphism(dfa).morphism.codomain.size == 15
 
 
 @st.composite

@@ -13,7 +13,6 @@ from bruteforce import (
     naive_c_pairs,
     naive_gr_kernel,
     naive_mod_kernel,
-    naive_mod_stability_index,
     pairs_related,
     seminaive_gr_kernel,
     zero_parikh_images,
@@ -29,7 +28,7 @@ from conftest import (
 from test_golden_monoid import LANGUAGES, LARGER
 from sfclosure import oracles
 from sfclosure.automata import Dfa, make_alphabet
-from sfclosure.config import DEFAULT
+from sfclosure.config import DEFAULT, Config
 from sfclosure.errors import InputError, ResourceLimitError
 from sfclosure.monoid import idempotents, syntactic_morphism
 from sfclosure.oracles import (
@@ -155,6 +154,20 @@ class TestAmtKernel:
         with pytest.raises(ResourceLimitError):
             amt_kernel(big, monoid_cap=10)
         assert big.codomain.identity in amt_kernel(big, monoid_cap=12)
+
+    def test_caps_default_to_the_config(self):
+        wide = permutation_morphism(
+            {"a": (1, 0), "b": (0, 1), "c": (1, 0), "d": (0, 1)}
+        )
+        big = recognized("(aaaaaaaaaaaa)*", A).morphism
+        with pytest.raises(ResourceLimitError):
+            amt_kernel(wide)
+        with pytest.raises(ResourceLimitError):
+            amt_kernel(big)
+        wide_caps = Config(amt_alphabet_cap=4, amt_monoid_cap=12)
+        with mock.patch.object(oracles, "DEFAULT", wide_caps):
+            assert wide.codomain.identity in amt_kernel(wide)
+            assert big.codomain.identity in amt_kernel(big)
 
     def test_full_transformation_monoid_t4(self):
         # 256 elements in 15 R-classes: far above the default counting cap
@@ -282,7 +295,6 @@ def _assert_pairs_match(c, alpha):
 def _assert_kernels_match(alpha):
     assert gr_kernel(alpha) == naive_gr_kernel(alpha)
     assert mod_kernel(alpha) == naive_mod_kernel(alpha)
-    assert mod_stability_index(alpha) == naive_mod_stability_index(alpha)
 
 
 _widths = st.integers(1, 3)
@@ -375,9 +387,7 @@ def _outcome(compute):
 
 @given(_widths.flatmap(transformation_morphisms) | syntactic_morphisms(),
        st.integers(1, 6))
-def test_stability_bound_trips_in_the_same_cases(alpha, bound):
-    with mock.patch.object(oracles, "_stability_bound", lambda _: bound):
-        index = _outcome(lambda: mod_stability_index(alpha))
+def test_power_walk_limit_trips_in_the_same_cases(alpha, limit):
+    with mock.patch.object(oracles, "_POWER_WALK_LIMIT", limit):
         kernel = _outcome(lambda: mod_kernel(alpha))
-    assert index == _outcome(lambda: naive_mod_stability_index(alpha, bound))
-    assert kernel == _outcome(lambda: naive_mod_kernel(alpha, bound))
+    assert kernel == _outcome(lambda: naive_mod_kernel(alpha, limit))
