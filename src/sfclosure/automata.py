@@ -6,6 +6,13 @@ total, so complement is a final-set flip and products never special-case
 missing edges.  State numbering of minimized automata is canonical
 (breadth-first from the initial state, letters in alphabet order), which
 makes equality of minimized DFAs decide language equality.
+
+The public constructor `Dfa(...)` checks every field.  The DFAs the
+library derives from checked ones (products, concatenations, stars,
+complements, quotients, word chains) are built with `Dfa._trusted`, which
+skips the checks.  A DFA known to be minimal and canonically numbered
+carries a `_minimal` marker: `minimize`, `_dfa_word` and `_dfa_empty` set
+it, `complement` keeps it, and `minimize` returns a marked DFA as it is.
 """
 
 from __future__ import annotations
@@ -211,11 +218,43 @@ class _RegexParser(_Scanner):
 
 @dataclass(frozen=True)
 class Dfa:
+    """A complete DFA.  `Dfa(...)` checks every field; the library builds
+    the DFAs it derives from checked ones with `_trusted`, which skips the
+    checks.  `_minimal` marks a DFA known to be minimal and canonically
+    numbered, which `minimize` returns as it is; it is not a field, so
+    equality, hashing, repr and `dfa_to_json` do not see it, and a
+    `dataclasses.replace` copy comes out unmarked."""
+
     alphabet: Alphabet
     states: int
     initial: int
     finals: frozenset[int]
     delta: tuple[tuple[int, ...], ...]
+
+    _minimal = False
+
+    @classmethod
+    def _trusted(
+        cls,
+        alphabet: Alphabet,
+        states: int,
+        initial: int,
+        finals: frozenset[int],
+        delta: tuple[tuple[int, ...], ...],
+        minimal: bool = False,
+    ) -> Dfa:
+        """A DFA whose fields the caller derived from checked DFAs, so the
+        range and width checks of __post_init__ are skipped."""
+        dfa = object.__new__(cls)
+        dfa.__dict__.update(
+            alphabet=alphabet,
+            states=states,
+            initial=initial,
+            finals=finals,
+            delta=delta,
+            _minimal=minimal,
+        )
+        return dfa
 
     def __post_init__(self) -> None:
         if self.states < 1:
@@ -282,8 +321,11 @@ def shortest_word(dfa: Dfa) -> str | None:
 
 
 def complement(dfa: Dfa) -> Dfa:
+    """The same table with the finals flipped.  Flipping keeps states
+    distinguishable and the numbering unchanged, so a minimal canonical
+    DFA stays marked."""
     finals = frozenset(range(dfa.states)) - dfa.finals
-    return Dfa(dfa.alphabet, dfa.states, dfa.initial, finals, dfa.delta)
+    return Dfa._trusted(dfa.alphabet, dfa.states, dfa.initial, finals, dfa.delta, dfa._minimal)
 
 
 _PRODUCT_MODES = {
@@ -325,7 +367,7 @@ def _determinize(alphabet: Alphabet, start, successors, accepting) -> Dfa:
             row.append(target)
         delta.append(tuple(row))
     finals = frozenset(k for k, state in enumerate(order) if accepting(state))
-    return Dfa(alphabet, len(order), 0, finals, tuple(delta))
+    return Dfa._trusted(alphabet, len(order), 0, finals, tuple(delta))
 
 
 def concat(left: Dfa, right: Dfa) -> Dfa:
@@ -384,8 +426,12 @@ def minimize(dfa: Dfa) -> Dfa:
     is queued as a splitter for every letter: whether or not the block was
     queued itself, that is the half Hopcroft's rule queues.  `_canonical`
     then numbers the blocks breadth-first, so equal languages yield
-    identical structures.
+    identical structures.  The result is marked minimal, and a marked
+    input (from `minimize`, `_dfa_word`, `_dfa_empty`, or `complement` of
+    one of these) is returned as it is.
     """
+    if dfa._minimal:
+        return dfa
     delta = dfa.delta
     width = len(dfa.alphabet)
     # restrict to reachable states
@@ -434,9 +480,12 @@ def minimize(dfa: Dfa) -> Dfa:
 
 
 def _canonical(dfa: Dfa, block) -> Dfa:
-    """The quotient of `dfa` by a congruence, numbered breadth-first from
-    the initial block, letters in alphabet order.  `block[q]` names the
-    class of each reachable state q; finality and edges must respect it."""
+    """The quotient of `dfa` by its coarsest congruence, numbered
+    breadth-first from the initial block, letters in alphabet order, and
+    marked minimal.  `block[q]` names the class of each reachable state q:
+    states in one class must agree on finality and on the classes of
+    their edges, and states in different classes must be
+    distinguishable."""
     delta = dfa.delta
     canon = {block[dfa.initial]: 0}
     reps = [dfa.initial]
@@ -448,27 +497,39 @@ def _canonical(dfa: Dfa, block) -> Dfa:
                 reps.append(target)
     rows = tuple(tuple(canon[block[t]] for t in delta[q]) for q in reps)
     finals = frozenset(k for k, q in enumerate(reps) if q in dfa.finals)
-    return Dfa(dfa.alphabet, len(reps), 0, finals, rows)
+    return Dfa._trusted(dfa.alphabet, len(reps), 0, finals, rows, minimal=True)
 
 
 def _dfa_empty(alphabet: Alphabet) -> Dfa:
+    """Minimal canonical DFA of the empty language, marked minimal."""
     width = len(alphabet)
-    return Dfa(alphabet, 1, 0, frozenset(), ((0,) * width,))
+    return Dfa._trusted(alphabet, 1, 0, frozenset(), ((0,) * width,), minimal=True)
 
 
 def _dfa_word(alphabet: Alphabet, word: str) -> Dfa:
-    """Minimal canonical DFA of the one-word language {word}: a chain of
-    len(word) + 1 states, the last one final, then a dead state."""
+    """Minimal canonical DFA of the one-word language {word}, marked
+    minimal: a chain of len(word) + 1 states, the last one final, and a
+    dead state that every letter off the chain leads to, written directly
+    in breadth-first order.  With two or more letters the dead state is
+    number 1 when the word's first letter is not the alphabet's first
+    letter, and number 2 otherwise; with one letter, or for the empty
+    word, it comes last.  Chain state i is number i below the dead state
+    and i + 1 above it."""
     width = len(alphabet)
-    dead = len(word) + 1
+    size = len(word)
+    if width == 1 or not word:
+        dead = size + 1
+    else:
+        dead = 1 if word[0] != alphabet.symbols[0] else 2
     rows = []
-    for sym in word:
+    for i, sym in enumerate(word, start=1):
         row = [dead] * width
-        row[alphabet.index(sym)] = len(rows) + 1
+        row[alphabet.index(sym)] = i if i < dead else i + 1
         rows.append(tuple(row))
-    rows += [(dead,) * width] * 2
-    chain = Dfa(alphabet, dead + 1, 0, frozenset({dead - 1}), tuple(rows))
-    return _canonical(chain, range(dead + 1))
+    rows.append((dead,) * width)
+    rows.insert(dead, (dead,) * width)
+    final = size if size < dead else size + 1
+    return Dfa._trusted(alphabet, size + 2, 0, frozenset({final}), tuple(rows), minimal=True)
 
 
 def compile_pattern(text: str, alphabet: Alphabet) -> Dfa:

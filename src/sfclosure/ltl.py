@@ -238,7 +238,8 @@ def _children(node: Formula) -> tuple[Formula, ...]:
 class _Images:
     """Images of state sets (int bitmasks) of a bound DFA under single
     letters: predecessors for until, successors for since.  Computed on
-    demand and kept per letter."""
+    demand and kept per letter; the sweeps read `cache` inline and call
+    the object only on a miss."""
 
     def __init__(self, dfa: Dfa, backward: bool) -> None:
         self.backward = backward
@@ -250,10 +251,7 @@ class _Images:
         self.cache: dict[str, dict[int, int]] = {sym: {} for sym in dfa.alphabet}
 
     def __call__(self, sym: str, states: int) -> int:
-        try:
-            return self.cache[sym][states]
-        except KeyError:
-            pass
+        """The image of `states` under `sym`, computed and cached."""
         if sym not in self.columns:
             raise InputError(f"symbol {sym!r} is not in the alphabet")
         result = 0
@@ -270,11 +268,16 @@ def _until(images: _Images, word: str, left: int, right: int) -> int:
     # which the infix word[i:j-1] of some witness j > i leads to a final
     # state, with the left side true strictly between i and j.
     n = len(word)
-    finals, initial = images.finals, images.initial
+    finals, initial, cache = images.finals, images.initial, images.cache
     states = finals if right >> (n + 1) & 1 else 0
     out = (states >> initial & 1) << n
     for i in range(n - 1, -1, -1):
-        states = images(word[i], states) if states and left >> (i + 1) & 1 else 0
+        if states and left >> (i + 1) & 1:
+            sym = word[i]
+            image = cache[sym].get(states) if sym in cache else None
+            states = images(sym, states) if image is None else image
+        else:
+            states = 0
         if right >> (i + 1) & 1:
             states |= finals
         if states >> initial & 1:
@@ -287,11 +290,16 @@ def _since(images: _Images, word: str, left: int, right: int) -> int:
     # on the infix word[j:i-1] of some witness j < i, with the left side
     # true strictly between j and i.
     n = len(word)
-    finals, start = images.finals, 1 << images.initial
+    finals, start, cache = images.finals, 1 << images.initial, images.cache
     states = start if right & 1 else 0
     out = 2 if states & finals else 0
     for i in range(2, n + 2):
-        states = images(word[i - 2], states) if states and left >> (i - 1) & 1 else 0
+        if states and left >> (i - 1) & 1:
+            sym = word[i - 2]
+            image = cache[sym].get(states) if sym in cache else None
+            states = images(sym, states) if image is None else image
+        else:
+            states = 0
         if right >> (i - 1) & 1:
             states |= start
         if states & finals:

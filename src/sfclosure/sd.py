@@ -32,6 +32,7 @@ from .automata import (
     spell,
     star,
 )
+from .config import DEFAULT
 from .errors import InputError
 
 
@@ -72,7 +73,7 @@ def _plus_maps(k: Dfa) -> tuple[Dfa, dict]:
     leading from its state into a final state.  No word of k extends
     another, so k+ is k with each final row replaced by the initial row."""
     rows = tuple(k.delta[k.initial] if q in k.finals else row for q, row in enumerate(k.delta))
-    plus = minimize(Dfa(k.alphabet, k.states, k.initial, k.finals, rows))
+    plus = minimize(Dfa._trusted(k.alphabet, k.states, k.initial, k.finals, rows))
     into: list[list] = [[] for _ in range(plus.states)]
     for q, row in enumerate(plus.delta):
         for symbol, target in zip(k.alphabet.symbols, row):
@@ -159,8 +160,11 @@ def sync_delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
     return _delay_witness(k, d)
 
 
-def min_sync_delay(k: Dfa, dmax: int = 8) -> int | None:
-    """Least delay bound up to dmax >= 1, or None.  Requires a prefix code."""
+def min_sync_delay(k: Dfa, dmax: int | None = None) -> int | None:
+    """Least delay bound up to dmax >= 1, DEFAULT.delay_dmax when it is
+    None, or None.  Requires a prefix code."""
+    if dmax is None:
+        dmax = DEFAULT.delay_dmax
     if dmax < 1:
         raise InputError("synchronization delay bound must be at least 1")
     _require_prefix_code(k)

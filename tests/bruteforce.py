@@ -18,6 +18,7 @@ from sfclosure.automata import (
     MAX_NESTING,
     Alphabet,
     Dfa,
+    _canonical,
     _dfa_empty,
     accepts,
     complement,
@@ -1356,6 +1357,29 @@ def naive_minimize(dfa: Dfa) -> Dfa:
     )
     finals = frozenset(canon[b] for b in order if repr_of[b] in dfa.finals)
     return Dfa(dfa.alphabet, len(order), 0, finals, delta)
+
+
+def rebuilt(dfa: Dfa) -> Dfa:
+    """The same DFA through the public constructor: every check of
+    `Dfa.__post_init__` runs again, and the copy is not marked minimal."""
+    return Dfa(dfa.alphabet, dfa.states, dfa.initial, dfa.finals, dfa.delta)
+
+
+def naive_dfa_word(alphabet: Alphabet, word: str) -> Dfa:
+    """DFA of {word}: the chain 0 .. len(word), its last state final, and
+    a dead state, which is minimal, renumbered breadth-first by
+    `automata._canonical`; `automata._dfa_word` before it wrote that
+    numbering directly."""
+    width = len(alphabet)
+    dead = len(word) + 1
+    rows = []
+    for sym in word:
+        row = [dead] * width
+        row[alphabet.index(sym)] = len(rows) + 1
+        rows.append(tuple(row))
+    rows += [(dead,) * width] * 2
+    chain = Dfa(alphabet, dead + 1, 0, frozenset({dead - 1}), tuple(rows))
+    return _canonical(chain, range(dead + 1))
 
 
 def _dfa_epsilon(alphabet: Alphabet) -> Dfa:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,13 +8,16 @@ from bruteforce import (
     dfa_from_json,
     is_empty,
     naive_compile_pattern,
+    naive_dfa_word,
     naive_minimize,
     nerode_class_count,
+    rebuilt,
     words_up_to,
 )
 from sfclosure.automata import (
     MAX_NESTING,
     Dfa,
+    _dfa_word,
     accepts,
     compile_pattern,
     complement,
@@ -190,13 +195,56 @@ def test_minimize_is_idempotent_and_canonical(corpus):
         again = minimize(dfa)
         assert again == dfa  # corpus members are already minimal
         assert minimize(complement(complement(dfa))) == dfa
+        # corpus members are marked minimal, which `minimize` returns as
+        # they are; unmarked copies go through Hopcroft's refinement
+        assert minimize(rebuilt(dfa)) == dfa
+        assert minimize(rebuilt(complement(dfa))) == complement(dfa)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, 0, frozenset(), ()), "at least one state"),
+        ((1, 1, frozenset(), ((0, 0),)), "initial state out of range"),
+        ((1, 0, frozenset({1}), ((0, 0),)), "final state 1 out of range"),
+        ((2, 0, frozenset(), ((0, 0),)), "one row per state"),
+        ((1, 0, frozenset(), ((0,),)), "wrong width"),
+        ((1, 0, frozenset(), ((0, 1),)), "transition target 1 out of range"),
+    ],
+)
+def test_public_constructor_checks_every_field(fields, message):
+    with pytest.raises(InputError, match=message):
+        Dfa(AB, *fields)
+
+
+def test_minimal_marker_is_not_a_field():
+    marked = compile_pattern("(ab)*", AB)
+    plain = rebuilt(marked)
+    assert marked._minimal and not plain._minimal
+    assert marked == plain and hash(marked) == hash(plain)
+    assert repr(marked) == repr(plain)
+    assert dfa_to_json(marked) == dfa_to_json(plain)
+    assert [f.name for f in dataclasses.fields(marked)] == [
+        "alphabet", "states", "initial", "finals", "delta"
+    ]
+    assert not dataclasses.replace(marked)._minimal
+
+
+@pytest.mark.parametrize("letters", ["a", "ab", "ba", "abc", "cab"])
+def test_word_chain_is_numbered_as_it_is_built(letters):
+    alphabet = make_alphabet(letters)
+    for word in words_up_to(alphabet, 6):
+        dfa = _dfa_word(alphabet, word)
+        assert dfa == naive_dfa_word(alphabet, word) == naive_minimize(dfa)
+        assert dfa._minimal
 
 
 @st.composite
-def _complete_dfas(draw):
-    # 1-3 letters, 1-12 states and a random initial state, so that some
-    # states are often unreachable
-    alphabet = make_alphabet("abc"[: draw(st.integers(1, 3))])
+def _complete_dfas(draw, alphabet=None):
+    # 1-3 letters unless given, 1-12 states and a random initial state, so
+    # that some states are often unreachable
+    if alphabet is None:
+        alphabet = make_alphabet("abc"[: draw(st.integers(1, 3))])
     states = draw(st.integers(1, 12))
     targets = st.integers(0, states - 1)
     delta = tuple(
@@ -244,6 +292,11 @@ def test_compile_agrees_with_minimized_self(pattern):
     assert minimize(dfa) == dfa
     comp = complement(complement(dfa))
     assert minimize(comp) == dfa
+    # the compiled DFA is marked minimal; unmarked copies of it and of its
+    # complements go through Hopcroft's refinement
+    assert minimize(rebuilt(dfa)) == dfa
+    assert minimize(rebuilt(comp)) == dfa
+    assert minimize(rebuilt(complement(dfa))) == complement(dfa)
 
 
 @given(_pattern, st.integers(0, 4))
@@ -289,3 +342,41 @@ def test_compiling_while_parsing_matches_the_syntax_tree(text):
     assert _compiled_or_error(compile_pattern, text) == _compiled_or_error(
         naive_compile_pattern, text
     )
+
+
+# some texts of _regex_text, such as "~", are errors
+_compiled = (
+    st.one_of(_pattern, _regex_text)
+    .map(lambda text: _compiled_or_error(compile_pattern, text))
+    .filter(lambda dfa: isinstance(dfa, Dfa))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_compiled, _complete_dfas()))
+def test_minimal_marker_never_changes_an_answer(dfa):
+    # compiled DFAs arrive marked, drawn ones unmarked
+    small = minimize(dfa)
+    assert small == minimize(rebuilt(dfa)) == naive_minimize(dfa)
+    assert small._minimal
+    comp = complement(small)
+    assert comp._minimal and comp == minimize(rebuilt(comp))
+    # the complement of an unmarked DFA stays unmarked
+    assert minimize(complement(dfa)) == naive_minimize(complement(dfa))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_compiled, _complete_dfas(alphabet=AB)),
+    st.one_of(_compiled, _complete_dfas(alphabet=AB)),
+)
+def test_every_built_dfa_passes_the_public_checks(left, right):
+    built = [
+        *(product(left, right, mode) for mode in ("union", "intersection", "difference")),
+        concat(left, right),
+        star(left),
+        complement(left),
+        minimize(left),
+    ]
+    for dfa in built:
+        assert rebuilt(dfa) == dfa

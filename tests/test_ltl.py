@@ -133,6 +133,11 @@ class TestParsing:
         with pytest.raises(InputError, match="not in the alphabet"):
             eval_word(parse_formula("F(a)", AB), "ca")
 
+    def test_word_letter_outside_the_bound_alphabet_going_forward(self):
+        # the since sweep reads the 'c' after the 'a' that starts it
+        with pytest.raises(InputError, match="symbol 'c' is not in the alphabet"):
+            eval_word(parse_formula("S(top, a)", AB), "ac")
+
     def test_constructed_and_parsed_agree(self):
         built = Until(compile_pattern("~%", AB), Top(), LetterAt("a"))
         parsed = parse_formula("U(top, a)", AB)

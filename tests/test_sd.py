@@ -13,6 +13,7 @@ from bruteforce import (
     naive_plus_maps,
     naive_prefix_code_violation,
     naive_sync_delay_witness,
+    rebuilt,
     search_delay_violation,
     search_prefix_violation,
 )
@@ -28,6 +29,7 @@ from sfclosure.automata import (
     minimize,
     spell,
 )
+from sfclosure.config import Config
 from sfclosure.errors import InputError
 from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD
@@ -372,6 +374,22 @@ def test_searches_match_their_references(k):
     order = list(breadth_first((0,), lambda q: zip("ab", plus.delta[q]), ahead))
     assert order == list(range(plus.states))
     assert {q: spell(ahead, q) for q in order} == prefix
+
+
+@settings(max_examples=200)
+@given(_codes.filter(is_prefix_code))
+def test_plus_automaton_passes_the_public_checks(k):
+    plus, _ = sd._plus_maps(k)
+    assert rebuilt(plus) == plus
+
+
+def test_delay_bound_defaults_to_the_config(monkeypatch):
+    # (aab)*ab has least delay 2
+    k = code("(aab)*ab")
+    monkeypatch.setattr(sd, "DEFAULT", Config(delay_dmax=1))
+    assert min_sync_delay(k) is None
+    monkeypatch.setattr(sd, "DEFAULT", Config(delay_dmax=2))
+    assert min_sync_delay(k) == 2
 
 
 @settings(max_examples=200)
