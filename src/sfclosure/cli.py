@@ -86,21 +86,18 @@ def _language_morphism(args, config: Config):
     raise InputError("give either --morphism <file> or --lang <regex>")
 
 
-def _cmd_regex(args) -> dict:
-    _config_of(args)
+def _cmd_regex(args, config: Config) -> dict:
     alphabet = _alphabet_of(args)
     return dfa_to_json(compile_pattern(args.pattern, alphabet))
 
 
-def _cmd_monoid(args) -> dict:
-    config = _config_of(args)
+def _cmd_monoid(args, config: Config) -> dict:
     alphabet = _alphabet_of(args)
     dfa = compile_pattern(args.lang, alphabet)
     return morphism_to_json(syntactic_morphism(dfa, cap=config.monoid_cap))
 
 
-def _cmd_kernel(args) -> dict:
-    config = _config_of(args)
+def _cmd_kernel(args, config: Config) -> dict:
     selector = args.klass
     if selector not in GROUP_CLASSES:
         raise InputError("kernels are defined for the group classes mod, amt, gr")
@@ -109,16 +106,14 @@ def _cmd_kernel(args) -> dict:
     return {"kernel": sorted(kernel)}
 
 
-def _cmd_orbits(args) -> dict:
-    config = _config_of(args)
+def _cmd_orbits(args, config: Config) -> dict:
     cls = _resolve_class(args.klass, args)
     if not isinstance(cls, FinitePrevariety):
         raise InputError("orbits are defined for finite classes; use st or finite:<file>")
     return {"orbits": idempotent_orbits(cls, _language_morphism(args, config))}
 
 
-def _cmd_membership(args) -> dict:
-    config = _config_of(args)
+def _cmd_membership(args, config: Config) -> dict:
     cls = _resolve_class(args.klass, args)
     alphabet = _alphabet_of(args)
     dfa = compile_pattern(args.lang, alphabet)
@@ -126,8 +121,7 @@ def _cmd_membership(args) -> dict:
     return verdict.to_json()
 
 
-def _cmd_separate(args) -> dict:
-    config = _config_of(args)
+def _cmd_separate(args, config: Config) -> dict:
     cls = _resolve_class(args.klass, args)
     alphabet = _alphabet_of(args)
     left = compile_pattern(args.left, alphabet)
@@ -135,8 +129,7 @@ def _cmd_separate(args) -> dict:
     return is_separable(cls, left, right, config=config).to_json()
 
 
-def _cmd_cover(args) -> dict:
-    config = _config_of(args)
+def _cmd_cover(args, config: Config) -> dict:
     cls = _resolve_class(args.klass, args)
     alphabet = _alphabet_of(args)
     covered = compile_pattern(args.covered, alphabet)
@@ -144,8 +137,7 @@ def _cmd_cover(args) -> dict:
     return is_coverable(cls, covered, avoided, config=config).to_json()
 
 
-def _cmd_sd_validate(args) -> dict:
-    config = _config_of(args)
+def _cmd_sd_validate(args, config: Config) -> dict:
     alphabet = _alphabet_of(args)
     expr = parse_sd_expression(_read_text(args.file), alphabet)
     dfa, violations = validate_sd_expression(expr, alphabet, dmax=config.delay_dmax)
@@ -155,16 +147,14 @@ def _cmd_sd_validate(args) -> dict:
     return doc
 
 
-def _cmd_sd_delay(args) -> dict:
-    config = _config_of(args)
+def _cmd_sd_delay(args, config: Config) -> dict:
     alphabet = _alphabet_of(args)
     dfa = compile_pattern(args.pattern, alphabet)
     dmax = args.dmax if args.dmax is not None else config.delay_dmax
     return {"delay": min_sync_delay(dfa, dmax=dmax)}
 
 
-def _cmd_ltl_eval(args) -> dict:
-    _config_of(args)
+def _cmd_ltl_eval(args, config: Config) -> dict:
     alphabet = _alphabet_of(args)
     formula = parse_formula(_read_text(args.formula), alphabet)
     word = args.word
@@ -174,8 +164,7 @@ def _cmd_ltl_eval(args) -> dict:
     return {"answer": eval_at(formula, word, args.position)}
 
 
-def _cmd_ltl_compare(args) -> dict:
-    _config_of(args)
+def _cmd_ltl_compare(args, config: Config) -> dict:
     alphabet = _alphabet_of(args)
     formula = parse_formula(_read_text(args.formula), alphabet)
     dfa = compile_pattern(args.lang, alphabet)
@@ -277,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = args.handler(args)
+        doc = args.handler(args, _config_of(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

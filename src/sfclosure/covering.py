@@ -433,10 +433,8 @@ def _group_step(
     return sorted(values)
 
 
-def saturate_group(
-    g: GroupClass, rho: RatingMap, config: Config = DEFAULT, want_trace: bool = False
-) -> Saturation:
-    sat = Saturation(rho.semiring, want_trace)
+def saturate_group(g: GroupClass, rho: RatingMap, config: Config = DEFAULT) -> Saturation:
+    sat = Saturation(rho.semiring, config.trace)
     changed = True
     while changed:
         changed = False
@@ -454,12 +452,10 @@ def saturate_group(
     return sat
 
 
-def _opt_chain_group(
-    g: GroupClass, rho: RatingMap, config: Config, want_trace: bool = False
-) -> Saturation:
+def _opt_chain_group(g: GroupClass, rho: RatingMap, config: Config) -> Saturation:
     """Saturation extended with word values and product closure: the
     maximal elements of the optimal imprint."""
-    sat = saturate_group(g, rho, config=config, want_trace=want_trace)
+    sat = saturate_group(g, rho, config=config)
     sat.insert(rho.semiring.one, "word")
     for img in rho.letter_images:
         sat.insert(img, "word")
@@ -468,12 +464,12 @@ def _opt_chain_group(
     return sat
 
 
-def _optimal(cls, rho: RatingMap, config: Config, want_trace: bool = False) -> Saturation:
+def _optimal(cls, rho: RatingMap, config: Config) -> Saturation:
     """The saturation whose maxima are those of the optimal imprint."""
     if isinstance(cls, FinitePrevariety):
-        return saturate_finite(cls, rho, want_trace=want_trace)
+        return saturate_finite(cls, rho, want_trace=config.trace)
     if isinstance(cls, GroupClass):
-        return _opt_chain_group(cls, rho, config, want_trace=want_trace)
+        return _opt_chain_group(cls, rho, config)
     raise InputError(f"unsupported class object {cls!r}")
 
 
@@ -549,7 +545,7 @@ def is_coverable(cls, l0, others, config: Config = DEFAULT) -> CoverReport:
     instance = reduce_cover_instance(
         l0, others, monoid_cap=config.monoid_cap, powerset_cap=config.powerset_cap
     )
-    sat = _optimal(cls, instance.rho, config, want_trace=config.trace)
+    sat = _optimal(cls, instance.rho, config)
     maxima = sat.maxima()
     answer = not any(instance.is_bad(v) for v in maxima)
     return CoverReport(answer, len(maxima), sat.rounds, sat.trace)

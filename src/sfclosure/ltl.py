@@ -19,10 +19,10 @@ of shift-or matching but across words instead of positions.  The words of
 one length, numbered length-lexicographically, form blocks of at most
 BLOCK_WORDS words sharing a prefix.  Bit w of a mask stands for word w of a
 block: a subformula keeps one mask per position, a sweep one mask per bound
-state, and the automaton's run one mask per state.  A word whose evaluation
-would read a letter missing from a bound's or the automaton's alphabet is
-marked in a mask as well, and the least such word is evaluated on its own
-so that it raises exactly the error the word-by-word loop would.
+state, and the automaton's run one mask per state.  A letter missing from a
+bound's or the automaton's alphabet is caught once, where an evaluator first
+meets it: the word sweeps raise on the cache read of the missing letter, and
+the sampled comparison checks the sample alphabet before it starts.
 """
 
 from __future__ import annotations
@@ -239,7 +239,8 @@ class _Images:
     """Images of state sets (int bitmasks) of a bound DFA under single
     letters: predecessors for until, successors for since.  Computed on
     demand and kept per letter; the sweeps read `cache` inline and call
-    the object only on a miss."""
+    the object only on a miss.  `cache` has keys for the bound's letters
+    only, so reading it is the sweeps' letter test (KeyError)."""
 
     def __init__(self, dfa: Dfa, backward: bool) -> None:
         self.backward = backward
@@ -252,8 +253,6 @@ class _Images:
 
     def __call__(self, sym: str, states: int) -> int:
         """The image of `states` under `sym`, computed and cached."""
-        if sym not in self.columns:
-            raise InputError(f"symbol {sym!r} is not in the alphabet")
         result = 0
         for q, target in enumerate(self.columns[sym]):
             source, image = (target, q) if self.backward else (q, target)
@@ -274,7 +273,7 @@ def _until(images: _Images, word: str, left: int, right: int) -> int:
     for i in range(n - 1, -1, -1):
         if states and left >> (i + 1) & 1:
             sym = word[i]
-            image = cache[sym].get(states) if sym in cache else None
+            image = cache[sym].get(states)
             states = images(sym, states) if image is None else image
         else:
             states = 0
@@ -296,7 +295,7 @@ def _since(images: _Images, word: str, left: int, right: int) -> int:
     for i in range(2, n + 2):
         if states and left >> (i - 1) & 1:
             sym = word[i - 2]
-            image = cache[sym].get(states) if sym in cache else None
+            image = cache[sym].get(states)
             states = images(sym, states) if image is None else image
         else:
             states = 0
@@ -312,8 +311,8 @@ _KINDS = (Top, Min, Max, LetterAt, Not, Or, And, Until, Since)
 
 def _plan(formula: Formula) -> list[tuple]:
     """The distinct subformulas in post-order, each as (kind, node, slot of
-    the left or only child, slot of the right child, images of its bound),
-    built from an explicit stack so deep formulas do not recurse."""
+    the left or only child, slot of the right child), built from an
+    explicit stack so deep formulas do not recurse."""
     slots: dict[int, int] = {}
     steps: list[tuple] = []
     stack = [formula]
@@ -332,11 +331,8 @@ def _plan(formula: Formula) -> list[tuple]:
         if kind is None:
             raise TypeError(f"unknown formula node {type(node).__name__}")
         left, right = ([slots[id(c)] for c in children] + [-1, -1])[:2]
-        images = None
-        if kind is Until or kind is Since:
-            images = _Images(node.bound, backward=kind is Until)
         slots[id(node)] = len(steps)
-        steps.append((kind, node, left, right, images))
+        steps.append((kind, node, left, right))
     return steps
 
 
@@ -345,20 +341,26 @@ def _truth(formula: Formula, word: str) -> int:
     bits of an int, one such vector per subformula, children first."""
     n = len(word)
     everywhere = (1 << (n + 2)) - 1
+    # a letter vector: the reversed word, each of its letters read as a bit
+    reverse = word[::-1]
+    zeros = dict.fromkeys(map(ord, set(word)), "0")
     vectors: list[int] = []
-    for kind, node, left, right, images in _plan(formula):
+    for kind, node, left, right in _plan(formula):
         if kind is And:
             value = vectors[left] & vectors[right]
         elif kind is Or:
             value = vectors[left] | vectors[right]
         elif kind is Not:
             value = everywhere ^ vectors[left]
-        elif kind is Until:
-            value = _until(images, word, vectors[left], vectors[right])
-        elif kind is Since:
-            value = _since(images, word, vectors[left], vectors[right])
+        elif kind is Until or kind is Since:
+            sweep = _until if kind is Until else _since
+            images = _Images(node.bound, backward=kind is Until)
+            try:
+                value = sweep(images, word, vectors[left], vectors[right])
+            except KeyError as exc:
+                raise InputError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
         elif kind is LetterAt:
-            marks = "".join("1" if sym == node.symbol else "0" for sym in reversed(word))
+            marks = reverse.translate({**zeros, ord(node.symbol): "1"})
             value = int(marks + "0", 2)
         elif kind is Top:
             value = everywhere
@@ -417,37 +419,28 @@ def _spell(index: int, length: int, symbols: tuple[str, ...]) -> str:
     return "".join(reversed(letters))
 
 
-def _moves(dfa: Dfa, symbols: tuple[str, ...]) -> list:
-    """Per letter of `symbols`, the successor of each automaton state, or
-    None where the automaton's alphabet lacks the letter."""
-    return [
-        [row[dfa.alphabet.index(sym)] for row in dfa.delta] if sym in dfa.alphabet else None
-        for sym in symbols
-    ]
+def _moves(dfa: Dfa, symbols: tuple[str, ...]) -> list[list[int]]:
+    """Per letter of `symbols`, the successor of each automaton state."""
+    return [[row[dfa.alphabet.index(sym)] for row in dfa.delta] for sym in symbols]
 
 
 def _step(moves: list, states: list[int], column: list[int], live: int, backward: bool):
     """One step of an automaton on every word of a block, restricted to the
     `live` words: the state masks after the letter column (before it, when
-    backward), and the live words in some state that read a letter the
-    automaton lacks."""
+    backward)."""
     result = [0] * len(states)
-    stuck = 0
     for targets, letter in zip(moves, column):
         letter &= live
         if not letter:
             continue
-        if targets is None:
-            for words in states:
-                stuck |= words & letter
-        elif backward:
+        if backward:
             for source, target in enumerate(targets):
                 result[source] |= states[target] & letter
         else:
             for words, target in zip(states, targets):
                 if words:
                     result[target] |= words & letter
-    return result, stuck
+    return result
 
 
 def _until_block(bound: Dfa, moves: list, columns, left: list[int], right: list[int]):
@@ -460,14 +453,12 @@ def _until_block(bound: Dfa, moves: list, columns, left: list[int], right: list[
         states[q] = right[n + 1]
     out = [0] * (n + 2)
     out[n] = states[bound.initial]
-    stuck = 0
     for i in range(n - 1, -1, -1):
-        states, foreign = _step(moves, states, columns[i], left[i + 1], backward=True)
-        stuck |= foreign
+        states = _step(moves, states, columns[i], left[i + 1], backward=True)
         for q in finals:
             states[q] |= right[i + 1]
         out[i] = states[bound.initial]
-    return out, stuck
+    return out
 
 
 def _since_block(bound: Dfa, moves: list, columns, left: list[int], right: list[int]):
@@ -479,23 +470,19 @@ def _since_block(bound: Dfa, moves: list, columns, left: list[int], right: list[
     out = [0] * (n + 2)
     for q in finals:
         out[1] |= states[q]
-    stuck = 0
     for i in range(2, n + 2):
-        states, foreign = _step(moves, states, columns[i - 2], left[i - 1], backward=False)
-        stuck |= foreign
+        states = _step(moves, states, columns[i - 2], left[i - 1], backward=False)
         states[bound.initial] |= right[i - 1]
         for q in finals:
             out[i] |= states[q]
-    return out, stuck
+    return out
 
 
-def _block_truth(steps: list[tuple], moves: dict, columns, symbols, full: int):
-    """Truth of the formula at position 0 of every word of a block, and the
-    words whose per-word sweeps read a letter missing from a bound."""
+def _block_truth(steps: list[tuple], columns, symbols, full: int) -> int:
+    """Truth of the formula at position 0 of every word of a block."""
     n = len(columns)
     vectors: list[list[int]] = []
-    stuck = 0
-    for kind, node, left, right, _ in steps:
+    for kind, node, left, right in steps:
         if kind is And:
             value = [x & y for x, y in zip(vectors[left], vectors[right])]
         elif kind is Or:
@@ -504,10 +491,8 @@ def _block_truth(steps: list[tuple], moves: dict, columns, symbols, full: int):
             value = [full ^ x for x in vectors[left]]
         elif kind is Until or kind is Since:
             sweep = _until_block if kind is Until else _since_block
-            value, foreign = sweep(
-                node.bound, moves[id(node)], columns, vectors[left], vectors[right]
-            )
-            stuck |= foreign
+            moves = _moves(node.bound, symbols)
+            value = sweep(node.bound, moves, columns, vectors[left], vectors[right])
         elif kind is LetterAt:
             value = [0] * (n + 2)
             if node.symbol in symbols:
@@ -520,7 +505,7 @@ def _block_truth(steps: list[tuple], moves: dict, columns, symbols, full: int):
         else:
             value = [0] * (n + 1) + [full]
         vectors.append(value)
-    return vectors[-1][0], stuck
+    return vectors[-1][0]
 
 
 def compare_sampled(
@@ -529,25 +514,26 @@ def compare_sampled(
     """Words up to the length bound where formula and automaton disagree,
     shortest first and length-lexicographic within one length.
 
-    The words of one length are evaluated together, up to BLOCK_WORDS of
-    them at a time: each subformula keeps one mask over the block's words
-    per position, so connectives are bitwise operations, and the until and
-    since sweeps and the automaton run keep one mask per state.  The words
-    whose per-word evaluation would raise InputError (a letter missing from
-    a bound's or the automaton's alphabet) are tracked as a mask too; the
-    least of them is then evaluated on its own, which raises the same error
-    at the same word as evaluating word by word would.
+    When the automaton and every until and since bound read each letter of
+    the sample alphabet, the words of one length are evaluated together,
+    up to BLOCK_WORDS of them at a time: each subformula keeps one mask
+    over the block's words per position, so connectives are bitwise
+    operations, and the until and since sweeps and the automaton run keep
+    one mask per state.  Otherwise a word's evaluation may raise
+    InputError, so the words are evaluated one at a time in the same
+    order, formula first, and raise at the word a word-by-word loop would.
+    That path is slower for large bounds; the command line, which compiles
+    everything over one alphabet, never takes it.
     """
     if max_length < 0:
         raise InputError(f"sample length bound {max_length} is negative")
     symbols = alphabet.symbols
     k = len(symbols)
     steps = _plan(formula)
-    moves = {
-        id(node): _moves(node.bound, symbols)
-        for kind, node, *_ in steps
-        if kind is Until or kind is Since
-    }
+    bounds = [node.bound for kind, node, *_ in steps if kind is Until or kind is Since]
+    if not all(set(symbols) <= set(a.alphabet) for a in [dfa, *bounds]):
+        words = (_spell(w, n, symbols) for n in range(max_length + 1) for w in range(k**n))
+        return [word for word in words if eval_word(formula, word) != accepts(dfa, word)]
     dfa_moves = _moves(dfa, symbols)
     mismatches = []
     for n in range(max_length + 1):
@@ -560,17 +546,11 @@ def compare_sampled(
             prefix = _spell(block, n - m, symbols)
             columns = [[full if sym == p else 0 for sym in symbols] for p in prefix]
             columns += suffix
-            truth, stuck = _block_truth(steps, moves, columns, symbols, full)
+            truth = _block_truth(steps, columns, symbols, full)
             states = [0] * dfa.states
             states[dfa.initial] = full
             for column in columns:
-                states, foreign = _step(dfa_moves, states, column, full, backward=False)
-                stuck |= foreign
-            if stuck:
-                word = prefix + _spell((stuck & -stuck).bit_length() - 1, m, symbols)
-                eval_word(formula, word)
-                accepts(dfa, word)
-                raise AssertionError(f"word {word!r} was expected to raise")
+                states = _step(dfa_moves, states, column, full, backward=False)
             accepted = 0
             for q in dfa.finals:
                 accepted |= states[q]

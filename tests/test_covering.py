@@ -320,15 +320,15 @@ def test_packed_semi_naive_matches_naive_tuple_saturation(
         except ResourceLimitError:
             if cls is GR:
                 with pytest.raises(ResourceLimitError):
-                    _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+                    _opt_chain_group(cls, instance.rho, ORACLE_CONFIG)
                 return
             # the mod group step builds no µ, so it answers where the µ
             # reference hits powerset2_cap; the report must match it
-            sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+            sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG)
             maxima = [unpack(r) for r in sat.chain.snapshot()]
             rounds, trace = sat.rounds, sat.trace
         else:
-            sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG, want_trace=True)
+            sat = _opt_chain_group(cls, instance.rho, ORACLE_CONFIG)
             assert [unpack(r) for r in sat.chain.snapshot()] == maxima
     assert sat.rounds == rounds
     assert sat.trace == trace
@@ -418,7 +418,7 @@ def test_mod_group_step_ignores_the_group_step_cap():
         with pytest.raises(ResourceLimitError):
             naive_opt_group(MOD, languages, tight)
         maxima, rounds, trace = naive_opt_group(MOD, languages, ORACLE_CONFIG)
-        sat = _opt_chain_group(MOD, instance.rho, tight, want_trace=True)
+        sat = _opt_chain_group(MOD, instance.rho, tight)
         unpack = instance.rho.semiring.unpack
         assert [unpack(r) for r in sat.chain.snapshot()] == maxima
         assert (sat.rounds, sat.trace) == (rounds, trace)

@@ -268,6 +268,17 @@ def bounded_formula_text(letters: str):
     )
 
 
+@given(st.sampled_from(["01", "10"]), st.data())
+def test_sweep_evaluator_matches_naive_over_digits(letters, data):
+    # the letter vectors read the word as binary digits, so the letters 0
+    # and 1 must each be mapped, whichever letter the formula names
+    alphabet = make_alphabet(letters)
+    formula = parse_formula(data.draw(bounded_formula_text(letters)), alphabet)
+    word = data.draw(st.text(alphabet=letters, max_size=8))
+    for position in range(len(word) + 2):
+        assert eval_at(formula, word, position) == naive_ltl(formula, word, position)
+
+
 @st.composite
 def dfas(draw, letters: str, max_states: int = 4):
     states = draw(st.integers(1, max_states))
@@ -308,6 +319,31 @@ def test_block_compare_matches_word_by_word(formula_letters, dfa_letters, letter
     with mock.patch.object(ltl, "BLOCK_WORDS", block_words):
         blocked = outcome(compare_sampled, formula, dfa, alphabet, max_length)
     assert blocked == outcome(naive_compare_sampled, formula, dfa, alphabet, max_length)
+
+
+# one letter set, the formula's, the automaton's and the sample's alphabet
+# each in its own order: no evaluation can raise, so the blocks run
+LETTER_SETS = [["ab", "ba"], ["abc", "cab", "bca"]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LETTER_SETS), st.integers(0, 7),
+       st.sampled_from([BLOCK_WORDS, 1, 2, 9]), st.data())
+def test_block_compare_on_one_letter_set(orders, max_length, block_words, data):
+    formula_letters, dfa_letters, letters = (data.draw(st.sampled_from(orders)) for _ in range(3))
+    formula = parse_formula(data.draw(bounded_formula_text(formula_letters)),
+                            make_alphabet(formula_letters))
+    dfa = data.draw(dfas(dfa_letters))
+    alphabet = make_alphabet(letters)
+    if len(letters) == 3:
+        max_length = min(max_length, 5)
+    # the reference imports eval_word when called, so it runs before the patch
+    expected = naive_compare_sampled(formula, dfa, alphabet, max_length)
+    # a word-by-word evaluation fails the test: only the blocks may answer
+    word_by_word = AssertionError("compare_sampled evaluated a single word")
+    with mock.patch.object(ltl, "BLOCK_WORDS", block_words), \
+            mock.patch.object(ltl, "eval_word", side_effect=word_by_word):
+        assert compare_sampled(formula, dfa, alphabet, max_length) == expected
 
 
 def test_first_failing_word_decides_the_error():

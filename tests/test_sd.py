@@ -15,6 +15,7 @@ from bruteforce import (
     naive_sync_delay_witness,
     rebuilt,
     search_delay_violation,
+    schutzenberger_check,
     search_prefix_violation,
 )
 from sfclosure import sd
@@ -32,7 +33,7 @@ from sfclosure.automata import (
 from sfclosure.config import Config
 from sfclosure.errors import InputError
 from sfclosure.membership import sf_membership
-from sfclosure.oracles import MOD
+from sfclosure.oracles import MOD, st_class
 from sfclosure.sd import (
     ambiguity_witness,
     is_prefix_code,
@@ -397,3 +398,34 @@ def test_delay_bound_defaults_to_the_config(monkeypatch):
 def test_ambiguity_witness_matches_its_reference(k, l):
     # complements hold the empty word, so splits at either end occur too
     assert ambiguity_witness(k, l) == naive_ambiguity_witness(k, l)
+
+
+# SD expressions over ab whose class intersections use a language of ST
+# (all words, no word) or the mod language EVEN
+sd_text = st.recursive(
+    st.sampled_from(["a", "b", "%"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: f"dunion({p[0]}, {p[1]})"),
+        st.tuples(inner, inner).map(lambda p: f"uconcat({p[0]}, {p[1]})"),
+        st.tuples(inner, st.integers(1, 3)).map(lambda t: f"star({t[0]}, d={t[1]})"),
+        st.tuples(inner, st.sampled_from(["~%", "%", EVEN])).map(
+            lambda t: f'capC({t[0]}, "{t[1]}")'
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sd_text)
+def test_valid_sd_expressions_lie_in_the_star_free_closure(text):
+    # Schützenberger: stars of prefix codes of bounded synchronization
+    # delay, over languages of C, stay inside SF(C)
+    dfa, violations = validate_sd_expression(parse_sd_expression(text, AB), AB)
+    if violations:
+        return
+    if EVEN in text:
+        assert sf_membership(MOD, dfa).answer
+    else:
+        assert sf_membership(st_class(AB), dfa).answer
+        assert schutzenberger_check(dfa)
