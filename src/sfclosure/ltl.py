@@ -9,10 +9,10 @@ mirror image.  The plain until/since default L to the full language, and the
 derived forms X, F[L] and F are expanded at parse time.
 
 Evaluation fills one truth vector per subformula over all positions of the
-word, children first.  Until is one backward sweep and since one forward
-sweep, carrying the set of bound-DFA states that can still lead to
-acceptance (until) or that have been reached (since), so a word of length n
-costs O(n * |formula| * |states|) time.
+word, children first.  Until is one backward sweep carrying the set of
+bound-DFA states that can still lead to acceptance, so a word of length n
+costs O(n * |formula| * |states|) time; since is the until sweep on the
+mirror image, where position p becomes n+1-p.
 
 Sampled comparison runs the same sweeps on many words at once, in the manner
 of shift-or matching but across words instead of positions.  The words of
@@ -187,16 +187,12 @@ class _FormulaParser(_Scanner):
         if self.text.startswith("max", self.pos):
             self.pos += 3
             return Max()
-        if self.text.startswith("U", self.pos):
+        if self.text.startswith(("U", "S"), self.pos):
+            kind = Until if self.text[self.pos] == "U" else Since
             self.pos += 1
             bound = self.bound_dfa("~%")
             left, right = self.pair()
-            return Until(bound, left, right)
-        if self.text.startswith("S", self.pos):
-            self.pos += 1
-            bound = self.bound_dfa("~%")
-            left, right = self.pair()
-            return Since(bound, left, right)
+            return kind(bound, left, right)
         if self.text.startswith("F", self.pos):
             self.pos += 1
             bound = self.bound_dfa("~%")
@@ -237,15 +233,17 @@ def _children(node: Formula) -> tuple[Formula, ...]:
 
 class _Images:
     """Images of state sets (int bitmasks) of a bound DFA under single
-    letters: predecessors for until, successors for since.  Computed on
-    demand and kept per letter; the sweeps read `cache` inline and call
-    the object only on a miss.  `cache` has keys for the bound's letters
-    only, so reading it is the sweeps' letter test (KeyError)."""
+    letters, and the sweep's `seed` and `goal` masks: predecessors from the
+    finals to the initial state for until, successors from the initial
+    state to the finals for since.  Computed on demand and kept per letter;
+    the sweep reads `cache` inline and calls the object only on a miss.
+    `cache` has keys for the bound's letters only, so reading it is the
+    sweep's letter test (KeyError)."""
 
     def __init__(self, dfa: Dfa, backward: bool) -> None:
         self.backward = backward
-        self.initial = dfa.initial
-        self.finals = sum(1 << q for q in dfa.finals)
+        finals, initial = sum(1 << q for q in dfa.finals), 1 << dfa.initial
+        self.seed, self.goal = (finals, initial) if backward else (initial, finals)
         self.columns = {
             sym: [row[i] for row in dfa.delta] for i, sym in enumerate(dfa.alphabet)
         }
@@ -262,14 +260,15 @@ class _Images:
         return result
 
 
-def _until(images: _Images, word: str, left: int, right: int) -> int:
-    # Backward sweep: `states` after step i holds the bound-DFA states from
-    # which the infix word[i:j-1] of some witness j > i leads to a final
-    # state, with the left side true strictly between i and j.
+def _sweep(images: _Images, word: str, left: int, right: int) -> int:
+    # Backward sweep: `states` after step i holds the bound-DFA states that
+    # the infix word[i:j-1] of some witness j > i links to the seed, with
+    # the left side true strictly between i and j.  For since, run on the
+    # mirror image, the infix is read forward from the initial state.
     n = len(word)
-    finals, initial, cache = images.finals, images.initial, images.cache
-    states = finals if right >> (n + 1) & 1 else 0
-    out = (states >> initial & 1) << n
+    seed, goal, cache = images.seed, images.goal, images.cache
+    states = seed if right >> (n + 1) & 1 else 0
+    out = 1 << n if states & goal else 0
     for i in range(n - 1, -1, -1):
         if states and left >> (i + 1) & 1:
             sym = word[i]
@@ -278,32 +277,15 @@ def _until(images: _Images, word: str, left: int, right: int) -> int:
         else:
             states = 0
         if right >> (i + 1) & 1:
-            states |= finals
-        if states >> initial & 1:
+            states |= seed
+        if states & goal:
             out |= 1 << i
     return out
 
 
-def _since(images: _Images, word: str, left: int, right: int) -> int:
-    # Forward sweep: `states` at step i holds the bound-DFA states reached
-    # on the infix word[j:i-1] of some witness j < i, with the left side
-    # true strictly between j and i.
-    n = len(word)
-    finals, start, cache = images.finals, 1 << images.initial, images.cache
-    states = start if right & 1 else 0
-    out = 2 if states & finals else 0
-    for i in range(2, n + 2):
-        if states and left >> (i - 1) & 1:
-            sym = word[i - 2]
-            image = cache[sym].get(states)
-            states = images(sym, states) if image is None else image
-        else:
-            states = 0
-        if right >> (i - 1) & 1:
-            states |= start
-        if states & finals:
-            out |= 1 << i
-    return out
+def _mirror(vector: int, n: int) -> int:
+    """A truth vector over positions 0..n+1 with position p moved to n+1-p."""
+    return int(format(vector, f"0{n + 2}b")[::-1], 2)
 
 
 _KINDS = (Top, Min, Max, LetterAt, Not, Or, And, Until, Since)
@@ -353,10 +335,14 @@ def _truth(formula: Formula, word: str) -> int:
         elif kind is Not:
             value = everywhere ^ vectors[left]
         elif kind is Until or kind is Since:
-            sweep = _until if kind is Until else _since
             images = _Images(node.bound, backward=kind is Until)
             try:
-                value = sweep(images, word, vectors[left], vectors[right])
+                if kind is Until:
+                    value = _sweep(images, word, vectors[left], vectors[right])
+                else:
+                    # until on the mirror image, which reads the word in order
+                    p, q = _mirror(vectors[left], n), _mirror(vectors[right], n)
+                    value = _mirror(_sweep(images, reverse, p, q), n)
             except KeyError as exc:
                 raise InputError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
         elif kind is LetterAt:
@@ -443,37 +429,25 @@ def _step(moves: list, states: list[int], column: list[int], live: int, backward
     return result
 
 
-def _until_block(bound: Dfa, moves: list, columns, left: list[int], right: list[int]):
-    # `_until` with one mask per bound state: bit w of states[q] says q is
-    # in the swept set of word w
+def _block_sweep(
+    bound: Dfa, moves: list, columns, left: list[int], right: list[int], backward: bool
+):
+    """`_sweep` with one mask per bound state: bit w of states[q] says q is
+    in the swept set of word w.  Backward it is until; forward, on the
+    mirror image, since, with seed and goal as in `_Images`."""
+    seeds, goals = (bound.finals, [bound.initial]) if backward else ([bound.initial], bound.finals)
     n = len(columns)
-    finals = bound.finals
     states = [0] * bound.states
-    for q in finals:
+    for q in seeds:
         states[q] = right[n + 1]
     out = [0] * (n + 2)
-    out[n] = states[bound.initial]
+    for q in goals:
+        out[n] |= states[q]
     for i in range(n - 1, -1, -1):
-        states = _step(moves, states, columns[i], left[i + 1], backward=True)
-        for q in finals:
+        states = _step(moves, states, columns[i], left[i + 1], backward)
+        for q in seeds:
             states[q] |= right[i + 1]
-        out[i] = states[bound.initial]
-    return out
-
-
-def _since_block(bound: Dfa, moves: list, columns, left: list[int], right: list[int]):
-    # `_since` with one mask per bound state
-    n = len(columns)
-    finals = bound.finals
-    states = [0] * bound.states
-    states[bound.initial] = right[0]
-    out = [0] * (n + 2)
-    for q in finals:
-        out[1] |= states[q]
-    for i in range(2, n + 2):
-        states = _step(moves, states, columns[i - 2], left[i - 1], backward=False)
-        states[bound.initial] |= right[i - 1]
-        for q in finals:
+        for q in goals:
             out[i] |= states[q]
     return out
 
@@ -490,9 +464,13 @@ def _block_truth(steps: list[tuple], columns, symbols, full: int) -> int:
         elif kind is Not:
             value = [full ^ x for x in vectors[left]]
         elif kind is Until or kind is Since:
-            sweep = _until_block if kind is Until else _since_block
-            moves = _moves(node.bound, symbols)
-            value = sweep(node.bound, moves, columns, vectors[left], vectors[right])
+            moves, p, q = _moves(node.bound, symbols), vectors[left], vectors[right]
+            if kind is Until:
+                value = _block_sweep(node.bound, moves, columns, p, q, True)
+            else:
+                # until on the mirror image, as in `_truth`
+                value = _block_sweep(node.bound, moves, columns[::-1], p[::-1], q[::-1], False)
+                value.reverse()
         elif kind is LetterAt:
             value = [0] * (n + 2)
             if node.symbol in symbols:

@@ -11,8 +11,10 @@ from sfclosure.automata import MAX_NESTING, Dfa, compile_pattern, make_alphabet
 from sfclosure.errors import InputError
 from sfclosure.ltl import (
     BLOCK_WORDS,
+    And,
     LetterAt,
     Max,
+    Min,
     Top,
     Until,
     compare_sampled,
@@ -28,6 +30,15 @@ AB_STAR_FORMULA = "X(a | max) & U((!a | X(b)) & (!b | X(a | max)), max)"
 PAIR_STAR_FORMULA = (
     "F[((a+b)(a+b))*](max)"
     " & U(!F[((a+b)(a+b))*(a+b)](max) | (a & X(a)) | (b & X(b)), max)"
+)
+# their mirror images, read at the artificial maximum: U and S swap, X(p)
+# becomes S[_](!top, p), F[L](p) becomes S[rev L](top, p), min and max swap
+BA_STAR_FORMULA = (
+    "S[_](!top, a | min) & S((!a | S[_](!top, b)) & (!b | S[_](!top, a | min)), min)"
+)
+MIRRORED_PAIR_STAR_FORMULA = (
+    "S[((a+b)(a+b))*](top, min)"
+    " & S(!S[(a+b)((a+b)(a+b))*](top, min) | (a & S[_](!top, a)) | (b & S[_](!top, b)), min)"
 )
 
 
@@ -138,6 +149,31 @@ class TestParsing:
         with pytest.raises(InputError, match="symbol 'c' is not in the alphabet"):
             eval_word(parse_formula("S(top, a)", AB), "ac")
 
+    @pytest.mark.parametrize(
+        "letters, text, expected",
+        [
+            # the operator letters U, S, F and X are read as operators
+            ("UX", "U", "offset 1: expected '('"),
+            ("UX", "X", "offset 1: expected '('"),
+            ("SF", "S", "offset 1: expected '('"),
+            ("SF", "F", "offset 1: expected '('"),
+            ("aS", "S(a, S)", "offset 6: expected '('"),
+            # top, min and max are read before single letters
+            ("opt", "top", Top()),
+            ("opt", "t", LetterAt("t")),
+            ("imn", "min", Min()),
+            ("amx", "max", Max()),
+            ("amx", "m & a", And(LetterAt("m"), LetterAt("a"))),
+        ],
+    )
+    def test_keywords_before_letters(self, letters, text, expected):
+        alphabet = make_alphabet(letters)
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=re.escape(expected)):
+                parse_formula(text, alphabet)
+        else:
+            assert parse_formula(text, alphabet) == expected
+
     def test_constructed_and_parsed_agree(self):
         built = Until(compile_pattern("~%", AB), Top(), LetterAt("a"))
         parsed = parse_formula("U(top, a)", AB)
@@ -208,6 +244,28 @@ def test_acceptance_formulas_on_long_words(text, pattern, blocks):
     for i in [0, 1, 799, 800, 1598, 1599] + rng.sample(range(1600), 10):
         mutant = member[:i] + "ba"[member[i] == "b"] + member[i + 1:]
         assert eval_word(f, mutant) == bool(re.fullmatch(pattern, mutant))
+
+
+@pytest.mark.parametrize(
+    "text, pattern, blocks",
+    [
+        (BA_STAR_FORMULA, "(ba)*", ["ba"]),
+        (MIRRORED_PAIR_STAR_FORMULA, "(aa|bb)*", ["aa", "bb"]),
+    ],
+    ids=["ba-star", "pair-star"],
+)
+def test_mirrored_acceptance_formulas_on_long_words(text, pattern, blocks):
+    # the since sweep on every word up to 6 letters, then on 1,600-letter
+    # members and their one-letter mutants, against re
+    f = parse_formula(text, AB)
+    for word in words_up_to(AB, 6):
+        assert eval_at(f, word, len(word) + 1) == bool(re.fullmatch(pattern, word))
+    rng = random.Random(1600)
+    member = "".join(rng.choice(blocks) for _ in range(800))
+    assert eval_at(f, member, 1601)
+    for i in [0, 1, 799, 800, 1598, 1599] + rng.sample(range(1600), 10):
+        mutant = member[:i] + "ba"[member[i] == "b"] + member[i + 1:]
+        assert eval_at(f, mutant, 1601) == bool(re.fullmatch(pattern, mutant))
 
 
 atom_text = st.sampled_from(["a", "b", "!a", "top", "min", "max", "X(b)", "a | max"])
