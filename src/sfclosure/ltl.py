@@ -100,15 +100,15 @@ class _FormulaParser(_Scanner):
         conj    := unary ('&' unary)*
         unary   := '!' unary | primary
         primary := 'top' | 'min' | 'max' | letter
-                 | 'U' ['[' regex ']'] '(' formula ',' formula ')'
-                 | 'S' ['[' regex ']'] '(' formula ',' formula ')'
+                 | ('U' | 'S') ['[' regex ']'] '(' formula ',' formula ')'
                  | 'F' ['[' regex ']'] '(' formula ')'
                  | 'X' '(' formula ')'
                  | '(' formula ')'
 
     X(p) abbreviates U[_](!top, p) where _ is the empty-word language, and
     F[L](p) abbreviates U[L](top, p); omitted bounds default to the full
-    language.
+    language.  Keywords and operators are tried before letters, so a letter
+    named U, S, F or X is read as an operator.
     """
 
     what = "formula"
@@ -323,7 +323,7 @@ def _truth(formula: Formula, word: str) -> int:
     bits of an int, one such vector per subformula, children first."""
     n = len(word)
     everywhere = (1 << (n + 2)) - 1
-    # a letter vector: the reversed word, each of its letters read as a bit
+    # letter vectors read the reversed word as bits, and since sweeps it
     reverse = word[::-1]
     zeros = dict.fromkeys(map(ord, set(word)), "0")
     vectors: list[int] = []
