@@ -9,10 +9,11 @@ makes equality of minimized DFAs decide language equality.
 
 The public constructor `Dfa(...)` checks every field.  The DFAs the
 library derives from checked ones (products, concatenations, stars,
-complements, quotients, word chains) are built with `Dfa._trusted`, which
-skips the checks.  A DFA known to be minimal and canonically numbered
-carries a `_minimal` marker: `minimize`, `_dfa_word` and `_dfa_empty` set
-it, `complement` keeps it, and `minimize` returns a marked DFA as it is.
+reversals, complements, quotients, word chains) are built with
+`Dfa._trusted`, which skips the checks.  A DFA known to be minimal and
+canonically numbered carries a `_minimal` marker: `minimize`, `_dfa_word`
+and `_dfa_empty` set it, `complement` keeps it, and `minimize` returns a
+marked DFA as it is.
 """
 
 from __future__ import annotations
@@ -320,6 +321,26 @@ def shortest_word(dfa: Dfa) -> str | None:
     return None
 
 
+def accepted_words(dfa: Dfa, max_length: int) -> list[str]:
+    """The accepted words of at most `max_length` letters, shortest first
+    and in alphabet order within one length, grown a letter at a time
+    through live states: live[r] holds the states with a path of exactly r
+    letters to a final state, so once one is empty, every later one is."""
+    symbols, delta = dfa.alphabet.symbols, dfa.delta
+    live, words = [dfa.finals], []
+    for n in range(max_length + 1):
+        if n:
+            live.append({q for q, row in enumerate(delta) if not live[-1].isdisjoint(row)})
+        if not live[n]:
+            break
+        layer = [(dfa.initial, "")] if dfa.initial in live[n] else []
+        for ahead in reversed(live[:n]):
+            layer = [(t, word + sym) for q, word in layer
+                     for sym, t in zip(symbols, delta[q]) if t in ahead]
+        words += [word for _, word in layer]
+    return words
+
+
 def complement(dfa: Dfa) -> Dfa:
     """The same table with the finals flipped.  Flipping keeps states
     distinguishable and the numbering unchanged, so a minimal canonical
@@ -415,6 +436,17 @@ def star(dfa: Dfa) -> Dfa:
         return state is None or bool(state & dfa.finals)
 
     return _determinize(dfa.alphabet, None, successors, accepting)
+
+
+def reverse(dfa: Dfa) -> Dfa:
+    """A DFA of the mirror images of the accepted words, by the subset
+    construction on the reversed edges from the finals; not minimized."""
+    letters = range(len(dfa.alphabet))
+
+    def successors(subset: frozenset[int]) -> list[frozenset[int]]:
+        return [frozenset(q for q, row in enumerate(dfa.delta) if row[a] in subset) for a in letters]
+
+    return _determinize(dfa.alphabet, dfa.finals, successors, lambda s: dfa.initial in s)
 
 
 def minimize(dfa: Dfa) -> Dfa:

@@ -14,22 +14,32 @@ bound-DFA states that can still lead to acceptance, so a word of length n
 costs O(n * |formula| * |states|) time; since is the until sweep on the
 mirror image, where position p becomes n+1-p.
 
-Sampled comparison runs the same sweeps on many words at once, in the manner
-of shift-or matching but across words instead of positions.  The words of
-one length, numbered length-lexicographically, form blocks of at most
-BLOCK_WORDS words sharing a prefix.  Bit w of a mask stands for word w of a
-block: a subformula keeps one mask per position, a sweep one mask per bound
-state, and the automaton's run one mask per state.  A letter missing from a
-bound's or the automaton's alphabet is caught once, where an evaluator first
-meets it: the word sweeps raise on the cache read of the missing letter, and
-the sampled comparison checks the sample alphabet before it starts.
+Comparison is exact.  A sweep's set at one position is a function of its
+set one position further on and of the letter and the children's truths
+there, so the sweeps of a formula make two deterministic machines, one per
+direction, and `compile_formula` turns them into a minimal DFA.  A letter
+missing from a bound's or the automaton's alphabet is caught once: the word
+sweeps raise on the cache read of the missing letter, and compilation and
+comparison check the alphabet before they start.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, _Scanner, accepts, compile_pattern
+from .automata import (
+    Alphabet,
+    Dfa,
+    _determinize,
+    _Scanner,
+    accepted_words,
+    accepts,
+    breadth_first,
+    compile_pattern,
+    minimize,
+    reverse,
+)
 from .errors import InputError
 
 
@@ -114,6 +124,7 @@ class _FormulaParser(_Scanner):
     what = "formula"
 
     def parse(self) -> Formula:
+        self.bounds: dict[str, Dfa] = {}
         node = self.formula()
         if not self.at_end():
             self.fail("trailing input")
@@ -163,10 +174,16 @@ class _FormulaParser(_Scanner):
                 self.fail("unterminated '['")
             pattern = self.text[start:self.pos]
             self.eat("]")
-        try:
-            return compile_pattern(pattern, self.alphabet)
-        except InputError as exc:
-            self.fail(f"bad bound language: {exc}")
+        return self.compiled(pattern)
+
+    def compiled(self, pattern: str) -> Dfa:
+        """The DFA of a bound, compiled once per pattern text and parse."""
+        if pattern not in self.bounds:
+            try:
+                self.bounds[pattern] = compile_pattern(pattern, self.alphabet)
+            except InputError as exc:
+                self.fail(f"bad bound language: {exc}")
+        return self.bounds[pattern]
 
     def pair(self) -> tuple[Formula, Formula]:
         self.eat("(")
@@ -205,8 +222,7 @@ class _FormulaParser(_Scanner):
             self.eat("(")
             child = self.formula()
             self.eat(")")
-            empty_word = compile_pattern("_", self.alphabet)
-            return Until(empty_word, Not(Top()), child)
+            return Until(self.compiled("_"), Not(Top()), child)
         if self.text.startswith("(", self.pos):
             self.eat("(")
             node = self.formula()
@@ -373,117 +389,119 @@ def eval_word(formula: Formula, word: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sampled comparison, all words of a block at once.  A letter column holds
-# one mask per alphabet letter: the words of the block carrying that letter
-# at one position.
-
-# words per block: a length whose words outnumber this is split into blocks
-# of words that share a prefix
-BLOCK_WORDS = 4096
+# Compilation to a DFA, and exact comparison
 
 
-def _suffix_columns(k: int, m: int) -> list[list[int]]:
-    """Letter columns of the k**m words of length m over k letters, numbered
-    length-lexicographically: letter c sits at position t of word w when
-    digit t of w in base k, most significant first, is c."""
-    width = k**m
-    columns = []
-    for t in range(m):
-        run = k ** (m - 1 - t)
-        period = k * run
-        repeat = ((1 << width) - 1) // ((1 << period) - 1)
-        columns.append([(((1 << run) - 1) << (c * run)) * repeat for c in range(k)])
-    return columns
+def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
+    """Minimal canonical DFA of the words over `alphabet` at whose position
+    0 the formula holds; every until and since bound must read each letter.
 
+    A bimachine (Schützenberger 1961): machine 0 reads positions 0..i-1
+    forward and keeps one table per since, machine 1 reads n+1..i+1
+    backward and keeps one table per until, each reading its end symbol
+    first.  A table maps each state the other machine can take at the
+    neighbouring position to the sweep's set at i, a function of the entry
+    one step earlier and of the letter and the children's truths at that
+    position.  Tables are added in plan order, each indexed by the states
+    the other machine reaches with its earlier tables.  Machine 1
+    recognizes the mirror images of the formula's words.
+    """
+    letters = alphabet.symbols
+    steps = _plan(formula)
+    # the symbols of positions 0 and n+1, which machines 0 and 1 read first
+    ends = ("<", ">")
+    # slot of a sweep -> (machine, table number, images, other machine's table count,
+    # index of its states, their successors' indices per letter, slots the children read)
+    tables: dict[int, tuple] = {}
+    sweeps: tuple[list, list] = ([], [])
+    empty = [(), ()]
+    memo: dict = {}
 
-def _spell(index: int, length: int, symbols: tuple[str, ...]) -> str:
-    """Word number `index` among the words of the given length."""
-    letters = []
-    for _ in range(length):
-        index, digit = divmod(index, len(symbols))
-        letters.append(symbols[digit])
-    return "".join(reversed(letters))
+    def reads(starts: list[int]) -> list[int]:
+        """`starts` and the subformulas below them down to the nearest sweeps,
+        in plan order: a sweep's truth reads its table, not its children."""
+        found, stack = set(), list(starts)
+        while stack:
+            slot = stack.pop()
+            if slot >= 0 and slot not in found:
+                found.add(slot)
+                if steps[slot][0] is not Until and steps[slot][0] is not Since:
+                    stack.extend(steps[slot][2:])
+        return sorted(found)
 
+    def truths(states: tuple, sym: str, slots: list[int]) -> dict[int, bool]:
+        """Truths at `slots` where the position holds `sym` and the machines are in `states`."""
+        values = {}
+        for slot in slots:
+            kind, node, left, right = steps[slot]
+            if kind is And:
+                value = values[left] and values[right]
+            elif kind is Or:
+                value = values[left] or values[right]
+            elif kind is Not:
+                value = not values[left]
+            elif slot in tables:
+                side, j, images, width, index, moves, _ = tables[slot]
+                # a machine that has read nothing has only empty sets; at its
+                # end symbol the other one is about to take its state 0
+                value = sym != ends[side]
+                if value:
+                    k = 0 if sym == ends[1 - side] else moves[index[states[1 - side][:width]]][sym]
+                    value = bool(states[side][j][k] & images.goal)
+            elif kind is LetterAt:
+                value = sym == node.symbol
+            else:  # top, and min and max at their end symbols
+                value = kind is Top or sym == ends[kind is Max]
+            values[slot] = value
+        return values
 
-def _moves(dfa: Dfa, symbols: tuple[str, ...]) -> list[list[int]]:
-    """Per letter of `symbols`, the successor of each automaton state."""
-    return [[row[dfa.alphabet.index(sym)] for row in dfa.delta] for sym in symbols]
+    def step(side: int, state: tuple, sym: str) -> tuple:
+        """The state of machine `side` after it reads `sym` in `state`."""
+        key = (side, state, sym)
+        if key not in memo:
+            # tables only read earlier ones, so a stepped prefix is kept
+            after = list(memo.get((side, state[:-1], sym), ()))
+            for slot in sweeps[side][len(after):len(state)]:
+                _, j, images, _, index, moves, region = tables[slot]
+                _, _, left, right = steps[slot]
+                entries = []
+                for k, other in enumerate(index):
+                    states = (state, other) if side == 0 else (other, state)
+                    values = truths(states, sym, region)
+                    swept = 0
+                    if values[left] and sym != ends[side]:
+                        swept = state[j][moves[k][sym]]
+                        if swept:
+                            image = images.cache[sym].get(swept)
+                            swept = images(sym, swept) if image is None else image
+                    entries.append(swept | images.seed if values[right] else swept)
+                after.append(tuple(entries))
+            memo[key] = tuple(after)
+        return memo[key]
 
-
-def _step(moves: list, states: list[int], column: list[int], live: int, backward: bool):
-    """One step of an automaton on every word of a block, restricted to the
-    `live` words: the state masks after the letter column (before it, when
-    backward)."""
-    result = [0] * len(states)
-    for targets, letter in zip(moves, column):
-        letter &= live
-        if not letter:
-            continue
-        if backward:
-            for source, target in enumerate(targets):
-                result[source] |= states[target] & letter
-        else:
-            for words, target in zip(states, targets):
-                if words:
-                    result[target] |= words & letter
-    return result
-
-
-def _block_sweep(
-    bound: Dfa, moves: list, columns, left: list[int], right: list[int], backward: bool
-):
-    """`_sweep` with one mask per bound state: bit w of states[q] says q is
-    in the swept set of word w.  Backward it is until; forward, on the
-    mirror image, since, with seed and goal as in `_Images`."""
-    seeds, goals = (bound.finals, [bound.initial]) if backward else ([bound.initial], bound.finals)
-    n = len(columns)
-    states = [0] * bound.states
-    for q in seeds:
-        states[q] = right[n + 1]
-    out = [0] * (n + 2)
-    for q in goals:
-        out[n] |= states[q]
-    for i in range(n - 1, -1, -1):
-        states = _step(moves, states, columns[i], left[i + 1], backward)
-        for q in seeds:
-            states[q] |= right[i + 1]
-        for q in goals:
-            out[i] |= states[q]
-    return out
-
-
-def _block_truth(steps: list[tuple], columns, symbols, full: int) -> int:
-    """Truth of the formula at position 0 of every word of a block."""
-    n = len(columns)
-    vectors: list[list[int]] = []
-    for kind, node, left, right in steps:
-        if kind is And:
-            value = [x & y for x, y in zip(vectors[left], vectors[right])]
-        elif kind is Or:
-            value = [x | y for x, y in zip(vectors[left], vectors[right])]
-        elif kind is Not:
-            value = [full ^ x for x in vectors[left]]
-        elif kind is Until or kind is Since:
-            moves, p, q = _moves(node.bound, symbols), vectors[left], vectors[right]
-            if kind is Until:
-                value = _block_sweep(node.bound, moves, columns, p, q, True)
-            else:
-                # until on the mirror image, as in `_truth`
-                value = _block_sweep(node.bound, moves, columns[::-1], p[::-1], q[::-1], False)
-                value.reverse()
-        elif kind is LetterAt:
-            value = [0] * (n + 2)
-            if node.symbol in symbols:
-                c = symbols.index(node.symbol)
-                value[1:n + 1] = [column[c] for column in columns]
-        elif kind is Top:
-            value = [full] * (n + 2)
-        elif kind is Min:
-            value = [full] + [0] * (n + 1)
-        else:
-            value = [0] * (n + 1) + [full]
-        vectors.append(value)
-    return vectors[-1][0]
+    for slot, (kind, node, left, right) in enumerate(steps):
+        if kind is Until or kind is Since:
+            if not set(letters) <= set(node.bound.alphabet):
+                raise InputError(f"a bound of the formula does not read every letter of {letters}")
+            side, other = (1, 0) if kind is Until else (0, 1)
+            start = step(other, empty[other], ends[other])
+            order = breadth_first([start], lambda s: [(a, step(other, s, a)) for a in letters], {})
+            index = {s: k for k, s in enumerate(order)}
+            moves = [{a: index[step(other, s, a)] for a in letters} for s in index]
+            images = _Images(node.bound, kind is Until)
+            width, region = len(empty[other]), reads([left, right])
+            tables[slot] = (side, len(sweeps[side]), images, width, index, moves, region)
+            sweeps[side].append(slot)
+            empty[side] += ((0,) * len(index),)
+    root = len(steps) - 1
+    region = reads([root])
+    backward = _determinize(
+        alphabet,
+        step(1, empty[1], ends[1]),
+        lambda s: [step(1, s, sym) for sym in letters],
+        lambda s: truths((empty[0], s), ends[0], region)[root],
+    )
+    return minimize(reverse(backward))
 
 
 def compare_sampled(
@@ -492,47 +510,27 @@ def compare_sampled(
     """Words up to the length bound where formula and automaton disagree,
     shortest first and length-lexicographic within one length.
 
-    When the automaton and every until and since bound read each letter of
-    the sample alphabet, the words of one length are evaluated together,
-    up to BLOCK_WORDS of them at a time: each subformula keeps one mask
-    over the block's words per position, so connectives are bitwise
-    operations, and the until and since sweeps and the automaton run keep
-    one mask per state.  Otherwise a word's evaluation may raise
-    InputError, so the words are evaluated one at a time in the same
-    order, formula first, and raise at the word a word-by-word loop would.
-    That path is slower for large bounds; the command line, which compiles
-    everything over one alphabet, never takes it.
+    The list is exact: it is read off the xor product of the formula's DFA
+    with the automaton, so the bound limits only the words listed.  The
+    name dates from when words were sampled; bench/tracer.py rebinds it.
+    When the automaton or an until or since bound lacks a letter of the
+    alphabet, a word's evaluation may raise InputError, so the words are
+    evaluated one at a time, formula first, and the first to fail raises.
     """
     if max_length < 0:
         raise InputError(f"sample length bound {max_length} is negative")
     symbols = alphabet.symbols
-    k = len(symbols)
-    steps = _plan(formula)
-    bounds = [node.bound for kind, node, *_ in steps if kind is Until or kind is Since]
+    bounds = [node.bound for kind, node, *_ in _plan(formula) if kind is Until or kind is Since]
     if not all(set(symbols) <= set(a.alphabet) for a in [dfa, *bounds]):
-        words = (_spell(w, n, symbols) for n in range(max_length + 1) for w in range(k**n))
+        products = (itertools.product(symbols, repeat=n) for n in range(max_length + 1))
+        words = map("".join, itertools.chain.from_iterable(products))
         return [word for word in words if eval_word(formula, word) != accepts(dfa, word)]
-    dfa_moves = _moves(dfa, symbols)
-    mismatches = []
-    for n in range(max_length + 1):
-        m = n
-        while k**m > BLOCK_WORDS:
-            m -= 1
-        full = (1 << k**m) - 1
-        suffix = _suffix_columns(k, m)
-        for block in range(k ** (n - m)):
-            prefix = _spell(block, n - m, symbols)
-            columns = [[full if sym == p else 0 for sym in symbols] for p in prefix]
-            columns += suffix
-            truth = _block_truth(steps, columns, symbols, full)
-            states = [0] * dfa.states
-            states[dfa.initial] = full
-            for column in columns:
-                states = _step(dfa_moves, states, column, full, backward=False)
-            accepted = 0
-            for q in dfa.finals:
-                accepted |= states[q]
-            for w, bit in enumerate(reversed(f"{truth ^ accepted:b}")):
-                if bit == "1":
-                    mismatches.append(prefix + _spell(w, m, symbols))
-    return mismatches
+    compiled = compile_formula(formula, alphabet)
+    columns = [dfa.alphabet.index(sym) for sym in symbols]
+    mismatches = _determinize(
+        alphabet,
+        (compiled.initial, dfa.initial),
+        lambda s: zip(compiled.delta[s[0]], [dfa.delta[s[1]][c] for c in columns]),
+        lambda s: (s[0] in compiled.finals) != (s[1] in dfa.finals),
+    )
+    return accepted_words(mismatches, max_length)

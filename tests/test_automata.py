@@ -18,6 +18,7 @@ from sfclosure.automata import (
     MAX_NESTING,
     Dfa,
     _dfa_word,
+    accepted_words,
     accepts,
     compile_pattern,
     complement,
@@ -26,6 +27,7 @@ from sfclosure.automata import (
     make_alphabet,
     minimize,
     product,
+    reverse,
     shortest_word,
     star,
 )
@@ -268,6 +270,26 @@ def test_shortest_word_is_the_first_accepted_word(dfa):
         assert len(word) > 5 and accepts(dfa, word)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_complete_dfas(), st.integers(0, 5))
+def test_accepted_words_are_the_slice_in_shortlex_order(dfa, n):
+    # words_up_to lists words by length, then in alphabet order
+    assert accepted_words(dfa, n) == [w for w in words_up_to(dfa.alphabet, n) if accepts(dfa, w)]
+
+
+def test_accepted_words_stop_after_the_longest_word():
+    assert accepted_words(_dfa_word(AB, "ab"), 10**20) == ["ab"]
+    assert accepted_words(compile_pattern("%", AB), 10**20) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complete_dfas())
+def test_reverse_accepts_the_mirror_images(dfa):
+    mirror = reverse(dfa)
+    for word in words_up_to(dfa.alphabet, 5):
+        assert accepts(mirror, word) == accepts(dfa, word[::-1])
+
+
 @settings(max_examples=500, deadline=None)
 @given(_complete_dfas())
 def test_minimize_matches_moore_refinement(dfa):
@@ -377,6 +399,7 @@ def test_every_built_dfa_passes_the_public_checks(left, right):
         star(left),
         complement(left),
         minimize(left),
+        reverse(left),
     ]
     for dfa in built:
         assert rebuilt(dfa) == dfa

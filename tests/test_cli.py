@@ -146,6 +146,15 @@ class TestGoldenOutputs:
         )
         assert doc == {"mismatches": []}
 
+    def test_ltl_compare_is_exact_at_any_length(self, capsys, tmp_path):
+        formula = tmp_path / "some-a.ltl"
+        formula.write_text("F(a)", encoding="utf-8")
+        doc = run_json(
+            capsys, "ltl", "compare", "--formula", str(formula),
+            "--lang", "~%a~%", "--alphabet", "ab", "--maxlen", str(10**20),
+        )
+        assert doc == {"mismatches": []}
+
 
 class TestExitCodes:
     def test_bad_regex_is_input_error(self, capsys):

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import naive_compare_sampled, naive_ltl, words_up_to
 from sfclosure import ltl
-from sfclosure.automata import MAX_NESTING, Dfa, compile_pattern, make_alphabet
+from sfclosure.automata import MAX_NESTING, Dfa, accepts, compile_pattern, make_alphabet
 from sfclosure.errors import InputError
 from sfclosure.ltl import (
-    BLOCK_WORDS,
     And,
     LetterAt,
     Max,
@@ -18,10 +18,13 @@ from sfclosure.ltl import (
     Top,
     Until,
     compare_sampled,
+    compile_formula,
     eval_at,
     eval_word,
     parse_formula,
 )
+from sfclosure.membership import sf_membership
+from sfclosure.oracles import MOD, st_class
 
 AB = make_alphabet("ab")
 
@@ -195,8 +198,10 @@ class TestFrozenFormulas:
     def test_mismatches_are_reported(self):
         f = parse_formula("F(a)", AB)
         dfa = compile_pattern("~%a~%", AB)
-        # F(a) at position 0 sees interior a's only; agreement is exact here
+        # F(a) at position 0 sees interior a's only; agreement is exact here,
+        # at any length
         assert compare_sampled(f, dfa, AB, max_length=4) == []
+        assert compare_sampled(f, dfa, AB, max_length=10**20) == []
         wrong = compile_pattern("a~%", AB)
         mismatches = compare_sampled(f, wrong, AB, max_length=3)
         assert "ba" in mismatches
@@ -289,8 +294,6 @@ def test_word_slice_of_formula_language():
     # cross-check eval_word against the compiled DFA over a full slice
     f = parse_formula(AB_STAR_FORMULA, AB)
     dfa = compile_pattern("(ab)*", AB)
-    from sfclosure.automata import accepts
-
     for word in words_up_to(AB, 7):
         assert eval_word(f, word) == accepts(dfa, word)
 
@@ -308,8 +311,8 @@ def regex_text(letters: str):
     )
 
 
-def bounded_formula_text(letters: str):
-    bound = regex_text(letters)
+def bounded_formula_text(letters: str, bound=None):
+    bound = regex_text(letters) if bound is None else bound
     return st.recursive(
         st.sampled_from([*letters, "top", "min", "max"]),
         lambda inner: st.one_of(
@@ -364,30 +367,26 @@ ALPHABETS = ["ab", "ba", "bc", "abc", "cab"]
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(ALPHABETS), st.sampled_from(ALPHABETS), st.sampled_from(ALPHABETS),
-       st.integers(0, 7), st.sampled_from([BLOCK_WORDS, 1, 2, 9]), st.data())
-def test_block_compare_matches_word_by_word(formula_letters, dfa_letters, letters,
-                                            max_length, block_words, data):
+       st.integers(0, 7), st.data())
+def test_compare_matches_word_by_word(formula_letters, dfa_letters, letters, max_length, data):
     formula = parse_formula(data.draw(bounded_formula_text(formula_letters)),
                             make_alphabet(formula_letters))
     dfa = data.draw(dfas(dfa_letters))
     alphabet = make_alphabet(letters)
     if len(letters) == 3:
         max_length = min(max_length, 5)
-    # small blocks split even short words by prefix
-    with mock.patch.object(ltl, "BLOCK_WORDS", block_words):
-        blocked = outcome(compare_sampled, formula, dfa, alphabet, max_length)
-    assert blocked == outcome(naive_compare_sampled, formula, dfa, alphabet, max_length)
+    compared = outcome(compare_sampled, formula, dfa, alphabet, max_length)
+    assert compared == outcome(naive_compare_sampled, formula, dfa, alphabet, max_length)
 
 
 # one letter set, the formula's, the automaton's and the sample's alphabet
-# each in its own order: no evaluation can raise, so the blocks run
+# each in its own order: no evaluation can raise, so the compiled path runs
 LETTER_SETS = [["ab", "ba"], ["abc", "cab", "bca"]]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(LETTER_SETS), st.integers(0, 7),
-       st.sampled_from([BLOCK_WORDS, 1, 2, 9]), st.data())
-def test_block_compare_on_one_letter_set(orders, max_length, block_words, data):
+@given(st.sampled_from(LETTER_SETS), st.integers(0, 7), st.data())
+def test_compare_on_one_letter_set(orders, max_length, data):
     formula_letters, dfa_letters, letters = (data.draw(st.sampled_from(orders)) for _ in range(3))
     formula = parse_formula(data.draw(bounded_formula_text(formula_letters)),
                             make_alphabet(formula_letters))
@@ -397,10 +396,9 @@ def test_block_compare_on_one_letter_set(orders, max_length, block_words, data):
         max_length = min(max_length, 5)
     # the reference imports eval_word when called, so it runs before the patch
     expected = naive_compare_sampled(formula, dfa, alphabet, max_length)
-    # a word-by-word evaluation fails the test: only the blocks may answer
+    # a word-by-word evaluation fails the test: only the compiled DFA may answer
     word_by_word = AssertionError("compare_sampled evaluated a single word")
-    with mock.patch.object(ltl, "BLOCK_WORDS", block_words), \
-            mock.patch.object(ltl, "eval_word", side_effect=word_by_word):
+    with mock.patch.object(ltl, "eval_word", side_effect=word_by_word):
         assert compare_sampled(formula, dfa, alphabet, max_length) == expected
 
 
@@ -415,12 +413,62 @@ def test_first_failing_word_decides_the_error():
         compare_sampled(formula, dfa, abc, 1)
 
 
-def test_block_compare_across_two_blocks():
-    # the 8,192 words of length 13 are two blocks, split by the first letter
-    assert 2**13 == 2 * BLOCK_WORDS
+def test_compare_lists_long_words_in_order():
+    # the mismatches among all 8,192 words of length 13 run from a... to b...
     formula = parse_formula(PAIR_STAR_FORMULA, AB)
     dfa = compile_pattern("(aa+ab)*+a~%b+b~%", AB)
     mismatches = compare_sampled(formula, dfa, AB, 13)
     assert mismatches == naive_compare_sampled(formula, dfa, AB, 13)
     longest = [w for w in mismatches if len(w) == 13]
     assert longest[0][0] == "a" and longest[-1][0] == "b"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["ab", "ba", "abc"]), st.data())
+def test_compiled_formula_accepts_what_the_sweeps_accept(letters, data):
+    # every word of up to 8 letters, 5 over three letters, U and S mixed
+    alphabet = make_alphabet(letters)
+    formula = parse_formula(data.draw(bounded_formula_text(letters)), alphabet)
+    dfa = compile_formula(formula, alphabet)
+    for word in words_up_to(alphabet, 8 if len(letters) == 2 else 5):
+        assert accepts(dfa, word) == eval_word(formula, word), word
+
+
+def test_compile_needs_every_letter_in_every_bound():
+    formula = parse_formula("F(b)", AB)
+    # the words with a b, over the same letters in another order
+    assert compile_formula(formula, make_alphabet("ba")).delta == ((1, 0), (1, 1))
+    with pytest.raises(InputError, match="bound"):
+        compile_formula(formula, make_alphabet("abc"))
+
+
+# bounds drawn from a class C: the formula's language lies in SF(C)
+CLASS_BOUNDS = {
+    "st": ["~%", "%"],
+    "mod": ["~%", "%", "((a+b)(a+b))*", "(a+b)((a+b)(a+b))*", "((a+b)(a+b)(a+b))*"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CLASS_BOUNDS)), st.data())
+def test_formulas_with_bounds_in_c_lie_in_the_star_free_closure(name, data):
+    text = data.draw(bounded_formula_text("ab", st.sampled_from(CLASS_BOUNDS[name])))
+    dfa = compile_formula(parse_formula(text, AB), AB)
+    assert sf_membership(st_class(AB) if name == "st" else MOD, dfa).answer, text
+
+
+def test_even_length_bound_leaves_the_star_free_languages():
+    # negative control: the words of even length lie in SF(mod), not in SF(st)
+    dfa = compile_formula(parse_formula("F[((a+b)(a+b))*](max)", AB), AB)
+    assert not sf_membership(st_class(AB), dfa).answer
+    assert sf_membership(MOD, dfa).answer
+
+
+def test_each_bound_compiles_once_per_parse():
+    # the three golden formulas hold 13 bounds, 10 distinct within their formula
+    golden = Path(__file__).parent / "golden" / "bridges"
+    texts = [path.read_text(encoding="utf-8") for path in sorted(golden.glob("*.ltl"))]
+    with mock.patch.object(ltl, "compile_pattern", wraps=compile_pattern) as spy:
+        for text in texts:
+            parse_formula(text, AB)
+    assert spy.call_count == 10
