@@ -215,11 +215,11 @@ class Saturation:
     its maxima, with the rounds run so far and the trace of successful
     inserts."""
 
-    def __init__(self, sr: ProductSemiring, want_trace: bool, exact: int | None = None) -> None:
+    def __init__(self, sr: ProductSemiring, trace: bool, exact: int | None = None) -> None:
         self.sr = sr
         self.chain = Antichain(exact)
         self.rounds = 0
-        self.trace: list | None = [] if want_trace else None
+        self.trace: list | None = [] if trace else None
         # maxima of earlier snapshots, whose products and jumps are in the chain
         self._seen: set = set()
 
@@ -283,11 +283,11 @@ class FiniteSaturation(Saturation):
     product semiring whose top field, above the rating map's fields, is
     the class monoid's, holding the singleton {n}."""
 
-    def __init__(self, rho: RatingMap, eta: Morphism, want_trace: bool) -> None:
+    def __init__(self, rho: RatingMap, eta: Morphism, trace: bool) -> None:
         n_monoid = eta.codomain
         shift = rho.semiring.width
         sr = ProductSemiring([n_monoid, *rho.semiring.monoids])
-        super().__init__(sr, want_trace, exact=shift)
+        super().__init__(sr, trace, exact=shift)
         self._rating = rho.semiring
         self._shift = shift
         self._idempotents = sum(
@@ -319,12 +319,12 @@ class FiniteSaturation(Saturation):
 
 
 def saturate_finite(
-    c: FinitePrevariety, rho: RatingMap, want_trace: bool = False
+    c: FinitePrevariety, rho: RatingMap, config: Config = DEFAULT
 ) -> FiniteSaturation:
     eta = c.eta
     if eta.alphabet != rho.alphabet:
         raise InputError("the class morphism must use the rating map's alphabet")
-    sat = FiniteSaturation(rho, eta, want_trace)
+    sat = FiniteSaturation(rho, eta, config.trace)
     sat.insert(sat.pack(eta.codomain.identity, rho.semiring.one), "seed")
     for n, r in zip(eta.letter_images, rho.letter_images):
         sat.insert(sat.pack(n, r), "letter")
@@ -467,7 +467,7 @@ def _opt_chain_group(g: GroupClass, rho: RatingMap, config: Config) -> Saturatio
 def _optimal(cls, rho: RatingMap, config: Config) -> Saturation:
     """The saturation whose maxima are those of the optimal imprint."""
     if isinstance(cls, FinitePrevariety):
-        return saturate_finite(cls, rho, want_trace=config.trace)
+        return saturate_finite(cls, rho, config)
     if isinstance(cls, GroupClass):
         return _opt_chain_group(cls, rho, config)
     raise InputError(f"unsupported class object {cls!r}")

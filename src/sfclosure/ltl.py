@@ -20,12 +20,11 @@ there, so the sweeps of a formula make two deterministic machines, one per
 direction, and `compile_formula` turns them into a minimal DFA.  A letter
 missing from a bound's or the automaton's alphabet is caught once: the word
 sweeps raise on the cache read of the missing letter, and compilation and
-comparison check the alphabet before they start.
+comparison reject such an alphabet before they do any work.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .automata import (
@@ -34,7 +33,6 @@ from .automata import (
     _determinize,
     _Scanner,
     accepted_words,
-    accepts,
     breadth_first,
     compile_pattern,
     minimize,
@@ -392,6 +390,13 @@ def eval_word(formula: Formula, word: str) -> bool:
 # Compilation to a DFA, and exact comparison
 
 
+def _check_reads(what: str, dfa: Dfa, letters: tuple[str, ...]) -> None:
+    """Raise InputError naming `what` and the first of `letters` the DFA does not read."""
+    missing = [sym for sym in letters if sym not in dfa.alphabet]
+    if missing:
+        raise InputError(f"{what} does not read the letter {missing[0]!r} of {letters}")
+
+
 def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
     """Minimal canonical DFA of the words over `alphabet` at whose position
     0 the formula holds; every until and since bound must read each letter.
@@ -479,10 +484,11 @@ def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
             memo[key] = tuple(after)
         return memo[key]
 
+    for kind, node, *_ in steps:
+        if kind is Until or kind is Since:
+            _check_reads("a bound of the formula", node.bound, letters)
     for slot, (kind, node, left, right) in enumerate(steps):
         if kind is Until or kind is Since:
-            if not set(letters) <= set(node.bound.alphabet):
-                raise InputError(f"a bound of the formula does not read every letter of {letters}")
             side, other = (1, 0) if kind is Until else (0, 1)
             start = step(other, empty[other], ends[other])
             order = breadth_first([start], lambda s: [(a, step(other, s, a)) for a in letters], {})
@@ -513,20 +519,15 @@ def compare_sampled(
     The list is exact: it is read off the xor product of the formula's DFA
     with the automaton, so the bound limits only the words listed.  The
     name dates from when words were sampled; bench/tracer.py rebinds it.
-    When the automaton or an until or since bound lacks a letter of the
-    alphabet, a word's evaluation may raise InputError, so the words are
-    evaluated one at a time, formula first, and the first to fail raises.
+    The automaton, then every until and since bound, must read each letter
+    of the alphabet; otherwise InputError names the first that does not and
+    its first missing letter, at any length bound and before any work.
     """
     if max_length < 0:
         raise InputError(f"sample length bound {max_length} is negative")
-    symbols = alphabet.symbols
-    bounds = [node.bound for kind, node, *_ in _plan(formula) if kind is Until or kind is Since]
-    if not all(set(symbols) <= set(a.alphabet) for a in [dfa, *bounds]):
-        products = (itertools.product(symbols, repeat=n) for n in range(max_length + 1))
-        words = map("".join, itertools.chain.from_iterable(products))
-        return [word for word in words if eval_word(formula, word) != accepts(dfa, word)]
+    _check_reads("the automaton", dfa, alphabet.symbols)
     compiled = compile_formula(formula, alphabet)
-    columns = [dfa.alphabet.index(sym) for sym in symbols]
+    columns = [dfa.alphabet.index(sym) for sym in alphabet.symbols]
     mismatches = _determinize(
         alphabet,
         (compiled.initial, dfa.initial),

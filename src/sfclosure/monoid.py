@@ -17,11 +17,10 @@ canonical input DFA.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .automata import Alphabet, Dfa, minimize
+from .automata import Alphabet, Dfa, breadth_first, minimize
 from .config import DEFAULT
 from .errors import InputError, ResourceLimitError
 
@@ -157,16 +156,10 @@ class Morphism:
 
 
 def generated_image(monoid: FiniteMonoid, letter_images) -> frozenset[int]:
-    seen = {monoid.identity}
-    queue = deque([monoid.identity])
-    while queue:
-        s = queue.popleft()
-        for g in letter_images:
-            t = monoid.mul[s][g]
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return frozenset(seen)
+    rows = monoid.mul
+    return frozenset(
+        breadth_first([monoid.identity], lambda s: [(g, rows[s][g]) for g in letter_images], {})
+    )
 
 
 @dataclass(frozen=True)

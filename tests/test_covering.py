@@ -302,7 +302,7 @@ def test_packed_semi_naive_matches_naive_tuple_saturation(
         cls = {
             "st": st_class(AB), "alphabet-testable": alphabet_testable, **finite_classes()
         }[cls_name]
-        sat = saturate_finite(cls, instance.rho, want_trace=True)
+        sat = saturate_finite(cls, instance.rho, Config(trace=True))
         maxima, rounds, trace = naive_saturate_finite(cls.eta, languages)
         by_class: dict[int, list] = {}
         for n, r in sat.pairs():

@@ -15,6 +15,7 @@ from sfclosure.ltl import (
     LetterAt,
     Max,
     Min,
+    Since,
     Top,
     Until,
     compare_sampled,
@@ -359,9 +360,8 @@ def outcome(compare, *args):
 
 
 # alphabets of the formula (and so of its bounds), of the automaton and of
-# the sample; where they differ, a bound or the automaton may lack a letter
-# of the sample, and both comparisons must then raise the same error at the
-# same word
+# the sample; where the automaton or a bound lacks a letter of the sample,
+# the comparison must raise before it evaluates any word, at any length
 ALPHABETS = ["ab", "ba", "bc", "abc", "cab"]
 
 
@@ -375,8 +375,16 @@ def test_compare_matches_word_by_word(formula_letters, dfa_letters, letters, max
     alphabet = make_alphabet(letters)
     if len(letters) == 3:
         max_length = min(max_length, 5)
-    compared = outcome(compare_sampled, formula, dfa, alphabet, max_length)
-    assert compared == outcome(naive_compare_sampled, formula, dfa, alphabet, max_length)
+    bounds = [node.bound for _, node, *_ in ltl._plan(formula) if isinstance(node, (Until, Since))]
+    if all(set(letters) <= set(a.alphabet) for a in [dfa, *bounds]):
+        expected = naive_compare_sampled(formula, dfa, alphabet, max_length)
+        assert compare_sampled(formula, dfa, alphabet, max_length) == expected
+        return
+    word_by_word = AssertionError("compare_sampled evaluated a single word")
+    with mock.patch.object(ltl, "eval_word", side_effect=word_by_word):
+        for length in (max_length, 10**20):
+            with pytest.raises(InputError, match="does not read the letter"):
+                compare_sampled(formula, dfa, alphabet, length)
 
 
 # one letter set, the formula's, the automaton's and the sample's alphabet
@@ -402,15 +410,44 @@ def test_compare_on_one_letter_set(orders, max_length, data):
         assert compare_sampled(formula, dfa, alphabet, max_length) == expected
 
 
-def test_first_failing_word_decides_the_error():
-    # the bound lacks a and the automaton lacks c: "a" fails before "c"
+def test_compare_checks_the_automaton_then_the_bounds():
+    # the bound lacks a; the automaton lacks a and c, named in the alphabet's order
     formula = parse_formula("F(max)", make_alphabet("bc"))
-    dfa = compile_pattern("~%", make_alphabet("ab"))
+    b_only, abc = compile_pattern("~%", make_alphabet("b")), make_alphabet("abc")
+    for max_length in (0, 3, 10**20):
+        for letters, missing in [("abc", "a"), ("cba", "c")]:
+            alphabet = make_alphabet(letters)
+            message = f"the automaton does not read the letter '{missing}' of {alphabet.symbols}"
+            with pytest.raises(InputError, match=re.escape(message)):
+                compare_sampled(formula, b_only, alphabet, max_length)
+        message = f"a bound of the formula does not read the letter 'a' of {abc.symbols}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            compare_sampled(formula, compile_pattern("~%", abc), abc, max_length)
+
+
+def test_compare_rejects_a_bound_without_reading_words():
+    # X's empty-word bound reads only a, although X(a) and a~% agree on every word
+    formula = parse_formula("X(a)", make_alphabet("a"))
+    with pytest.raises(InputError, match="a bound of the formula does not read the letter 'b'"):
+        compare_sampled(formula, compile_pattern("a~%", AB), AB, 3)
+
+
+def test_compile_checks_every_bound_before_building_a_table():
+    # the inner bound reads every letter and comes first in the plan
     abc = make_alphabet("abc")
-    with pytest.raises(InputError, match="'a'"):
-        naive_compare_sampled(formula, dfa, abc, 1)
-    with pytest.raises(InputError, match="'a'"):
-        compare_sampled(formula, dfa, abc, 1)
+    inner = Until(compile_pattern("~%", abc), Top(), LetterAt("a"))
+    formula = Until(compile_pattern("~%", AB), Top(), inner)
+    table = AssertionError("compile_formula built a table")
+    with mock.patch.object(ltl, "breadth_first", side_effect=table):
+        with pytest.raises(InputError, match="a bound of the formula does not read the letter 'c'"):
+            compile_formula(formula, abc)
+
+
+def test_compare_plans_the_formula_once():
+    formula = parse_formula(PAIR_STAR_FORMULA, AB)
+    with mock.patch.object(ltl, "_plan", wraps=ltl._plan) as spy:
+        compare_sampled(formula, compile_pattern("~%", AB), AB, 4)
+    assert spy.call_count == 1
 
 
 def test_compare_lists_long_words_in_order():
