@@ -3,9 +3,10 @@
 An expression built from empty, single letters, disjoint unions,
 unambiguous concatenations, class intersections and stars of prefix
 codes with bounded synchronization delay denotes a language in the
-star-free closure by construction.  The validator compiles every node
-and checks each structural side condition, reporting violations as data
-with witness words.
+star-free closure by construction.  The parser emits an expression as a
+postfix program, and the validator runs it over a stack of DFAs,
+compiling every subexpression and checking each structural side
+condition, reporting violations as data with witness words.
 
 The least delay bound of a prefix code k is found by at most |k+| + 1
 breadth-first walks of one factor over (state of k+, factors of k read,
@@ -219,49 +220,15 @@ def ambiguity_witness(k: Dfa, l: Dfa) -> str | None:
 # Checked expressions
 
 
-class SdExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SdEmpty(SdExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class SdLetter(SdExpr):
-    symbol: str
-
-
-@dataclass(frozen=True)
-class SdUnion(SdExpr):
-    left: SdExpr
-    right: SdExpr
-
-
-@dataclass(frozen=True)
-class SdConcat(SdExpr):
-    left: SdExpr
-    right: SdExpr
-
-
-@dataclass(frozen=True)
-class SdCap(SdExpr):
-    child: SdExpr
-    pattern: str
-
-
-@dataclass(frozen=True)
-class SdStar(SdExpr):
-    child: SdExpr
-    delay: int
-
-
 class _SdParser(_Scanner):
     """Syntax: `%`, letters, `dunion(E,F)`, `uconcat(E,F)`,
     `capC(E, "<regex>")` and `star(E, d=<int>)`, nested at most
-    MAX_NESTING deep; the parser and the validator each recurse once per
-    level."""
+    MAX_NESTING deep.  The parser recurses once per level and emits the
+    expression as a postfix program: one (rule, path, argument) step per
+    subexpression, children first.  The rule is `empty`, `letter`,
+    `dunion`, `uconcat`, `capC` or `star`; the path is `root` followed by
+    `.left`, `.right` or `.child` per level; the argument is the letter,
+    the capC pattern or the star delay, else None."""
 
     what = "expression"
 
@@ -274,34 +241,36 @@ class _SdParser(_Scanner):
             self.pos += 1
         return self.text[start:self.pos]
 
-    def parse(self) -> SdExpr:
-        node = self.expr()
+    def parse(self) -> list[tuple[str, str, object]]:
+        self.program: list[tuple[str, str, object]] = []
+        self.expr("root")
         if not self.at_end():
             self.fail(f"unexpected {self.peek()!r}")
-        return node
+        return self.program
 
-    def expr(self) -> SdExpr:
+    def expr(self, path: str) -> None:
         self.depth = self.bounded(self.depth + 1)
-        node = self.node()
+        self.program.append(self.node(path))
         self.depth -= 1
-        return node
 
-    def node(self) -> SdExpr:
+    def node(self, path: str) -> tuple[str, str, object]:
+        """Emit the steps of the subexpression's children and return its
+        own step."""
         if self.peek() == "%":
             self.pos += 1
-            return SdEmpty()
+            return "empty", path, None
         mark = self.pos
         name = self.ident()
         if name in ("dunion", "uconcat"):
             self.eat("(")
-            left = self.expr()
+            self.expr(path + ".left")
             self.eat(",")
-            right = self.expr()
+            self.expr(path + ".right")
             self.eat(")")
-            return SdUnion(left, right) if name == "dunion" else SdConcat(left, right)
+            return name, path, None
         if name == "capC":
             self.eat("(")
-            child = self.expr()
+            self.expr(path + ".child")
             self.eat(",")
             self.eat('"')
             end = self.text.find('"', self.pos)
@@ -310,10 +279,10 @@ class _SdParser(_Scanner):
             pattern = self.text[self.pos:end]
             self.pos = end + 1
             self.eat(")")
-            return SdCap(child, pattern)
+            return "capC", path, pattern
         if name == "star":
             self.eat("(")
-            child = self.expr()
+            self.expr(path + ".child")
             self.eat(",")
             key = self.ident()
             if key != "d":
@@ -332,14 +301,14 @@ class _SdParser(_Scanner):
                 self.pos = digits
                 self.fail("delay bound has too many digits")
             self.eat(")")
-            return SdStar(child, delay)
+            return "star", path, delay
         if len(name) == 1 and name in self.alphabet:
-            return SdLetter(name)
+            return "letter", path, name
         self.pos = mark
         self.fail(f"expected an expression, found {name!r}" if name else "expected an expression")
 
 
-def parse_sd_expression(text: str, alphabet: Alphabet) -> SdExpr:
+def parse_sd_expression(text: str, alphabet: Alphabet) -> list[tuple[str, str, object]]:
     return _SdParser(text, alphabet).parse()
 
 
@@ -354,59 +323,56 @@ class SdViolation:
 
 
 def validate_sd_expression(
-    expr: SdExpr, alphabet: Alphabet, dmax: int | None = None
+    expr: list[tuple[str, str, object]], alphabet: Alphabet, dmax: int | None = None
 ) -> tuple[Dfa | None, list[SdViolation]]:
     """Compile an expression, checking every side condition.
 
-    Returns (dfa, []) on success and (None, violations) otherwise; each
-    violation names a node path, the broken rule, and a witness.  With a
-    dmax, star delays above the bound are rejected as input errors.
+    Runs the parser's postfix program in one loop over a stack of DFAs,
+    so nothing recurses per level.  Returns (dfa, []) on success and
+    (None, violations) otherwise; each violation names a subexpression's
+    path, the broken rule, and a witness.  With a dmax, star delays above
+    the bound are rejected as input errors.
     """
     violations: list[SdViolation] = []
-
-    def walk(node: SdExpr, path: str) -> Dfa:
-        if isinstance(node, SdEmpty):
-            return _dfa_empty(alphabet)
-        if isinstance(node, SdLetter):
-            return compile_pattern(node.symbol, alphabet)
-        if isinstance(node, SdUnion):
-            left = walk(node.left, path + ".left")
-            right = walk(node.right, path + ".right")
+    stack: list[Dfa] = []
+    for rule, path, argument in expr:
+        if rule == "empty":
+            stack.append(_dfa_empty(alphabet))
+        elif rule == "letter":
+            stack.append(compile_pattern(argument, alphabet))
+        elif rule == "dunion":
+            right = stack.pop()
+            left = stack.pop()
             witness = disjointness_witness(left, right)
             if witness is not None:
                 violations.append(SdViolation(path, "disjoint", witness))
-            return minimize(product(left, right, "union"))
-        if isinstance(node, SdConcat):
-            left = walk(node.left, path + ".left")
-            right = walk(node.right, path + ".right")
+            stack.append(minimize(product(left, right, "union")))
+        elif rule == "uconcat":
+            right = stack.pop()
+            left = stack.pop()
             witness = ambiguity_witness(left, right)
             if witness is not None:
                 violations.append(SdViolation(path, "unambiguous", witness))
-            return minimize(concat(left, right))
-        if isinstance(node, SdCap):
-            child = walk(node.child, path + ".child")
-            other = compile_pattern(node.pattern, alphabet)
-            return minimize(product(child, other, "intersection"))
-        if isinstance(node, SdStar):
-            child = walk(node.child, path + ".child")
-            if node.delay < 1:
+            stack.append(minimize(concat(left, right)))
+        elif rule == "capC":
+            other = compile_pattern(argument, alphabet)
+            stack.append(minimize(product(stack.pop(), other, "intersection")))
+        elif rule == "star":
+            child = stack.pop()
+            if argument < 1:
                 raise InputError("star delay must be at least 1")
-            if dmax is not None and node.delay > dmax:
-                raise InputError(
-                    f"star delay {node.delay} exceeds the bound {dmax}"
-                )
+            if dmax is not None and argument > dmax:
+                raise InputError(f"star delay {argument} exceeds the bound {dmax}")
             bad = prefix_code_violation(child)
             if bad is not None:
                 violations.append(SdViolation(path, "prefix-code", bad))
             else:
-                triple = _delay_witness(child, node.delay)
+                triple = _delay_witness(child, argument)
                 if triple is not None:
                     violations.append(SdViolation(path, "sync-delay", list(triple)))
-            return minimize(star(child))
-        raise InputError(f"unknown expression node {node!r}")
-
-    dfa = walk(expr, "root")
+            stack.append(minimize(star(child)))
+        else:
+            raise InputError(f"unknown expression step {(rule, path, argument)!r}")
     if violations:
         return None, violations
-    return dfa, []
-
+    return stack.pop(), []

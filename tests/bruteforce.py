@@ -20,7 +20,9 @@ from sfclosure.automata import (
     Dfa,
     _canonical,
     _dfa_empty,
+    _Scanner,
     accepts,
+    compile_pattern,
     complement,
     concat,
     minimize,
@@ -43,6 +45,13 @@ from sfclosure.oracles import (
     PairSet,
     group_kernel,
     mod_kernel,
+)
+from sfclosure.sd import (
+    SdViolation,
+    _delay_witness,
+    ambiguity_witness,
+    disjointness_witness,
+    prefix_code_violation,
 )
 
 
@@ -1435,3 +1444,184 @@ def naive_compile_pattern(text: str, alphabet: Alphabet) -> Dfa:
     """Parse into a syntax tree, then compile the tree in post-order with
     one letter per atom and Moore's minimization after each step."""
     return compile_regex(parse_regex(text, alphabet), alphabet)
+
+
+# ---------------------------------------------------------------------------
+# SD expressions: the syntax tree, its parser and its recursive validator as
+# they were before the library's parser emitted a postfix program; the
+# property test requires the same DFA and violations or the same error.
+
+
+class SdExpr:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class SdEmpty(SdExpr):
+    pass
+
+
+@dataclass(frozen=True)
+class SdLetter(SdExpr):
+    symbol: str
+
+
+@dataclass(frozen=True)
+class SdUnion(SdExpr):
+    left: SdExpr
+    right: SdExpr
+
+
+@dataclass(frozen=True)
+class SdConcat(SdExpr):
+    left: SdExpr
+    right: SdExpr
+
+
+@dataclass(frozen=True)
+class SdCap(SdExpr):
+    child: SdExpr
+    pattern: str
+
+
+@dataclass(frozen=True)
+class SdStar(SdExpr):
+    child: SdExpr
+    delay: int
+
+
+class _TreeSdParser(_Scanner):
+    """Syntax: `%`, letters, `dunion(E,F)`, `uconcat(E,F)`,
+    `capC(E, "<regex>")` and `star(E, d=<int>)`, nested at most
+    MAX_NESTING deep; each rule returns its node."""
+
+    what = "expression"
+
+    def ident(self) -> str:
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def parse(self) -> SdExpr:
+        node = self.expr()
+        if not self.at_end():
+            self.fail(f"unexpected {self.peek()!r}")
+        return node
+
+    def expr(self) -> SdExpr:
+        self.depth = self.bounded(self.depth + 1)
+        node = self.node()
+        self.depth -= 1
+        return node
+
+    def node(self) -> SdExpr:
+        if self.peek() == "%":
+            self.pos += 1
+            return SdEmpty()
+        mark = self.pos
+        name = self.ident()
+        if name in ("dunion", "uconcat"):
+            self.eat("(")
+            left = self.expr()
+            self.eat(",")
+            right = self.expr()
+            self.eat(")")
+            return SdUnion(left, right) if name == "dunion" else SdConcat(left, right)
+        if name == "capC":
+            self.eat("(")
+            child = self.expr()
+            self.eat(",")
+            self.eat('"')
+            end = self.text.find('"', self.pos)
+            if end < 0:
+                self.fail("unterminated pattern string")
+            pattern = self.text[self.pos:end]
+            self.pos = end + 1
+            self.eat(")")
+            return SdCap(child, pattern)
+        if name == "star":
+            self.eat("(")
+            child = self.expr()
+            self.eat(",")
+            key = self.ident()
+            if key != "d":
+                self.fail("expected d=<int>")
+            self.eat("=")
+            self.peek()
+            digits = self.pos
+            # ASCII digits only: str.isdigit also takes "²", which int rejects
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+                self.pos += 1
+            if digits == self.pos:
+                self.fail("expected a delay bound")
+            try:
+                delay = int(self.text[digits:self.pos])
+            except ValueError:  # past Python's digit limit for int()
+                self.pos = digits
+                self.fail("delay bound has too many digits")
+            self.eat(")")
+            return SdStar(child, delay)
+        if len(name) == 1 and name in self.alphabet:
+            return SdLetter(name)
+        self.pos = mark
+        self.fail(f"expected an expression, found {name!r}" if name else "expected an expression")
+
+
+def tree_validate_sd_expression(
+    text: str, alphabet: Alphabet, dmax: int | None = None
+) -> tuple[Dfa | None, list[SdViolation]]:
+    """Parse into a syntax tree, then compile the tree in post-order with
+    one call per node, checking each side condition on the way up."""
+    expr = _TreeSdParser(text, alphabet).parse()
+    violations: list[SdViolation] = []
+
+    def walk(node: SdExpr, path: str) -> Dfa:
+        if isinstance(node, SdEmpty):
+            return _dfa_empty(alphabet)
+        if isinstance(node, SdLetter):
+            return compile_pattern(node.symbol, alphabet)
+        if isinstance(node, SdUnion):
+            left = walk(node.left, path + ".left")
+            right = walk(node.right, path + ".right")
+            witness = disjointness_witness(left, right)
+            if witness is not None:
+                violations.append(SdViolation(path, "disjoint", witness))
+            return minimize(product(left, right, "union"))
+        if isinstance(node, SdConcat):
+            left = walk(node.left, path + ".left")
+            right = walk(node.right, path + ".right")
+            witness = ambiguity_witness(left, right)
+            if witness is not None:
+                violations.append(SdViolation(path, "unambiguous", witness))
+            return minimize(concat(left, right))
+        if isinstance(node, SdCap):
+            child = walk(node.child, path + ".child")
+            other = compile_pattern(node.pattern, alphabet)
+            return minimize(product(child, other, "intersection"))
+        if isinstance(node, SdStar):
+            child = walk(node.child, path + ".child")
+            if node.delay < 1:
+                raise InputError("star delay must be at least 1")
+            if dmax is not None and node.delay > dmax:
+                raise InputError(
+                    f"star delay {node.delay} exceeds the bound {dmax}"
+                )
+            bad = prefix_code_violation(child)
+            if bad is not None:
+                violations.append(SdViolation(path, "prefix-code", bad))
+            else:
+                triple = _delay_witness(child, node.delay)
+                if triple is not None:
+                    violations.append(SdViolation(path, "sync-delay", list(triple)))
+            return minimize(star(child))
+        raise InputError(f"unknown expression node {node!r}")
+
+    dfa = walk(expr, "root")
+    if violations:
+        return None, violations
+    return dfa, []
+

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from bruteforce import (
     search_delay_violation,
     schutzenberger_check,
     search_prefix_violation,
+    tree_validate_sd_expression,
 )
 from sfclosure import sd
 from sfclosure.automata import (
@@ -400,20 +403,25 @@ def test_ambiguity_witness_matches_its_reference(k, l):
     assert ambiguity_witness(k, l) == naive_ambiguity_witness(k, l)
 
 
-# SD expressions over ab whose class intersections use a language of ST
-# (all words, no word) or the mod language EVEN
-sd_text = st.recursive(
-    st.sampled_from(["a", "b", "%"]),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda p: f"dunion({p[0]}, {p[1]})"),
-        st.tuples(inner, inner).map(lambda p: f"uconcat({p[0]}, {p[1]})"),
-        st.tuples(inner, st.integers(1, 3)).map(lambda t: f"star({t[0]}, d={t[1]})"),
-        st.tuples(inner, st.sampled_from(["~%", "%", EVEN])).map(
-            lambda t: f'capC({t[0]}, "{t[1]}")'
+def sd_texts(delays):
+    """SD expressions over ab whose class intersections use a language of
+    ST (all words, no word) or the mod language EVEN, and whose star
+    delays are drawn from `delays`."""
+    return st.recursive(
+        st.sampled_from(["a", "b", "%"]),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: f"dunion({p[0]}, {p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"uconcat({p[0]}, {p[1]})"),
+            st.tuples(inner, delays).map(lambda t: f"star({t[0]}, d={t[1]})"),
+            st.tuples(inner, st.sampled_from(["~%", "%", EVEN])).map(
+                lambda t: f'capC({t[0]}, "{t[1]}")'
+            ),
         ),
-    ),
-    max_leaves=6,
-)
+        max_leaves=6,
+    )
+
+
+sd_text = sd_texts(st.integers(1, 3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,3 +437,35 @@ def test_valid_sd_expressions_lie_in_the_star_free_closure(text):
     else:
         assert sf_membership(st_class(AB), dfa).answer
         assert schutzenberger_check(dfa)
+
+
+def checked(validate):
+    """A validation's DFA and violations as data, or its input error."""
+    try:
+        dfa, violations = validate()
+    except InputError as exc:
+        return ("input error", str(exc))
+    return dfa, [v.to_json() for v in violations]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sd_texts(st.integers(0, 3)), st.sampled_from([None, 1, 2]))
+def test_postfix_validation_matches_the_syntax_tree(text, dmax):
+    # delays 0 and above dmax raise where the post-order walk meets them,
+    # so the first error and the violations' order must match too
+    postfix = checked(lambda: validate_sd_expression(parse_sd_expression(text, AB), AB, dmax))
+    assert postfix == checked(lambda: tree_validate_sd_expression(text, AB, dmax))
+
+
+def test_validation_does_not_recurse_per_level():
+    # MAX_NESTING levels counting the innermost b; the limit leaves room
+    # for the calls of one step, not for a frame per level
+    depth = MAX_NESTING - 1
+    expr = parse_sd_expression("uconcat(a, " * depth + "b" + ")" * depth, AB)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        dfa, violations = validate_sd_expression(expr, AB)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert violations == [] and accepts(dfa, "a" * depth + "b")
