@@ -8,11 +8,15 @@ of the word strictly between positions i and j belongs to L.  Since is the
 mirror image.  The plain until/since default L to the full language, and the
 derived forms X, F[L] and F are expanded at parse time.
 
-Evaluation fills one truth vector per subformula over all positions of the
-word, children first.  Until is one backward sweep carrying the set of
-bound-DFA states that can still lead to acceptance, so a word of length n
-costs O(n * |formula| * |states|) time; since is the until sweep on the
-mirror image, where position p becomes n+1-p.
+A parsed formula is a postfix program: one (kind, argument, left, right)
+step per subformula, children first, whose left and right are the slots of
+earlier steps (see `_FormulaParser`); evaluation and compilation raise
+InputError on a step of any other kind.  Evaluation runs the program in
+order, filling one truth vector per step over all positions of the word.
+Until is one backward sweep carrying the set of bound-DFA states that can
+still lead to acceptance, so a word of length n costs
+O(n * |formula| * |states|) time; since is the until sweep on the mirror
+image, where position p becomes n+1-p.
 
 Comparison is exact.  A sweep's set at one position is a function of its
 set one position further on and of the letter and the children's truths
@@ -24,8 +28,6 @@ comparison reject such an alphabet before they do any work.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .automata import (
     Alphabet,
@@ -39,63 +41,6 @@ from .automata import (
     reverse,
 )
 from .errors import InputError
-
-
-class Formula:
-    """Base class for formula nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Min(Formula):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Max(Formula):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class LetterAt(Formula):
-    symbol: str
-
-
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, eq=False)
-class Until(Formula):
-    bound: Dfa
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, eq=False)
-class Since(Formula):
-    bound: Dfa
-    left: Formula
-    right: Formula
 
 
 class _FormulaParser(_Scanner):
@@ -117,40 +62,55 @@ class _FormulaParser(_Scanner):
     F[L](p) abbreviates U[L](top, p); omitted bounds default to the full
     language.  Keywords and operators are tried before letters, so a letter
     named U, S, F or X is read as an operator.
+
+    The parser emits the formula as a postfix program: one (kind, argument,
+    left, right) step per subformula, children first, in the order the
+    text names them.  The kind is `top`, `min`, `max`, `letter`, `not`,
+    `or`, `and`, `until` or `since`; the argument is the letter or the
+    bound DFA, else None; left and right are the slots of earlier steps,
+    else -1.  Each rule returns the slot of its step.  X and F emit the
+    steps of their long forms, so X(p) and U[_](!top, p) parse to the same
+    program.
     """
 
     what = "formula"
 
-    def parse(self) -> Formula:
+    def parse(self) -> list[tuple]:
         self.bounds: dict[str, Dfa] = {}
-        node = self.formula()
+        self.program: list[tuple] = []
+        self.formula()
         if not self.at_end():
             self.fail("trailing input")
-        return node
+        return self.program
 
-    def formula(self) -> Formula:
+    def emit(self, kind: str, argument: object = None, left: int = -1, right: int = -1) -> int:
+        """Append one step to the program and return its slot."""
+        self.program.append((kind, argument, left, right))
+        return len(self.program) - 1
+
+    def formula(self) -> int:
         self.depth = self.bounded(self.depth + 1)
-        node = self.conj()
+        slot = self.conj()
         while self.peek() == "|":
             self.pos += 1
-            node = Or(node, self.conj())
+            slot = self.emit("or", None, slot, self.conj())
         self.depth -= 1
-        return node
+        return slot
 
-    def conj(self) -> Formula:
-        node = self.unary()
+    def conj(self) -> int:
+        slot = self.unary()
         while self.peek() == "&":
             self.pos += 1
-            node = And(node, self.unary())
-        return node
+            slot = self.emit("and", None, slot, self.unary())
+        return slot
 
-    def unary(self) -> Formula:
+    def unary(self) -> int:
         if self.peek() == "!":
             self.pos += 1
             self.depth = self.bounded(self.depth + 1)
-            node = Not(self.unary())
+            slot = self.emit("not", None, self.unary())
             self.depth -= 1
-            return node
+            return slot
         return self.primary()
 
     def bound_dfa(self, default: str) -> Dfa:
@@ -183,7 +143,7 @@ class _FormulaParser(_Scanner):
                 self.fail(f"bad bound language: {exc}")
         return self.bounds[pattern]
 
-    def pair(self) -> tuple[Formula, Formula]:
+    def pair(self) -> tuple[int, int]:
         self.eat("(")
         left = self.formula()
         self.eat(",")
@@ -191,58 +151,45 @@ class _FormulaParser(_Scanner):
         self.eat(")")
         return left, right
 
-    def primary(self) -> Formula:
+    def operand(self) -> int:
+        self.eat("(")
+        slot = self.formula()
+        self.eat(")")
+        return slot
+
+    def primary(self) -> int:
         self.peek()
-        if self.text.startswith("top", self.pos):
-            self.pos += 3
-            return Top()
-        if self.text.startswith("min", self.pos):
-            self.pos += 3
-            return Min()
-        if self.text.startswith("max", self.pos):
-            self.pos += 3
-            return Max()
+        for keyword in ("top", "min", "max"):
+            if self.text.startswith(keyword, self.pos):
+                self.pos += len(keyword)
+                return self.emit(keyword)
         if self.text.startswith(("U", "S"), self.pos):
-            kind = Until if self.text[self.pos] == "U" else Since
+            kind = "until" if self.text[self.pos] == "U" else "since"
             self.pos += 1
             bound = self.bound_dfa("~%")
             left, right = self.pair()
-            return kind(bound, left, right)
+            return self.emit(kind, bound, left, right)
         if self.text.startswith("F", self.pos):
             self.pos += 1
             bound = self.bound_dfa("~%")
-            self.eat("(")
-            child = self.formula()
-            self.eat(")")
-            return Until(bound, Top(), child)
+            top = self.emit("top")
+            return self.emit("until", bound, top, self.operand())
         if self.text.startswith("X", self.pos):
             self.pos += 1
-            self.eat("(")
-            child = self.formula()
-            self.eat(")")
-            return Until(self.compiled("_"), Not(Top()), child)
+            bound = self.compiled("_")
+            never = self.emit("not", None, self.emit("top"))
+            return self.emit("until", bound, never, self.operand())
         if self.text.startswith("(", self.pos):
-            self.eat("(")
-            node = self.formula()
-            self.eat(")")
-            return node
+            return self.operand()
         ch = self.peek()
         if ch in self.alphabet:
             self.pos += 1
-            return LetterAt(ch)
+            return self.emit("letter", ch)
         self.fail("expected a formula")
 
 
-def parse_formula(text: str, alphabet: Alphabet) -> Formula:
+def parse_formula(text: str, alphabet: Alphabet) -> list[tuple]:
     return _FormulaParser(text, alphabet).parse()
-
-
-def _children(node: Formula) -> tuple[Formula, ...]:
-    if isinstance(node, Not):
-        return (node.child,)
-    if isinstance(node, (Or, And, Until, Since)):
-        return (node.left, node.right)
-    return ()
 
 
 class _Images:
@@ -302,56 +249,26 @@ def _mirror(vector: int, n: int) -> int:
     return int(format(vector, f"0{n + 2}b")[::-1], 2)
 
 
-_KINDS = (Top, Min, Max, LetterAt, Not, Or, And, Until, Since)
-
-
-def _plan(formula: Formula) -> list[tuple]:
-    """The distinct subformulas in post-order, each as (kind, node, slot of
-    the left or only child, slot of the right child), built from an
-    explicit stack so deep formulas do not recurse."""
-    slots: dict[int, int] = {}
-    steps: list[tuple] = []
-    stack = [formula]
-    while stack:
-        node = stack[-1]
-        if id(node) in slots:
-            stack.pop()
-            continue
-        children = _children(node)
-        pending = [c for c in children if id(c) not in slots]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        kind = next((k for k in _KINDS if isinstance(node, k)), None)
-        if kind is None:
-            raise TypeError(f"unknown formula node {type(node).__name__}")
-        left, right = ([slots[id(c)] for c in children] + [-1, -1])[:2]
-        slots[id(node)] = len(steps)
-        steps.append((kind, node, left, right))
-    return steps
-
-
-def _truth(formula: Formula, word: str) -> int:
-    """Truth values of the formula at positions 0..n+1 of the word as the
-    bits of an int, one such vector per subformula, children first."""
+def _truth(formula: list[tuple], word: str) -> int:
+    """Truth values of the formula's last step at positions 0..n+1 of the
+    word as the bits of an int, one such vector per step, children first."""
     n = len(word)
     everywhere = (1 << (n + 2)) - 1
     # letter vectors read the reversed word as bits, and since sweeps it
     reverse = word[::-1]
     zeros = dict.fromkeys(map(ord, set(word)), "0")
     vectors: list[int] = []
-    for kind, node, left, right in _plan(formula):
-        if kind is And:
+    for kind, argument, left, right in formula:
+        if kind == "and":
             value = vectors[left] & vectors[right]
-        elif kind is Or:
+        elif kind == "or":
             value = vectors[left] | vectors[right]
-        elif kind is Not:
+        elif kind == "not":
             value = everywhere ^ vectors[left]
-        elif kind is Until or kind is Since:
-            images = _Images(node.bound, backward=kind is Until)
+        elif kind == "until" or kind == "since":
+            images = _Images(argument, backward=kind == "until")
             try:
-                if kind is Until:
+                if kind == "until":
                     value = _sweep(images, word, vectors[left], vectors[right])
                 else:
                     # until on the mirror image, which reads the word in order
@@ -359,20 +276,22 @@ def _truth(formula: Formula, word: str) -> int:
                     value = _mirror(_sweep(images, reverse, p, q), n)
             except KeyError as exc:
                 raise InputError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
-        elif kind is LetterAt:
-            marks = reverse.translate({**zeros, ord(node.symbol): "1"})
+        elif kind == "letter":
+            marks = reverse.translate({**zeros, ord(argument): "1"})
             value = int(marks + "0", 2)
-        elif kind is Top:
+        elif kind == "top":
             value = everywhere
-        elif kind is Min:
+        elif kind == "min":
             value = 1
-        else:
+        elif kind == "max":
             value = 1 << (n + 1)
+        else:
+            raise InputError(f"unknown formula step {kind!r}")
         vectors.append(value)
     return vectors[-1]
 
 
-def eval_at(formula: Formula, word: str, position: int) -> bool:
+def eval_at(formula: list[tuple], word: str, position: int) -> bool:
     """Truth value of the formula at the given position of the word."""
     if not 0 <= position <= len(word) + 1:
         raise InputError(
@@ -381,7 +300,7 @@ def eval_at(formula: Formula, word: str, position: int) -> bool:
     return _truth(formula, word) >> position & 1 == 1
 
 
-def eval_word(formula: Formula, word: str) -> bool:
+def eval_word(formula: list[tuple], word: str) -> bool:
     """Truth value at the artificial minimum position."""
     return eval_at(formula, word, 0)
 
@@ -397,7 +316,7 @@ def _check_reads(what: str, dfa: Dfa, letters: tuple[str, ...]) -> None:
         raise InputError(f"{what} does not read the letter {missing[0]!r} of {letters}")
 
 
-def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
+def compile_formula(formula: list[tuple], alphabet: Alphabet) -> Dfa:
     """Minimal canonical DFA of the words over `alphabet` at whose position
     0 the formula holds; every until and since bound must read each letter.
 
@@ -407,12 +326,11 @@ def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
     first.  A table maps each state the other machine can take at the
     neighbouring position to the sweep's set at i, a function of the entry
     one step earlier and of the letter and the children's truths at that
-    position.  Tables are added in plan order, each indexed by the states
+    position.  Tables are added in step order, each indexed by the states
     the other machine reaches with its earlier tables.  Machine 1
     recognizes the mirror images of the formula's words.
     """
     letters = alphabet.symbols
-    steps = _plan(formula)
     # the symbols of positions 0 and n+1, which machines 0 and 1 read first
     ends = ("<", ">")
     # slot of a sweep -> (machine, table number, images, other machine's table count,
@@ -424,26 +342,26 @@ def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
 
     def reads(starts: list[int]) -> list[int]:
         """`starts` and the subformulas below them down to the nearest sweeps,
-        in plan order: a sweep's truth reads its table, not its children."""
+        in step order: a sweep's truth reads its table, not its children."""
         found, stack = set(), list(starts)
         while stack:
             slot = stack.pop()
             if slot >= 0 and slot not in found:
                 found.add(slot)
-                if steps[slot][0] is not Until and steps[slot][0] is not Since:
-                    stack.extend(steps[slot][2:])
+                if formula[slot][0] not in ("until", "since"):
+                    stack.extend(formula[slot][2:])
         return sorted(found)
 
     def truths(states: tuple, sym: str, slots: list[int]) -> dict[int, bool]:
         """Truths at `slots` where the position holds `sym` and the machines are in `states`."""
         values = {}
         for slot in slots:
-            kind, node, left, right = steps[slot]
-            if kind is And:
+            kind, argument, left, right = formula[slot]
+            if kind == "and":
                 value = values[left] and values[right]
-            elif kind is Or:
+            elif kind == "or":
                 value = values[left] or values[right]
-            elif kind is Not:
+            elif kind == "not":
                 value = not values[left]
             elif slot in tables:
                 side, j, images, width, index, moves, _ = tables[slot]
@@ -453,10 +371,10 @@ def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
                 if value:
                     k = 0 if sym == ends[1 - side] else moves[index[states[1 - side][:width]]][sym]
                     value = bool(states[side][j][k] & images.goal)
-            elif kind is LetterAt:
-                value = sym == node.symbol
+            elif kind == "letter":
+                value = sym == argument
             else:  # top, and min and max at their end symbols
-                value = kind is Top or sym == ends[kind is Max]
+                value = kind == "top" or sym == ends[kind == "max"]
             values[slot] = value
         return values
 
@@ -468,7 +386,7 @@ def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
             after = list(memo.get((side, state[:-1], sym), ()))
             for slot in sweeps[side][len(after):len(state)]:
                 _, j, images, _, index, moves, region = tables[slot]
-                _, _, left, right = steps[slot]
+                _, _, left, right = formula[slot]
                 entries = []
                 for k, other in enumerate(index):
                     states = (state, other) if side == 0 else (other, state)
@@ -484,22 +402,24 @@ def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
             memo[key] = tuple(after)
         return memo[key]
 
-    for kind, node, *_ in steps:
-        if kind is Until or kind is Since:
-            _check_reads("a bound of the formula", node.bound, letters)
-    for slot, (kind, node, left, right) in enumerate(steps):
-        if kind is Until or kind is Since:
-            side, other = (1, 0) if kind is Until else (0, 1)
+    for kind, argument, *_ in formula:
+        if kind == "until" or kind == "since":
+            _check_reads("a bound of the formula", argument, letters)
+        elif kind not in ("top", "min", "max", "letter", "not", "or", "and"):
+            raise InputError(f"unknown formula step {kind!r}")
+    for slot, (kind, argument, left, right) in enumerate(formula):
+        if kind == "until" or kind == "since":
+            side, other = (1, 0) if kind == "until" else (0, 1)
             start = step(other, empty[other], ends[other])
             order = breadth_first([start], lambda s: [(a, step(other, s, a)) for a in letters], {})
             index = {s: k for k, s in enumerate(order)}
             moves = [{a: index[step(other, s, a)] for a in letters} for s in index]
-            images = _Images(node.bound, kind is Until)
+            images = _Images(argument, kind == "until")
             width, region = len(empty[other]), reads([left, right])
             tables[slot] = (side, len(sweeps[side]), images, width, index, moves, region)
             sweeps[side].append(slot)
             empty[side] += ((0,) * len(index),)
-    root = len(steps) - 1
+    root = len(formula) - 1
     region = reads([root])
     backward = _determinize(
         alphabet,
@@ -511,7 +431,7 @@ def compile_formula(formula: Formula, alphabet: Alphabet) -> Dfa:
 
 
 def compare_sampled(
-    formula: Formula, dfa: Dfa, alphabet: Alphabet, max_length: int = 8
+    formula: list[tuple], dfa: Dfa, alphabet: Alphabet, max_length: int = 8
 ) -> list[str]:
     """Words up to the length bound where formula and automaton disagree,
     shortest first and length-lexicographic within one length.

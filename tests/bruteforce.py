@@ -836,9 +836,9 @@ def naive_amt_kernel(
 
 
 def naive_ltl(formula, word: str, position: int) -> bool:
-    """Memo-free recursive evaluation, recomputing automaton runs per query."""
-    from sfclosure import ltl as l
-
+    """Memo-free recursive evaluation from the definitions, recomputing
+    automaton runs per query: each step of the postfix program recurses
+    into the slots of its children, from the last step down."""
     n = len(word)
 
     def infix_in(dfa, i: int, j: int) -> bool:
@@ -846,38 +846,39 @@ def naive_ltl(formula, word: str, position: int) -> bool:
         hi = max(lo, j - 1)
         return accepts(dfa, word[lo:hi])
 
-    def at(node, i: int) -> bool:
-        if isinstance(node, l.Top):
+    def at(slot: int, i: int) -> bool:
+        kind, argument, left, right = formula[slot]
+        if kind == "top":
             return True
-        if isinstance(node, l.Min):
+        if kind == "min":
             return i == 0
-        if isinstance(node, l.Max):
+        if kind == "max":
             return i == n + 1
-        if isinstance(node, l.LetterAt):
-            return 1 <= i <= n and word[i - 1] == node.symbol
-        if isinstance(node, l.Not):
-            return not at(node.child, i)
-        if isinstance(node, l.Or):
-            return at(node.left, i) or at(node.right, i)
-        if isinstance(node, l.And):
-            return at(node.left, i) and at(node.right, i)
-        if isinstance(node, l.Until):
+        if kind == "letter":
+            return 1 <= i <= n and word[i - 1] == argument
+        if kind == "not":
+            return not at(left, i)
+        if kind == "or":
+            return at(left, i) or at(right, i)
+        if kind == "and":
+            return at(left, i) and at(right, i)
+        if kind == "until":
             return any(
-                at(node.right, j)
-                and infix_in(node.bound, i, j)
-                and all(at(node.left, k) for k in range(i + 1, j))
+                at(right, j)
+                and infix_in(argument, i, j)
+                and all(at(left, k) for k in range(i + 1, j))
                 for j in range(i + 1, n + 2)
             )
-        if isinstance(node, l.Since):
+        if kind == "since":
             return any(
-                at(node.right, j)
-                and infix_in(node.bound, j, i)
-                and all(at(node.left, k) for k in range(j + 1, i))
+                at(right, j)
+                and infix_in(argument, j, i)
+                and all(at(left, k) for k in range(j + 1, i))
                 for j in range(i)
             )
-        raise TypeError(type(node).__name__)
+        raise TypeError(kind)
 
-    return at(formula, position)
+    return at(len(formula) - 1, position)
 
 
 def _words_by_length(alphabet: Alphabet, max_length: int):

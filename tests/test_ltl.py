@@ -11,13 +11,6 @@ from sfclosure import ltl
 from sfclosure.automata import MAX_NESTING, Dfa, accepts, compile_pattern, make_alphabet
 from sfclosure.errors import InputError
 from sfclosure.ltl import (
-    And,
-    LetterAt,
-    Max,
-    Min,
-    Since,
-    Top,
-    Until,
     compare_sampled,
     compile_formula,
     eval_at,
@@ -96,7 +89,7 @@ class TestConnectives:
 class TestParsing:
     def test_bound_brackets_nest(self):
         f = parse_formula("U[~(~%a~%)](top, max)", AB)
-        assert isinstance(f, Until)
+        assert f[-1][0] == "until"
         assert eval_at(f, "bb", 0)
         assert not eval_at(f, "ba", 0)
 
@@ -163,11 +156,11 @@ class TestParsing:
             ("SF", "F", "offset 1: expected '('"),
             ("aS", "S(a, S)", "offset 6: expected '('"),
             # top, min and max are read before single letters
-            ("opt", "top", Top()),
-            ("opt", "t", LetterAt("t")),
-            ("imn", "min", Min()),
-            ("amx", "max", Max()),
-            ("amx", "m & a", And(LetterAt("m"), LetterAt("a"))),
+            ("opt", "top", [("top", None, -1, -1)]),
+            ("opt", "t", [("letter", "t", -1, -1)]),
+            ("imn", "min", [("min", None, -1, -1)]),
+            ("amx", "max", [("max", None, -1, -1)]),
+            ("amx", "m & a", [("letter", "m", -1, -1), ("letter", "a", -1, -1), ("and", None, 0, 1)]),
         ],
     )
     def test_keywords_before_letters(self, letters, text, expected):
@@ -179,8 +172,10 @@ class TestParsing:
             assert parse_formula(text, alphabet) == expected
 
     def test_constructed_and_parsed_agree(self):
-        built = Until(compile_pattern("~%", AB), Top(), LetterAt("a"))
+        built = [("top", None, -1, -1), ("letter", "a", -1, -1),
+                 ("until", compile_pattern("~%", AB), 0, 1)]
         parsed = parse_formula("U(top, a)", AB)
+        assert built == parsed
         for word in ("", "a", "ba", "bb", "aab"):
             assert eval_word(built, word) == eval_word(parsed, word)
 
@@ -330,6 +325,23 @@ def bounded_formula_text(letters: str, bound=None):
     )
 
 
+@settings(deadline=None)
+@given(bounded_formula_text("ab"), regex_text("ab"))
+def test_derived_forms_parse_to_their_long_forms(text, bound):
+    # F and X emit their top and not before the child's steps, where the
+    # long form's text names them, so both parse to one program
+    pairs = [
+        (f"F[{bound}]({text})", f"U[{bound}](top, {text})"),
+        (f"F({text})", f"U(top, {text})"),
+        (f"X({text})", f"U[_](!top, {text})"),
+    ]
+    for short, long in pairs:
+        program = parse_formula(short, AB)
+        assert program == parse_formula(long, AB)
+        for slot, (_, _, left, right) in enumerate(program):
+            assert -1 <= left < slot and -1 <= right < slot
+
+
 @given(st.sampled_from(["01", "10"]), st.data())
 def test_sweep_evaluator_matches_naive_over_digits(letters, data):
     # the letter vectors read the word as binary digits, so the letters 0
@@ -375,7 +387,7 @@ def test_compare_matches_word_by_word(formula_letters, dfa_letters, letters, max
     alphabet = make_alphabet(letters)
     if len(letters) == 3:
         max_length = min(max_length, 5)
-    bounds = [node.bound for _, node, *_ in ltl._plan(formula) if isinstance(node, (Until, Since))]
+    bounds = [argument for kind, argument, *_ in formula if kind in ("until", "since")]
     if all(set(letters) <= set(a.alphabet) for a in [dfa, *bounds]):
         expected = naive_compare_sampled(formula, dfa, alphabet, max_length)
         assert compare_sampled(formula, dfa, alphabet, max_length) == expected
@@ -433,21 +445,40 @@ def test_compare_rejects_a_bound_without_reading_words():
 
 
 def test_compile_checks_every_bound_before_building_a_table():
-    # the inner bound reads every letter and comes first in the plan
+    # U[~%](top, U[~%](top, a)) with the inner bound over abc: it reads
+    # every letter and comes first in the program
     abc = make_alphabet("abc")
-    inner = Until(compile_pattern("~%", abc), Top(), LetterAt("a"))
-    formula = Until(compile_pattern("~%", AB), Top(), inner)
+    formula = [
+        ("top", None, -1, -1),
+        ("top", None, -1, -1),
+        ("letter", "a", -1, -1),
+        ("until", compile_pattern("~%", abc), 1, 2),
+        ("until", compile_pattern("~%", AB), 0, 3),
+    ]
     table = AssertionError("compile_formula built a table")
     with mock.patch.object(ltl, "breadth_first", side_effect=table):
         with pytest.raises(InputError, match="a bound of the formula does not read the letter 'c'"):
             compile_formula(formula, abc)
 
 
-def test_compare_plans_the_formula_once():
-    formula = parse_formula(PAIR_STAR_FORMULA, AB)
-    with mock.patch.object(ltl, "_plan", wraps=ltl._plan) as spy:
-        compare_sampled(formula, compile_pattern("~%", AB), AB, 4)
-    assert spy.call_count == 1
+def test_unknown_steps_are_input_errors():
+    # an until whose table compilation would build comes before the unknown step
+    formula = [
+        ("top", None, -1, -1),
+        ("letter", "a", -1, -1),
+        ("until", compile_pattern("~%", AB), 0, 1),
+        ("next", None, 2, -1),
+    ]
+    message = "unknown formula step 'next'"
+    for word in ("", "ab"):
+        with pytest.raises(InputError, match=message):
+            eval_at(formula, word, 0)
+    table = AssertionError("compile_formula built a table")
+    with mock.patch.object(ltl, "breadth_first", side_effect=table):
+        with pytest.raises(InputError, match=message):
+            compile_formula(formula, AB)
+        with pytest.raises(InputError, match=message):
+            compare_sampled(formula, compile_pattern("~%", AB), AB, 4)
 
 
 def test_compare_lists_long_words_in_order():
