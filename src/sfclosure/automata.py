@@ -3,9 +3,10 @@ complete DFAs.
 
 Everything downstream manipulates complete DFAs: the transition table is
 total, so complement is a final-set flip and products never special-case
-missing edges.  State numbering of minimized automata is canonical
-(breadth-first from the initial state, letters in alphabet order), which
-makes equality of minimized DFAs decide language equality.
+missing edges.  One walk, `explore`, numbers every state space the
+library builds, DFAs and monoids alike: breadth-first from a start,
+successors in alphabet order.  So minimized automata are numbered
+canonically, and equality of minimized DFAs decides language equality.
 
 The public constructor `Dfa(...)` checks every field.  The DFAs the
 library derives from checked ones (products, concatenations, stars,
@@ -18,11 +19,12 @@ marked DFA as it is.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -371,24 +373,35 @@ def product(left: Dfa, right: Dfa, mode: str) -> Dfa:
     )
 
 
-def _determinize(alphabet: Alphabet, start, successors, accepting) -> Dfa:
-    """Breadth-first exploration of hashable macro states from `start`;
-    `successors(state)` gives the next macro state for each letter in
-    alphabet order, and each row is recorded as it is explored."""
+def explore(start, successors, cap=math.inf, cap_message: str = ""):
+    """Number the states reachable from the hashable `start` breadth-first;
+    `successors(state)` lists the next state for each letter, in order.
+    Returns the states in number order and, per state, the tuple of its
+    successors' numbers.  ResourceLimitError(cap_message) is raised as soon
+    as more than `cap` states appear."""
     index = {start: 0}
-    order = [start]
-    delta = []
-    for state in order:
+    states = [start]
+    rows = []
+    for state in states:
         row = []
         for nxt in successors(state):
             target = index.get(nxt)
             if target is None:
-                target = index[nxt] = len(order)
-                order.append(nxt)
+                if len(states) >= cap:
+                    raise ResourceLimitError(cap_message)
+                target = index[nxt] = len(states)
+                states.append(nxt)
             row.append(target)
-        delta.append(tuple(row))
-    finals = frozenset(k for k, state in enumerate(order) if accepting(state))
-    return Dfa._trusted(alphabet, len(order), 0, finals, tuple(delta))
+        rows.append(tuple(row))
+    return states, rows
+
+
+def _determinize(alphabet: Alphabet, start, successors, accepting) -> Dfa:
+    """The DFA of the macro states `explore` reaches from `start`, state 0
+    initial; `accepting(state)` marks the finals."""
+    states, rows = explore(start, successors)
+    finals = frozenset(k for k, state in enumerate(states) if accepting(state))
+    return Dfa._trusted(alphabet, len(states), 0, finals, tuple(rows))
 
 
 def concat(left: Dfa, right: Dfa) -> Dfa:
@@ -517,19 +530,12 @@ def _canonical(dfa: Dfa, block) -> Dfa:
     marked minimal.  `block[q]` names the class of each reachable state q:
     states in one class must agree on finality and on the classes of
     their edges, and states in different classes must be
-    distinguishable."""
+    distinguishable.  The first state reached in a block stands for it."""
     delta = dfa.delta
-    canon = {block[dfa.initial]: 0}
-    reps = [dfa.initial]
-    for q in reps:
-        for target in delta[q]:
-            b = block[target]
-            if b not in canon:
-                canon[b] = len(reps)
-                reps.append(target)
-    rows = tuple(tuple(canon[block[t]] for t in delta[q]) for q in reps)
+    first = {block[dfa.initial]: dfa.initial}
+    reps, rows = explore(dfa.initial, lambda q: [first.setdefault(block[t], t) for t in delta[q]])
     finals = frozenset(k for k, q in enumerate(reps) if q in dfa.finals)
-    return Dfa._trusted(dfa.alphabet, len(reps), 0, finals, rows, minimal=True)
+    return Dfa._trusted(dfa.alphabet, len(reps), 0, finals, tuple(rows), minimal=True)
 
 
 def _dfa_empty(alphabet: Alphabet) -> Dfa:

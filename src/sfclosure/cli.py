@@ -117,8 +117,7 @@ def _cmd_membership(args, config: Config) -> dict:
     cls = _resolve_class(args.klass, args)
     alphabet = _alphabet_of(args)
     dfa = compile_pattern(args.lang, alphabet)
-    verdict = sf_membership(cls, dfa, monoid_cap=config.monoid_cap, config=config)
-    return verdict.to_json()
+    return sf_membership(cls, dfa, config=config).to_json()
 
 
 def _cmd_separate(args, config: Config) -> dict:

@@ -381,19 +381,18 @@ def _mu_image_monoid(
     # value -> its products with the members of each letter set
     right_products: dict[int, list[set]] = {}
 
-    def times_letter(xs: tuple, i: int) -> tuple:
-        values = set()
+    def times_letters(xs: tuple) -> list[tuple]:
         for v in xs:
-            sets = right_products.get(v)
-            if sets is None:
-                sets = right_products[v] = [_products(sr, (v,), gs) for gs in letter_sets]
-            values |= sets[i]
-        return _max_reduce(values)
+            if v not in right_products:
+                right_products[v] = [_products(sr, (v,), gs) for gs in letter_sets]
+        rows = [right_products[v] for v in xs] or [[()] * len(letter_sets)]
+        # the union of each column of the rows, one column per letter set
+        return list(map(_max_reduce, map(set().union, *rows)))
 
     return cayley_closure(
         rho.alphabet,
         (sr.one,),
-        times_letter,
+        times_letters,
         cap,
         f"group step exceeded the cap of {cap} set values",
     )

@@ -11,7 +11,7 @@ derived forms X, F[L] and F are expanded at parse time.
 A parsed formula is a postfix program: one (kind, argument, left, right)
 step per subformula, children first, whose left and right are the slots of
 earlier steps (see `_FormulaParser`); evaluation and compilation raise
-InputError on a step of any other kind.  Evaluation runs the program in
+InputError on a program of any other shape.  Evaluation runs the program in
 order, filling one truth vector per step over all positions of the word.
 Until is one backward sweep carrying the set of bound-DFA states that can
 still lead to acceptance, so a word of length n costs
@@ -35,8 +35,8 @@ from .automata import (
     _determinize,
     _Scanner,
     accepted_words,
-    breadth_first,
     compile_pattern,
+    explore,
     minimize,
     reverse,
 )
@@ -283,16 +283,34 @@ def _truth(formula: list[tuple], word: str) -> int:
             value = everywhere
         elif kind == "min":
             value = 1
-        elif kind == "max":
+        else:  # max
             value = 1 << (n + 1)
-        else:
-            raise InputError(f"unknown formula step {kind!r}")
         vectors.append(value)
     return vectors[-1]
 
 
+_OPERANDS = {"top": 0, "min": 0, "max": 0, "letter": 0, "not": 1, "or": 2, "and": 2,
+             "until": 2, "since": 2}
+
+
+def _check_program(formula: list[tuple]) -> None:
+    """Raise InputError unless the program has steps, of known kinds, whose
+    left and right name earlier slots where the kind takes operands, else -1."""
+    if not formula:
+        raise InputError("a formula program needs at least one step")
+    for slot, (kind, _, left, right) in enumerate(formula):
+        arity = _OPERANDS.get(kind)
+        if arity is None:
+            raise InputError(f"unknown formula step {kind!r}")
+        earlier = range(slot)
+        left_ok = left in earlier if arity else left == -1
+        if not left_ok or not (right in earlier if arity == 2 else right == -1):
+            raise InputError(f"formula step {slot} ({kind}) has bad operands {left}, {right}")
+
+
 def eval_at(formula: list[tuple], word: str, position: int) -> bool:
     """Truth value of the formula at the given position of the word."""
+    _check_program(formula)
     if not 0 <= position <= len(word) + 1:
         raise InputError(
             f"position {position} out of range for a word of length {len(word)}"
@@ -402,18 +420,17 @@ def compile_formula(formula: list[tuple], alphabet: Alphabet) -> Dfa:
             memo[key] = tuple(after)
         return memo[key]
 
+    _check_program(formula)
     for kind, argument, *_ in formula:
         if kind == "until" or kind == "since":
             _check_reads("a bound of the formula", argument, letters)
-        elif kind not in ("top", "min", "max", "letter", "not", "or", "and"):
-            raise InputError(f"unknown formula step {kind!r}")
     for slot, (kind, argument, left, right) in enumerate(formula):
         if kind == "until" or kind == "since":
             side, other = (1, 0) if kind == "until" else (0, 1)
             start = step(other, empty[other], ends[other])
-            order = breadth_first([start], lambda s: [(a, step(other, s, a)) for a in letters], {})
-            index = {s: k for k, s in enumerate(order)}
-            moves = [{a: index[step(other, s, a)] for a in letters} for s in index]
+            states, rows = explore(start, lambda s: [step(other, s, a) for a in letters])
+            index = {s: k for k, s in enumerate(states)}
+            moves = [dict(zip(letters, row)) for row in rows]
             images = _Images(argument, kind == "until")
             width, region = len(empty[other]), reads([left, right])
             tables[slot] = (side, len(sweeps[side]), images, width, index, moves, region)

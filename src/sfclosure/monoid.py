@@ -1,8 +1,9 @@
 """Finite monoids, morphisms from free monoids, and syntactic morphisms.
 
 A monoid is a multiplication table over 0..size-1.  Every generated
-monoid is built by one closure, `cayley_closure`: elements are numbered
-breadth-first from the identity with letters in alphabet order, the
+monoid is built by one closure, `cayley_closure`: `automata.explore`
+numbers the elements breadth-first from the identity with letters in
+alphabet order, the same numbering every DFA construction uses, its
 right Cayley graph gives each element a shortest word, and the table is
 filled from the Cayley graphs, never by multiplying labels (Froidure &
 Pin, "Algorithms for computing finite semigroups", 1997).  Each row is
@@ -20,9 +21,9 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .automata import Alphabet, Dfa, breadth_first, minimize
+from .automata import Alphabet, Dfa, explore, minimize
 from .config import DEFAULT
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,8 @@ class Morphism:
 
 
 def generated_image(monoid: FiniteMonoid, letter_images) -> frozenset[int]:
-    rows = monoid.mul
-    return frozenset(
-        breadth_first([monoid.identity], lambda s: [(g, rows[s][g]) for g in letter_images], {})
-    )
+    image, _ = explore(monoid.identity, lambda s: map(monoid.mul[s].__getitem__, letter_images))
+    return frozenset(image)
 
 
 @dataclass(frozen=True)
@@ -176,38 +175,27 @@ class RecognizedLanguage:
 def cayley_closure(alphabet: Alphabet, identity, step, cap: int, cap_message: str) -> Morphism:
     """The monoid generated by the letters of `alphabet` from `identity`.
 
-    `step(label, i)` is the label of the element times letter i; labels
-    are hashable and name their elements uniquely.  Elements are numbered
-    breadth-first from the identity, letters in alphabet order, and
-    ResourceLimitError(cap_message) is raised as soon as more than `cap`
-    appear.  Each element x other than the identity is its BFS parent
-    times its last letter, which spells a shortest word for it.  Walking
-    each letter a along those words gives the left Cayley graph a * y,
-    and row x of the table is row parent(x) read at the entries of
+    `step(label)` lists the labels of the element times each letter, in
+    alphabet order; labels are hashable and name their elements uniquely.
+    `explore` numbers the elements, its rows are the right Cayley graph,
+    and it raises ResourceLimitError(cap_message) as soon as more than
+    `cap` appear.  Each element y other than the identity is its BFS
+    parent x times its last letter i, where (x, i) is the first entry of
+    the rows that reads y: the first whose y equals the count seen so far.
+    Walking each letter a along those words gives the left Cayley graph
+    a * y, and row x of the table is row parent(x) read at the entries of
     last(x) * y, since x * y = parent(x) * (last(x) * y): one C-level
     gather per row, with one gather built per letter's left column.
     """
-    index = {identity: 0}
-    labels = [identity]
-    parent = [0]
-    last = [0]
-    right: list[list[int]] = []
-    for x, label in enumerate(labels):
-        row = []
-        for i in range(len(alphabet)):
-            succ = step(label, i)
-            y = index.get(succ)
-            if y is None:
-                if len(labels) >= cap:
-                    raise ResourceLimitError(cap_message)
-                y = index[succ] = len(labels)
-                labels.append(succ)
+    labels, right = explore(identity, step, cap, cap_message)
+    parent, last = [0], [0]
+    for x, row in enumerate(right):
+        for i, y in enumerate(row):
+            if y == len(parent):
                 parent.append(x)
                 last.append(i)
-            row.append(y)
-        right.append(row)
     size = len(labels)
-    letters = tuple(right[0])
+    letters = right[0]
     left = []
     for a in letters:
         column = [a]
@@ -239,13 +227,11 @@ def syntactic_morphism(dfa: Dfa, cap: int | None = None) -> RecognizedLanguage:
     if cap is None:
         cap = DEFAULT.monoid_cap
     dfa = minimize(dfa)
-    generators = [
-        tuple(dfa.delta[q][i] for q in range(dfa.states)) for i in range(len(dfa.alphabet))
-    ]
+    generators = list(zip(*dfa.delta))
     morphism = cayley_closure(
         dfa.alphabet,
         tuple(range(dfa.states)),
-        lambda t, i: gather(t)(generators[i]),
+        lambda t: map(gather(t), generators),
         cap,
         f"syntactic monoid exceeds the cap of {cap} elements",
     )

@@ -35,6 +35,7 @@ from functools import reduce
 from itertools import compress
 from operator import and_, eq, getitem, itemgetter
 
+from .automata import explore
 from .config import DEFAULT, Config
 from .errors import InputError, ResourceLimitError
 from .monoid import FiniteMonoid, Morphism, gather, omega_power
@@ -113,20 +114,15 @@ def c_pairs(c: FinitePrevariety, alpha: Morphism) -> PairSet:
         raise InputError("the class morphism must use the language's alphabet")
     m_mul, n_mul = alpha.codomain.mul, eta.codomain.mul
     letters = tuple(zip(alpha.letter_images, eta.letter_images))
-    start = (alpha.codomain.identity, eta.codomain.identity)
-    seen = {start}
-    stack = [start]
-    while stack:
-        s, x = stack.pop()
-        row_s, row_x = m_mul[s], n_mul[x]
-        for g, h in letters:
-            nxt = (row_s[g], row_x[h])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+
+    def successors(pair):
+        row_s, row_x = m_mul[pair[0]], n_mul[pair[1]]
+        return [(row_s[g], row_x[h]) for g, h in letters]
+
+    reached, _ = explore((alpha.codomain.identity, eta.codomain.identity), successors)
     by_witness: dict[int, set[int]] = {}
     by_element: dict[int, set[int]] = {}
-    for s, x in seen:
+    for s, x in reached:
         by_witness.setdefault(x, set()).add(s)
         by_element.setdefault(s, set()).add(x)
     return PairSet(
@@ -382,22 +378,18 @@ def amt_kernel(
             lat = lattices[mask] = IntegerLattice(width, rows)
         return lat
 
-    initial = (alpha.codomain.identity, 1 << component[alpha.codomain.identity], zero)
-    seen = {initial}
-    stack = [initial]
-    while stack:
-        s, mask, residue = stack.pop()
-        row = mul[s]
+    def successors(state):
+        s, mask, residue = state
         for i, g in edges:
-            t = row[g]
+            t = mul[s][g]
             nmask = mask | 1 << component[t]
             stepped = list(residue)
             stepped[i] += 1
-            state = (t, nmask, lattice_for(nmask).reduce(stepped))
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return frozenset(s for s, _, residue in seen if residue == zero)
+            yield (t, nmask, lattice_for(nmask).reduce(stepped))
+
+    initial = (alpha.codomain.identity, 1 << component[alpha.codomain.identity], zero)
+    reached, _ = explore(initial, successors)
+    return frozenset(s for s, _, residue in reached if residue == zero)
 
 
 # ---------------------------------------------------------------------------

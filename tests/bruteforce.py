@@ -1369,6 +1369,30 @@ def naive_minimize(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, len(order), 0, finals, delta)
 
 
+def naive_explore_order(start, successors) -> list:
+    """The states reachable from `start`, ordered by the shortlex-least
+    word of successor positions that leads to each: the breadth-first
+    numbering of `automata.explore`, from word enumeration instead of a
+    queue.  Every reachable state has such a word shorter than the number
+    of states, so enumerating until a length adds none suffices."""
+    first: dict = {start: ()}
+    length = 0
+    while True:
+        length += 1
+        found = len(first)
+        # every word of this length, in lexicographic order, by extension
+        frontier = [((), start)]
+        for _ in range(length):
+            frontier = [
+                (word + (i,), nxt) for word, state in frontier
+                for i, nxt in enumerate(successors(state))
+            ]
+        for word, state in frontier:
+            first.setdefault(state, word)
+        if len(first) == found:
+            return sorted(first, key=lambda state: (len(first[state]), first[state]))
+
+
 def rebuilt(dfa: Dfa) -> Dfa:
     """The same DFA through the public constructor: every check of
     `Dfa.__post_init__` runs again, and the copy is not marked minimal."""

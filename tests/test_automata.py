@@ -9,6 +9,7 @@ from bruteforce import (
     is_empty,
     naive_compile_pattern,
     naive_dfa_word,
+    naive_explore_order,
     naive_minimize,
     nerode_class_count,
     rebuilt,
@@ -24,6 +25,7 @@ from sfclosure.automata import (
     complement,
     concat,
     dfa_to_json,
+    explore,
     make_alphabet,
     minimize,
     product,
@@ -31,7 +33,7 @@ from sfclosure.automata import (
     shortest_word,
     star,
 )
-from sfclosure.errors import InputError
+from sfclosure.errors import InputError, ResourceLimitError
 
 AB = make_alphabet("ab")
 A = make_alphabet("a")
@@ -403,3 +405,36 @@ def test_every_built_dfa_passes_the_public_checks(left, right):
     ]
     for dfa in built:
         assert rebuilt(dfa) == dfa
+
+
+@st.composite
+def _successor_graphs(draw):
+    # 1-7 states named by strings, 1-3 successors each, repeats allowed
+    size = draw(st.integers(1, 7))
+    width = draw(st.integers(1, 3))
+    targets = st.integers(0, size - 1)
+    table = {f"q{n}": [f"q{draw(targets)}" for _ in range(width)] for n in range(size)}
+    return table, f"q{draw(targets)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_successor_graphs())
+def test_explore_numbers_breadth_first_and_caps(graph):
+    table, start = graph
+    order = naive_explore_order(start, table.__getitem__)
+    states, rows = explore(start, table.__getitem__)
+    assert states == order
+    assert rows == [tuple(map(order.index, table[state])) for state in order]
+    assert explore(start, table.__getitem__, len(order), "over") == (states, rows)
+    for cap in range(1, len(order)):
+        walked = []
+
+        def successors(state):
+            walked.append(state)
+            return table[state]
+
+        with pytest.raises(ResourceLimitError, match="^over$"):
+            explore(start, successors, cap, "over")
+        # it stops at the state whose row reaches state number cap first
+        assert walked == order[:len(walked)]
+        assert cap in rows[len(walked) - 1] and cap not in sum(rows[:len(walked) - 1], ())

@@ -456,7 +456,7 @@ def test_compile_checks_every_bound_before_building_a_table():
         ("until", compile_pattern("~%", AB), 0, 3),
     ]
     table = AssertionError("compile_formula built a table")
-    with mock.patch.object(ltl, "breadth_first", side_effect=table):
+    with mock.patch.object(ltl, "explore", side_effect=table):
         with pytest.raises(InputError, match="a bound of the formula does not read the letter 'c'"):
             compile_formula(formula, abc)
 
@@ -474,11 +474,31 @@ def test_unknown_steps_are_input_errors():
         with pytest.raises(InputError, match=message):
             eval_at(formula, word, 0)
     table = AssertionError("compile_formula built a table")
-    with mock.patch.object(ltl, "breadth_first", side_effect=table):
+    with mock.patch.object(ltl, "explore", side_effect=table):
         with pytest.raises(InputError, match=message):
             compile_formula(formula, AB)
         with pytest.raises(InputError, match=message):
             compare_sampled(formula, compile_pattern("~%", AB), AB, 4)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        [],
+        [("top", None, -1, -1), ("not", None, -1, -1)],
+        [("letter", "a", -1, -1), ("and", None, 0, 2), ("top", None, -1, -1)],
+        [("letter", "a", -1, -1), ("not", None, 0, 0)],
+        [("top", None, 0, -1)],
+    ],
+    ids=["empty", "missing-operand", "forward-reference", "extra-operand", "self-reference"],
+)
+def test_malformed_programs_are_input_errors(formula):
+    with pytest.raises(InputError, match="formula"):
+        eval_at(formula, "a", 0)
+    with pytest.raises(InputError, match="formula"):
+        compile_formula(formula, AB)
+    with pytest.raises(InputError, match="formula"):
+        compare_sampled(formula, compile_pattern("~%", AB), AB, 4)
 
 
 def test_compare_lists_long_words_in_order():
