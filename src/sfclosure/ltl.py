@@ -14,9 +14,17 @@ earlier steps (see `_FormulaParser`); evaluation and compilation raise
 InputError on a program of any other shape.  Evaluation runs the program in
 order, filling one truth vector per step over all positions of the word.
 Until is one backward sweep carrying the set of bound-DFA states that can
-still lead to acceptance, so a word of length n costs
-O(n * |formula| * |states|) time; since is the until sweep on the mirror
-image, where position p becomes n+1-p.
+still lead to acceptance; since is the until sweep on the mirror image,
+where position p becomes n+1-p.  The sweep reads the children's vectors
+as digit strings and collects its own as digits, so a word of length n
+costs O(n * |formula| * |states|) time.  Most untils and sinces need no
+sweep: when the bound's initial state is its one useful state (it is
+final, and each letter loops on it or leads to a non-final sink), and the
+bound reads every letter of the word, the sweep's set is that state or
+nothing.  Its recurrence is then a carry chain, in which the right side
+generates and the left side propagates where the letter loops, and one
+integer addition computes the whole vector.  This covers every plain U, S
+and F, every X (bound `_`) and bounds such as `a*`.
 
 Comparison is exact.  A sweep's set at one position is a function of its
 set one position further on and of the letter and the children's truths
@@ -221,27 +229,52 @@ class _Images:
         return result
 
 
-def _sweep(images: _Images, word: str, left: int, right: int) -> int:
-    # Backward sweep: `states` after step i holds the bound-DFA states that
-    # the infix word[i:j-1] of some witness j > i links to the seed, with
-    # the left side true strictly between i and j.  For since, run on the
-    # mirror image, the infix is read forward from the initial state.
-    n = len(word)
+def _sweep(images: _Images, letters: str, left: int, right: int) -> int:
+    # Backward sweep over positions n..0 that reads `letters`, the word
+    # reversed, in order: `states` after position i holds the bound-DFA
+    # states that the infix word[i:j-1] of some witness j > i links to the
+    # seed, with the left side true strictly between i and j.  The sides
+    # are read as digit strings from position n+1 down and the truths are
+    # collected as digits, so the sweep is linear in n.  For since, run on
+    # the mirror image, the infix is read forward from the initial state.
+    n = len(letters)
+    lefts, rights = format(left, f"0{n + 2}b"), format(right, f"0{n + 2}b")
     seed, goal, cache = images.seed, images.goal, images.cache
-    states = seed if right >> (n + 1) & 1 else 0
-    out = 1 << n if states & goal else 0
-    for i in range(n - 1, -1, -1):
-        if states and left >> (i + 1) & 1:
-            sym = word[i]
+    states = seed if rights[0] == "1" else 0
+    digits = ["0", "1" if states & goal else "0"]
+    for sym, l, r in zip(letters, lefts[1:], rights[1:]):
+        if states and l == "1":
             image = cache[sym].get(states)
             states = images(sym, states) if image is None else image
         else:
             states = 0
-        if right >> (i + 1) & 1:
+        if r == "1":
             states |= seed
-        if states & goal:
-            out |= 1 << i
-    return out
+        digits.append("1" if states & goal else "0")
+    return int("".join(digits), 2)
+
+
+def _loop_letters(dfa: Dfa) -> set[str] | None:
+    """The letters that loop on the bound's initial state when that state is
+    its one useful state, else None: the state is final, and every other
+    letter leads to a non-final sink.  A minimal DFA with one useful state
+    has at most two states, so larger ones are not tested."""
+    q = dfa.initial
+    if dfa.states > 2 or q not in dfa.finals:
+        return None
+    loops = {sym for sym, target in zip(dfa.alphabet, dfa.delta[q]) if target == q}
+    if len(loops) < len(dfa.alphabet):
+        other = 1 - q
+        if other in dfa.finals or any(target != other for target in dfa.delta[other]):
+            return None
+    return loops
+
+
+def _carries(generate: int, propagate: int) -> int:
+    """The bits i with some j <= i where `generate` holds at j and
+    `propagate` at j+1..i: the carries of one addition."""
+    total = generate | propagate
+    return (total + generate ^ total ^ generate) >> 1
 
 
 def _mirror(vector: int, n: int) -> int:
@@ -254,9 +287,10 @@ def _truth(formula: list[tuple], word: str) -> int:
     word as the bits of an int, one such vector per step, children first."""
     n = len(word)
     everywhere = (1 << (n + 2)) - 1
-    # letter vectors read the reversed word as bits, and since sweeps it
+    # letter vectors read the reversed word as bits, and the until sweep reads it
     reverse = word[::-1]
-    zeros = dict.fromkeys(map(ord, set(word)), "0")
+    letters = set(word)
+    zeros = dict.fromkeys(map(ord, letters), "0")
     vectors: list[int] = []
     for kind, argument, left, right in formula:
         if kind == "and":
@@ -266,16 +300,31 @@ def _truth(formula: list[tuple], word: str) -> int:
         elif kind == "not":
             value = everywhere ^ vectors[left]
         elif kind == "until" or kind == "since":
-            images = _Images(argument, backward=kind == "until")
-            try:
+            loops = _loop_letters(argument) if letters <= set(argument.alphabet) else None
+            if loops is not None:
+                # the sweep's set holds the initial state or nothing: a carry
+                # chain that the right side generates and the left side, where
+                # the letter loops, propagates
+                marks = {**zeros, **{ord(sym): "1" for sym in loops}}
                 if kind == "until":
-                    value = _sweep(images, word, vectors[left], vectors[right])
-                else:
-                    # until on the mirror image, which reads the word in order
+                    # the chain runs toward position 0, so it runs mirrored
                     p, q = _mirror(vectors[left], n), _mirror(vectors[right], n)
-                    value = _mirror(_sweep(images, reverse, p, q), n)
-            except KeyError as exc:
-                raise InputError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
+                    chain = _carries(q, p & int(word.translate(marks) + "0", 2))
+                    value = _mirror(chain & everywhere, n) >> 1
+                else:
+                    looping = int(reverse.translate(marks) + "0", 2)
+                    value = _carries(vectors[right], vectors[left] & looping) << 1 & everywhere
+            else:
+                images = _Images(argument, backward=kind == "until")
+                try:
+                    if kind == "until":
+                        value = _sweep(images, reverse, vectors[left], vectors[right])
+                    else:
+                        # until on the mirror image, which reads the word in order
+                        p, q = _mirror(vectors[left], n), _mirror(vectors[right], n)
+                        value = _mirror(_sweep(images, word, p, q), n)
+                except KeyError as exc:
+                    raise InputError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
         elif kind == "letter":
             marks = reverse.translate({**zeros, ord(argument): "1"})
             value = int(marks + "0", 2)
@@ -294,14 +343,22 @@ _OPERANDS = {"top": 0, "min": 0, "max": 0, "letter": 0, "not": 1, "or": 2, "and"
 
 
 def _check_program(formula: list[tuple]) -> None:
-    """Raise InputError unless the program has steps, of known kinds, whose
-    left and right name earlier slots where the kind takes operands, else -1."""
+    """Raise InputError unless the program has steps of four fields, of known
+    kinds, whose left and right name earlier slots where the kind takes
+    operands, else -1; a letter's argument is one character and a bound a Dfa."""
     if not formula:
         raise InputError("a formula program needs at least one step")
-    for slot, (kind, _, left, right) in enumerate(formula):
+    for slot, step in enumerate(formula):
+        if not isinstance(step, (tuple, list)) or len(step) != 4:
+            raise InputError(f"formula step {slot} is not a (kind, argument, left, right) tuple")
+        kind, argument, left, right = step
         arity = _OPERANDS.get(kind)
         if arity is None:
             raise InputError(f"unknown formula step {kind!r}")
+        if kind == "letter" and not (isinstance(argument, str) and len(argument) == 1):
+            raise InputError(f"formula step {slot} (letter) has argument {argument!r}, not one letter")
+        if kind in ("until", "since") and not isinstance(argument, Dfa):
+            raise InputError(f"formula step {slot} ({kind}) has a bound that is not a Dfa")
         earlier = range(slot)
         left_ok = left in earlier if arity else left == -1
         if not left_ok or not (right in earlier if arity == 2 else right == -1):

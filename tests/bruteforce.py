@@ -881,6 +881,71 @@ def naive_ltl(formula, word: str, position: int) -> bool:
     return at(len(formula) - 1, position)
 
 
+def _shift_sweep(images, word: str, left: int, right: int) -> int:
+    # The per-position until sweep that ltl._sweep replaced: it shifts the
+    # whole side vectors and ORs into the whole output at each position, so
+    # a word of length n costs O(n^2 / w) on w-bit words.
+    n = len(word)
+    seed, goal, cache = images.seed, images.goal, images.cache
+    states = seed if right >> (n + 1) & 1 else 0
+    out = 1 << n if states & goal else 0
+    for i in range(n - 1, -1, -1):
+        if states and left >> (i + 1) & 1:
+            sym = word[i]
+            image = cache[sym].get(states)
+            states = images(sym, states) if image is None else image
+        else:
+            states = 0
+        if right >> (i + 1) & 1:
+            states |= seed
+        if states & goal:
+            out |= 1 << i
+    return out
+
+
+def shift_truth(formula, word: str) -> int:
+    """The truth vector of the formula's last step over positions 0..n+1,
+    every until and since by the per-position sweep of `_shift_sweep`: the
+    reference for `ltl._truth`, whose untils and sinces take a carry chain
+    or a linear sweep.  A since is the until sweep on the mirror image."""
+    from sfclosure.ltl import _Images
+
+    n = len(word)
+    everywhere = (1 << (n + 2)) - 1
+
+    def mirror(vector: int) -> int:
+        return int(format(vector, f"0{n + 2}b")[::-1], 2)
+
+    vectors: list[int] = []
+    for kind, argument, left, right in formula:
+        if kind == "and":
+            value = vectors[left] & vectors[right]
+        elif kind == "or":
+            value = vectors[left] | vectors[right]
+        elif kind == "not":
+            value = everywhere ^ vectors[left]
+        elif kind == "until" or kind == "since":
+            images = _Images(argument, backward=kind == "until")
+            try:
+                if kind == "until":
+                    value = _shift_sweep(images, word, vectors[left], vectors[right])
+                else:
+                    p, q = mirror(vectors[left]), mirror(vectors[right])
+                    value = mirror(_shift_sweep(images, word[::-1], p, q))
+            except KeyError as exc:
+                raise InputError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
+        elif kind == "letter":
+            value = sum(1 << (i + 1) for i, sym in enumerate(word) if sym == argument)
+        elif kind == "top":
+            value = everywhere
+        elif kind == "min":
+            value = 1
+        else:  # max
+            value = 1 << (n + 1)
+        vectors.append(value)
+    return vectors[-1]
+
+
 def _words_by_length(alphabet: Alphabet, max_length: int):
     frontier = [""]
     yield ""

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import naive_compare_sampled, naive_ltl, words_up_to
+from bruteforce import naive_compare_sampled, naive_ltl, shift_truth, words_up_to
 from sfclosure import ltl
 from sfclosure.automata import MAX_NESTING, Dfa, accepts, compile_pattern, make_alphabet
 from sfclosure.errors import InputError
@@ -371,6 +371,59 @@ def outcome(compare, *args):
         return f"InputError: {exc}"
 
 
+# the operands-free kinds first; until and since drawn twice as often as the rest
+STEP_KINDS = ["top", "min", "max", "letter", "not", "or", "and"] + ["until", "since"] * 2
+
+
+@st.composite
+def programs(draw, letters: str, bound_letters: str, max_steps: int = 8):
+    """Postfix programs over `letters` whose bounds are hand-built DFAs over
+    `bound_letters`, one to four states each."""
+    program = []
+    for slot in range(draw(st.integers(1, max_steps))):
+        kind = draw(st.sampled_from(STEP_KINDS if slot else STEP_KINDS[:4]))
+        arity = ltl._OPERANDS[kind]
+        argument = None
+        if kind == "letter":
+            argument = draw(st.sampled_from(letters))
+        elif kind in ("until", "since"):
+            argument = draw(dfas(bound_letters, draw(st.sampled_from([2, 4]))))
+        left = draw(st.integers(0, slot - 1)) if arity else -1
+        right = draw(st.integers(0, slot - 1)) if arity == 2 else -1
+        program.append((kind, argument, left, right))
+    return program
+
+
+@settings(max_examples=500, deadline=None)
+@given(programs("abc", "ab"), st.sampled_from(["ab", "abc"]), st.integers(0, 400),
+       st.randoms(use_true_random=False))
+def test_truth_matches_the_per_position_sweep(program, letters, length, rng):
+    # the carry chains and the linear sweep against the per-position sweep
+    # on words of up to 400 letters; c is in no bound, so where the sweep
+    # reads one, both raise the same InputError
+    word = "".join(rng.choice(letters) for _ in range(length))
+    assert outcome(ltl._truth, program, word) == outcome(shift_truth, program, word)
+
+
+@pytest.mark.parametrize(
+    "pattern, loops",
+    [("~%", {"a", "b"}), ("_", set()), ("a*", {"a"}), ("%", None), ("(ab)*", None),
+     ("((a+b)(a+b))*", None), ("~%a", None)],
+)
+def test_bounds_with_one_useful_state_give_their_looping_letters(pattern, loops):
+    assert ltl._loop_letters(compile_pattern(pattern, AB)) == loops
+
+
+def test_plain_until_since_and_next_take_the_carry_chain():
+    sweep = AssertionError("a bound with one useful state was swept")
+    with mock.patch.object(ltl, "_sweep", side_effect=sweep):
+        for text in (AB_STAR_FORMULA, BA_STAR_FORMULA, "F[a*](b)", "S[b*](a, b)"):
+            formula = parse_formula(text, AB)
+            for word in ("", "ab" * 100, "abba" * 50):
+                for position in (0, len(word) // 2, len(word) + 1):
+                    assert eval_at(formula, word, position) == naive_ltl(formula, word, position)
+
+
 # alphabets of the formula (and so of its bounds), of the automaton and of
 # the sample; where the automaton or a bound lacks a letter of the sample,
 # the comparison must raise before it evaluates any word, at any length
@@ -489,8 +542,12 @@ def test_unknown_steps_are_input_errors():
         [("letter", "a", -1, -1), ("and", None, 0, 2), ("top", None, -1, -1)],
         [("letter", "a", -1, -1), ("not", None, 0, 0)],
         [("top", None, 0, -1)],
+        [("letter", "ab", -1, -1)],
+        [("top",)],
+        [("top", None, -1, -1), ("letter", "a", -1, -1), ("until", "~%", 0, 1)],
     ],
-    ids=["empty", "missing-operand", "forward-reference", "extra-operand", "self-reference"],
+    ids=["empty", "missing-operand", "forward-reference", "extra-operand", "self-reference",
+         "two-letter-letter", "short-step", "string-bound"],
 )
 def test_malformed_programs_are_input_errors(formula):
     with pytest.raises(InputError, match="formula"):
