@@ -10,11 +10,13 @@ canonically, and equality of minimized DFAs decides language equality.
 
 The public constructor `Dfa(...)` checks every field.  The DFAs the
 library derives from checked ones (products, concatenations, stars,
-reversals, complements, quotients, word chains) are built with
-`Dfa._trusted`, which skips the checks.  A DFA known to be minimal and
-canonically numbered carries a `_minimal` marker: `minimize`, `_dfa_word`
-and `_dfa_empty` set it, `complement` keeps it, and `minimize` returns a
-marked DFA as it is.
+reversals, complements, quotients, word chains and word tries) are built
+with `Dfa._trusted`, which skips the checks.  A DFA known to be minimal
+and canonically numbered carries a `_minimal` marker: `minimize`,
+`_dfa_word`, `_dfa_words` and `_dfa_empty` set it, `complement` keeps it,
+and `minimize` returns a marked DFA as it is.  The regex parser compiles
+a union of plain words as one trie (`_dfa_words`), and a group that read
+one word extends the letter run around it.
 """
 
 from __future__ import annotations
@@ -119,53 +121,81 @@ class _RegexParser(_Scanner):
         atom   := base '*'* where base := letter | '_' | '%' | '~' atom | '(' expr ')'
 
     '*' binds tighter than '~', which binds tighter than juxtaposition.
-    Each rule returns the minimal DFA of what it read and its nesting
-    height: the most '(', '~' and '*' levels on one path below it, at most
-    MAX_NESTING.  `depth` counts the '(' and '~' levels open around the
+    Each rule returns an operand and its nesting height: the most '(', '~'
+    and '*' levels on one path below it, at most MAX_NESTING.  The operand
+    is the set of words read when the rule read only a union of plain
+    words (a letter, a run, '_', '%', a '+' chain of these, or a group of
+    these that no '*' follows), and the minimal DFA of what it read
+    otherwise.  `depth` counts the '(' and '~' levels open around the
     cursor, which stops the recursion before it can overflow.  Operands
     are compiled in post-order as they are read, and the loops combine
-    them from the left, so a long flat word does not recurse.  `factor`
-    reads each maximal run of letters that no '*' follows (blanks
-    skipped) as one word and builds its DFA as a chain in one step, so a
-    flat word compiles in linear time.
+    them from the left, so a long flat word does not recurse.
+
+    `factor` reads each maximal run of letters that no '*' follows (blanks
+    skipped) as one word, and a group that read one word with no '*'
+    after it extends that word, so words split by such groups compile in
+    linear time.  `expr` collects the word sets of its terms and builds
+    them as one trie (`_dfa_words`), which joins the fold of its other
+    terms once, at the end.
     """
 
     what = "regex"
 
     def parse(self) -> Dfa:
-        dfa, _ = self.expr()
+        operand, _ = self.expr()
         if not self.at_end():
             self.fail(f"unexpected {self.peek()!r}")
-        return dfa
+        return self.compiled(operand)
 
-    def expr(self) -> tuple[Dfa, int]:
-        dfa, height = self.term()
-        while self.peek() == "+":
+    def compiled(self, operand: Dfa | set[str]) -> Dfa:
+        """The minimal DFA of an operand: a DFA as it is, a word set as its trie."""
+        return operand if isinstance(operand, Dfa) else _dfa_words(self.alphabet, operand)
+
+    def expr(self) -> tuple[Dfa | set[str], int]:
+        dfa, words, height = None, set(), 0
+        while True:
+            operand, operand_height = self.term()
+            height = max(height, operand_height)
+            if not isinstance(operand, Dfa):
+                words |= operand
+            elif dfa is None:
+                dfa = operand
+            else:
+                dfa = minimize(product(dfa, operand, "union"))
+            if self.peek() != "+":
+                break
             self.pos += 1
-            right, right_height = self.term()
-            dfa, height = minimize(product(dfa, right, "union")), max(height, right_height)
+        if dfa is None:
+            return words, height
+        if words:
+            dfa = minimize(product(dfa, _dfa_words(self.alphabet, words), "union"))
         return dfa, height
 
-    def term(self) -> tuple[Dfa, int]:
-        dfa, height = self.factor()
+    def term(self) -> tuple[Dfa | set[str], int]:
+        operand, height = self.factor()
         while self.peek() == "&":
             self.pos += 1
             right, right_height = self.factor()
-            dfa = minimize(product(dfa, right, "intersection"))
+            left = self.compiled(operand)
+            operand = minimize(product(left, self.compiled(right), "intersection"))
             height = max(height, right_height)
-        return dfa, height
+        return operand, height
 
     def at_atom(self) -> bool:
         ch = self.peek()
         return ch != "" and (ch in self.alphabet or ch in "_%~(")
 
-    def factor(self) -> tuple[Dfa, int]:
-        dfa, height = None, 0
+    def factor(self) -> tuple[Dfa | set[str], int]:
+        # the operands in order: open words as lists of chunks, word sets
+        # and DFAs
+        parts: list = []
+        height = 0
         while self.at_atom():
-            # a run of letters with no '*' after them is one word; the run
-            # is read here rather than in a helper, so that nesting costs
-            # no extra frame per level
-            word = []
+            word = parts[-1] if parts and isinstance(parts[-1], list) else []
+            # a run of letters with no '*' after them extends the open word;
+            # the run is read here rather than in a helper, so that nesting
+            # costs no extra frame per level
+            size = len(word)
             while self.peek() in self.alphabet:
                 start = self.pos
                 self.pos += 1
@@ -173,19 +203,26 @@ class _RegexParser(_Scanner):
                     self.pos = start
                     break
                 word.append(self.text[start])
-            if word:
-                right, right_height = _dfa_word(self.alphabet, "".join(word)), 0
-            else:
+            if len(word) == size:
                 right, right_height = self.atom()
-            if dfa is None:
-                dfa, height = right, right_height
-            else:
-                dfa, height = minimize(concat(dfa, right)), max(height, right_height)
-        if dfa is None:
-            return _dfa_word(self.alphabet, ""), 0
+                height = max(height, right_height)
+                if isinstance(right, Dfa) or len(right) != 1:
+                    parts.append(right)
+                    continue
+                # so does an atom that read one word
+                word.extend(right)
+            if not parts or parts[-1] is not word:
+                parts.append(word)
+        operands = [{"".join(part)} if isinstance(part, list) else part for part in parts]
+        if len(operands) < 2:
+            return (operands[0] if operands else {""}), height
+        dfa = None
+        for operand in operands:
+            right = self.compiled(operand)
+            dfa = right if dfa is None else minimize(concat(dfa, right))
         return dfa, height
 
-    def atom(self) -> tuple[Dfa, int]:
+    def atom(self) -> tuple[Dfa | set[str], int]:
         ch = self.peek()
         if not self.at_atom():
             self.fail(f"unexpected {ch!r}" if ch else "expected an atom, found end of input")
@@ -194,20 +231,23 @@ class _RegexParser(_Scanner):
             self.depth = self.bounded(self.depth + 1)
             child, height = self.atom()
             self.depth -= 1
-            return complement(child), self.bounded(height + 1)
+            return complement(self.compiled(child)), self.bounded(height + 1)
         height = 0
         if ch == "(":
             self.depth = self.bounded(self.depth + 1)
-            dfa, height = self.expr()
+            operand, height = self.expr()
             self.depth -= 1
             height = self.bounded(height + 1)
             self.eat(")")
         elif ch == "_":
-            dfa = _dfa_word(self.alphabet, "")
+            operand = {""}
         elif ch == "%":
-            dfa = _dfa_empty(self.alphabet)
+            operand = set()
         else:
-            dfa = _dfa_word(self.alphabet, ch)
+            operand = {ch}
+        if self.peek() != "*":
+            return operand, height
+        dfa = self.compiled(operand)
         while self.peek() == "*":
             self.pos += 1
             height = self.bounded(height + 1)
@@ -472,8 +512,8 @@ def minimize(dfa: Dfa) -> Dfa:
     queued itself, that is the half Hopcroft's rule queues.  `_canonical`
     then numbers the blocks breadth-first, so equal languages yield
     identical structures.  The result is marked minimal, and a marked
-    input (from `minimize`, `_dfa_word`, `_dfa_empty`, or `complement` of
-    one of these) is returned as it is.
+    input (from `minimize`, `_dfa_word`, `_dfa_words`, `_dfa_empty`, or
+    `complement` of one of these) is returned as it is.
     """
     if dfa._minimal:
         return dfa
@@ -568,6 +608,50 @@ def _dfa_word(alphabet: Alphabet, word: str) -> Dfa:
     rows.insert(dead, (dead,) * width)
     final = size if size < dead else size + 1
     return Dfa._trusted(alphabet, size + 2, 0, frozenset({final}), tuple(rows), minimal=True)
+
+
+def _dfa_words(alphabet: Alphabet, words) -> Dfa:
+    """Minimal canonical DFA of a finite set of words, marked minimal.
+
+    No word is `_dfa_empty` and one word is the chain of `_dfa_word`,
+    which is cheaper to write.  Otherwise the trie of the words is built,
+    and its nodes are merged bottom-up by their signature: finality and
+    the classes of the children, a missing child counted as dead (Revuz,
+    "Minimisation of acyclic deterministic automata in linear time", TCS
+    92, 1992).  A child is added after its parent, so visiting the nodes
+    in reverse order classes every child before its parent.  Distinct
+    signatures are distinct right languages, so the classes are the
+    states of the minimal DFA; `explore` numbers them from the root's
+    class as `_canonical` would.
+    """
+    if len(words) < 2:
+        return _dfa_word(alphabet, *words) if words else _dfa_empty(alphabet)
+    width = len(alphabet)
+    letter = {sym: a for a, sym in enumerate(alphabet.symbols)}
+    # children[n][a]: the node after letter a, or 0 for none, since the
+    # root (node 0) is no node's child
+    children, ends = [[0] * width], [False]
+    for word in words:
+        node = 0
+        for sym in word:
+            row, a = children[node], letter[sym]
+            if not row[a]:
+                row[a] = len(children)
+                children.append([0] * width)
+                ends.append(False)
+            node = row[a]
+        ends[node] = True
+    # class 0 is the dead state; a missing child reads the root's class,
+    # which stays 0 until the root, the last node visited, is classed
+    signatures = {(False, (0,) * width): 0}
+    classes = [0] * len(children)
+    for node in reversed(range(len(children))):
+        signature = (ends[node], tuple(map(classes.__getitem__, children[node])))
+        classes[node] = signatures.setdefault(signature, len(signatures))
+    table = list(signatures)
+    order, rows = explore(classes[0], lambda c: table[c][1])
+    finals = frozenset(k for k, c in enumerate(order) if table[c][0])
+    return Dfa._trusted(alphabet, len(order), 0, finals, tuple(rows), minimal=True)
 
 
 def compile_pattern(text: str, alphabet: Alphabet) -> Dfa:

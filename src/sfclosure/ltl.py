@@ -344,15 +344,17 @@ _OPERANDS = {"top": 0, "min": 0, "max": 0, "letter": 0, "not": 1, "or": 2, "and"
 
 def _check_program(formula: list[tuple]) -> None:
     """Raise InputError unless the program has steps of four fields, of known
-    kinds, whose left and right name earlier slots where the kind takes
-    operands, else -1; a letter's argument is one character and a bound a Dfa."""
+    `str` kinds, whose `int` left and right name earlier slots where the kind
+    takes operands, else -1; a letter's argument is one character and a bound
+    a Dfa.  `type(...) is` rejects a bool or float slot, which `in range`
+    would take for a number."""
     if not formula:
         raise InputError("a formula program needs at least one step")
     for slot, step in enumerate(formula):
         if not isinstance(step, (tuple, list)) or len(step) != 4:
             raise InputError(f"formula step {slot} is not a (kind, argument, left, right) tuple")
         kind, argument, left, right = step
-        arity = _OPERANDS.get(kind)
+        arity = _OPERANDS.get(kind) if type(kind) is str else None
         if arity is None:
             raise InputError(f"unknown formula step {kind!r}")
         if kind == "letter" and not (isinstance(argument, str) and len(argument) == 1):
@@ -361,7 +363,8 @@ def _check_program(formula: list[tuple]) -> None:
             raise InputError(f"formula step {slot} ({kind}) has a bound that is not a Dfa")
         earlier = range(slot)
         left_ok = left in earlier if arity else left == -1
-        if not left_ok or not (right in earlier if arity == 2 else right == -1):
+        right_ok = right in earlier if arity == 2 else right == -1
+        if type(left) is not int or type(right) is not int or not (left_ok and right_ok):
             raise InputError(f"formula step {slot} ({kind}) has bad operands {left}, {right}")
 
 

@@ -1481,6 +1481,18 @@ def naive_dfa_word(alphabet: Alphabet, word: str) -> Dfa:
     return _canonical(chain, range(dead + 1))
 
 
+def naive_dfa_words(alphabet: Alphabet, words) -> Dfa:
+    """DFA of a finite set of words: the chain of each word unioned by
+    `product` and minimized by Moore refinement, one word at a time, from
+    the empty language; the regex parser's fold of a '+' chain of plain
+    words before `automata._dfa_words` built their trie."""
+    width = len(alphabet)
+    dfa = Dfa(alphabet, 1, 0, frozenset(), ((0,) * width,))
+    for word in words:
+        dfa = naive_minimize(product(dfa, naive_dfa_word(alphabet, word), "union"))
+    return naive_minimize(dfa)
+
+
 def _dfa_epsilon(alphabet: Alphabet) -> Dfa:
     width = len(alphabet)
     return Dfa(alphabet, 2, 0, frozenset({0}), ((1,) * width, (1,) * width))

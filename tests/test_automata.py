@@ -9,6 +9,7 @@ from bruteforce import (
     is_empty,
     naive_compile_pattern,
     naive_dfa_word,
+    naive_dfa_words,
     naive_explore_order,
     naive_minimize,
     nerode_class_count,
@@ -19,6 +20,7 @@ from sfclosure.automata import (
     MAX_NESTING,
     Dfa,
     _dfa_word,
+    _dfa_words,
     accepted_words,
     accepts,
     compile_pattern,
@@ -244,6 +246,38 @@ def test_word_chain_is_numbered_as_it_is_built(letters):
 
 
 @st.composite
+def _word_sets(draw):
+    # 0-6 words of 0-6 letters over a, ab or abc; a word may repeat an
+    # earlier one or be a prefix of it, the empty word included
+    alphabet = make_alphabet(draw(st.sampled_from(["a", "ab", "abc"])))
+    words = []
+    for _ in range(draw(st.integers(0, 6))):
+        if words and draw(st.booleans()):
+            earlier = draw(st.sampled_from(words))
+            words.append(earlier[: draw(st.integers(0, len(earlier)))])
+        else:
+            words.append(draw(st.text(alphabet=alphabet.symbols, max_size=6)))
+    return alphabet, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_sets())
+def test_word_trie_matches_the_fold_of_word_chains(drawn):
+    alphabet, words = drawn
+    dfa = _dfa_words(alphabet, words)
+    assert dfa == naive_dfa_words(alphabet, words) == rebuilt(dfa)
+    assert dfa._minimal
+
+
+def test_one_word_groups_extend_the_open_word():
+    # a group that read one word joins the letters around it, so 4,000
+    # groups build one chain rather than 4,000 concatenations
+    for text in ["(ab)" * 30, "a(b)(_)((a))b(a+a)", "(ab)(a+b)(ab)", "(ab)*(ab)"]:
+        assert compile_pattern(text, AB) == naive_compile_pattern(text, AB), text
+    assert compile_pattern("(ab)" * 4000, AB) == _dfa_word(AB, "ab" * 4000)
+
+
+@st.composite
 def _complete_dfas(draw, alphabet=None):
     # 1-3 letters unless given, 1-12 states and a random initial state, so
     # that some states are often unreachable
@@ -351,13 +385,30 @@ _regex_text = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+# word-heavy: runs of 1-5 letters joined by '+', inside groups, under '*',
+# '~' and '&', and next to '_' and '%'
+_word_text = st.recursive(
+    st.one_of(st.text(alphabet="ab", min_size=1, max_size=5), st.sampled_from(["_", "%"])),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map("+".join),
+        st.tuples(inner, inner).map("".join),
+        inner.map(lambda p: f"({p})"),
+        inner.map(lambda p: f"({p})*"),
+        inner.map(lambda p: f"~({p})"),
+        st.tuples(inner, inner).map("&".join),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
         st.text(alphabet="ab_%~()+&* c", max_size=20),
         _regex_text,
         # letter-heavy: letter runs, blanks before '*', runs next to groups
         st.text(alphabet="ab* ()+", max_size=40),
+        _word_text,
     )
 )
 def test_compiling_while_parsing_matches_the_syntax_tree(text):

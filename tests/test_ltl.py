@@ -545,9 +545,13 @@ def test_unknown_steps_are_input_errors():
         [("letter", "ab", -1, -1)],
         [("top",)],
         [("top", None, -1, -1), ("letter", "a", -1, -1), ("until", "~%", 0, 1)],
+        [("top", None, -1, -1), ("not", None, 0.0, -1)],
+        [("top", None, -1, -1), ("not", None, False, -1)],
+        [(["top"], None, -1, -1)],
     ],
     ids=["empty", "missing-operand", "forward-reference", "extra-operand", "self-reference",
-         "two-letter-letter", "short-step", "string-bound"],
+         "two-letter-letter", "short-step", "string-bound", "float-slot", "bool-slot",
+         "unhashable-kind"],
 )
 def test_malformed_programs_are_input_errors(formula):
     with pytest.raises(InputError, match="formula"):
