@@ -613,16 +613,16 @@ def _dfa_word(alphabet: Alphabet, word: str) -> Dfa:
 def _dfa_words(alphabet: Alphabet, words) -> Dfa:
     """Minimal canonical DFA of a finite set of words, marked minimal.
 
-    No word is `_dfa_empty` and one word is the chain of `_dfa_word`,
-    which is cheaper to write.  Otherwise the trie of the words is built,
-    and its nodes are merged bottom-up by their signature: finality and
-    the classes of the children, a missing child counted as dead (Revuz,
-    "Minimisation of acyclic deterministic automata in linear time", TCS
-    92, 1992).  A child is added after its parent, so visiting the nodes
-    in reverse order classes every child before its parent.  Distinct
-    signatures are distinct right languages, so the classes are the
-    states of the minimal DFA; `explore` numbers them from the root's
-    class as `_canonical` would.
+    An empty set gives `_dfa_empty` and a single word the chain of
+    `_dfa_word`, which is cheaper to write.  Otherwise the trie of the
+    words is built, and its nodes are merged bottom-up by their
+    signature: finality and the classes of the children, a missing child
+    counted as dead (Revuz, "Minimisation of acyclic deterministic
+    automata in linear time", TCS 92, 1992).  A child is added after its
+    parent, so visiting the nodes in reverse order classes every child
+    before its parent.  Distinct signatures are distinct right
+    languages, so the classes are the states of the minimal DFA;
+    `explore` numbers them from the root's class as `_canonical` would.
     """
     if len(words) < 2:
         return _dfa_word(alphabet, *words) if words else _dfa_empty(alphabet)
