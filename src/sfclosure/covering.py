@@ -382,12 +382,16 @@ def _mu_image_monoid(
     right_products: dict[int, list[set]] = {}
 
     def times_letters(xs: tuple) -> list[tuple]:
-        for v in xs:
-            if v not in right_products:
-                right_products[v] = [_products(sr, (v,), gs) for gs in letter_sets]
-        rows = [right_products[v] for v in xs] or [[()] * len(letter_sets)]
-        # the union of each column of the rows, one column per letter set
-        return list(map(_max_reduce, map(set().union, *rows)))
+        result = []
+        for i in range(len(letter_sets)):
+            values = set()
+            for v in xs:
+                sets = right_products.get(v)
+                if sets is None:
+                    sets = right_products[v] = [_products(sr, (v,), gs) for gs in letter_sets]
+                values |= sets[i]
+            result.append(_max_reduce(values))
+        return result
 
     return cayley_closure(
         rho.alphabet,

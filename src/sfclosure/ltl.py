@@ -11,7 +11,10 @@ derived forms X, F[L] and F are expanded at parse time.
 A parsed formula is a postfix program: one (kind, argument, left, right)
 step per subformula, children first, whose left and right are the slots of
 earlier steps (see `_FormulaParser`); evaluation and compilation raise
-InputError on a program of any other shape.  Evaluation runs the program in
+InputError on a program of any other shape.  The parser compiles each
+bound once per process per (regex text, alphabet), in a memo bounded to
+BOUND_MEMO_SIZE entries, so bounds that many formulas share, such as the
+defaults of U, F and X, compile once.  Evaluation runs the program in
 order, filling one truth vector per step over all positions of the word.
 Until is one backward sweep carrying the set of bound-DFA states that can
 still lead to acceptance; since is the until sweep on the mirror image,
@@ -37,6 +40,8 @@ comparison reject such an alphabet before they do any work.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .automata import (
     Alphabet,
     Dfa,
@@ -49,6 +54,18 @@ from .automata import (
     reverse,
 )
 from .errors import InputError
+
+# the most (regex text, alphabet) pairs whose bound DFA the process keeps
+BOUND_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=BOUND_MEMO_SIZE)
+def _bound(pattern: str, alphabet: Alphabet) -> Dfa:
+    """The minimal DFA of a bound's regex text over the alphabet.  A call
+    that raises is not kept, so a bad text raises again on each call; a miss
+    looks `compile_pattern` up by its module name, so a rebinding of that
+    name (the bench tracer, a test spy) sees every compile."""
+    return compile_pattern(pattern, alphabet)
 
 
 class _FormulaParser(_Scanner):
@@ -84,7 +101,6 @@ class _FormulaParser(_Scanner):
     what = "formula"
 
     def parse(self) -> list[tuple]:
-        self.bounds: dict[str, Dfa] = {}
         self.program: list[tuple] = []
         self.formula()
         if not self.at_end():
@@ -143,13 +159,13 @@ class _FormulaParser(_Scanner):
         return self.compiled(pattern)
 
     def compiled(self, pattern: str) -> Dfa:
-        """The DFA of a bound, compiled once per pattern text and parse."""
-        if pattern not in self.bounds:
-            try:
-                self.bounds[pattern] = compile_pattern(pattern, self.alphabet)
-            except InputError as exc:
-                self.fail(f"bad bound language: {exc}")
-        return self.bounds[pattern]
+        """The DFA of a bound, read from the process-wide memo `_bound`, so
+        each (pattern text, alphabet) compiles once per process while it
+        stays among the BOUND_MEMO_SIZE most recently used."""
+        try:
+            return _bound(pattern, self.alphabet)
+        except InputError as exc:
+            self.fail(f"bad bound language: {exc}")
 
     def pair(self) -> tuple[int, int]:
         self.eat("(")

@@ -1,9 +1,11 @@
 """Run the mutant catalogue: each mutant is one source edit that the named
 tests must catch.
 
-    python3 tests/mutants/run.py
+    python3 tests/mutants/run.py [ID ...]
 
-For each entry of catalogue.json the runner copies src/, tests/ and
+With no ID the runner takes every entry of catalogue.json; with IDs it
+takes only the named entries, and an unknown ID exits 2 with the list of
+known IDs.  For each entry taken the runner copies src/, tests/ and
 pyproject.toml to a temporary directory, so that pyproject's
 `pythonpath = ["src"]` resolves to the copy.  It replaces the entry's
 `find` snippet with its `replace` text in `file` and runs only the entry's
@@ -55,8 +57,16 @@ def verdict(entry: dict) -> str:
         return "survived" if tests_pass(workdir, entry["tests"]) else "killed"
 
 
-def main() -> int:
+def main(ids: list[str]) -> int:
     entries = json.loads(CATALOGUE.read_text(encoding="utf-8"))
+    known = [entry["id"] for entry in entries]
+    unknown = [name for name in ids if name not in known]
+    if unknown:
+        print("unknown mutant id:", *unknown, file=sys.stderr)
+        print("known ids:", *known, sep="\n  ", file=sys.stderr)
+        return 2
+    if ids:
+        entries = [entry for entry in entries if entry["id"] in ids]
     node_ids = sorted({node for entry in entries for node in entry["tests"]})
     with tempfile.TemporaryDirectory(prefix="sfc-mutant-") as tmp:
         copy_checkout(Path(tmp))
@@ -73,4 +83,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -613,11 +613,68 @@ def test_even_length_bound_leaves_the_star_free_languages():
     assert sf_membership(MOD, dfa).answer
 
 
-def test_each_bound_compiles_once_per_parse():
-    # the three golden formulas hold 13 bounds, 10 distinct within their formula
+def test_each_bound_compiles_once_per_process():
+    # the three golden formulas hold 13 bounds of 7 distinct texts; the memo
+    # is cleared first, so the count does not depend on earlier tests
     golden = Path(__file__).parent / "golden" / "bridges"
     texts = [path.read_text(encoding="utf-8") for path in sorted(golden.glob("*.ltl"))]
+    ltl._bound.cache_clear()
     with mock.patch.object(ltl, "compile_pattern", wraps=compile_pattern) as spy:
         for text in texts:
             parse_formula(text, AB)
-    assert spy.call_count == 10
+        assert spy.call_count == 7
+        for text in texts:
+            parse_formula(text, AB)
+    assert spy.call_count == 7
+
+
+def test_bound_memo_is_keyed_by_the_alphabet():
+    # one text over three alphabets, and back: each parse gets bounds over its own
+    ltl._bound.cache_clear()
+    for alphabet in (AB, make_alphabet("abc"), make_alphabet("ba"), AB):
+        program = parse_formula("F[a*](b) & X(a)", alphabet)
+        bounds = [argument for kind, argument, *_ in program if kind == "until"]
+        assert bounds == [compile_pattern("a*", alphabet), compile_pattern("_", alphabet)]
+        assert all(bound.alphabet == alphabet for bound in bounds)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("F[(a](b)", "offset 5: bad bound language: regex syntax error at offset 2: expected ')'"),
+        ("F[" + "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1) + "](b)",
+         "offset 206: bad bound language: regex syntax error at offset 101: "
+         f"regex nested deeper than {MAX_NESTING} levels"),
+    ],
+    ids=["bad-bound", "deep-bound"],
+)
+def test_bound_errors_are_not_memoized(text, message):
+    ltl._bound.cache_clear()
+    with mock.patch.object(ltl, "compile_pattern", wraps=compile_pattern) as spy:
+        for calls in (1, 2):
+            with pytest.raises(InputError) as info:
+                parse_formula(text, AB)
+            assert str(info.value) == f"formula syntax error at {message}"
+            assert spy.call_count == calls
+    assert parse_formula("F[a*](b)", AB) == parse_formula("U[a*](top, b)", AB)
+
+
+def test_parse_returns_a_fresh_program():
+    first = parse_formula(PAIR_STAR_FORMULA, AB)
+    second = parse_formula(PAIR_STAR_FORMULA, AB)
+    assert first == second and first is not second
+    first.clear()
+    assert parse_formula(PAIR_STAR_FORMULA, AB) == second
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["ab", "abc"]), st.data())
+def test_memo_parses_like_a_parse_without_it(letters, data):
+    # the reference compiles every bound; the memo is then cold, then warm
+    alphabet = make_alphabet(letters)
+    text = data.draw(bounded_formula_text(letters))
+    with mock.patch.object(ltl, "_bound", compile_pattern):
+        reference = parse_formula(text, alphabet)
+    ltl._bound.cache_clear()
+    assert parse_formula(text, alphabet) == reference
+    assert parse_formula(text, alphabet) == reference
