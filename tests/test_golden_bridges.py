@@ -54,8 +54,15 @@ CASES = {
     "delay-one": (["sd", "delay", "(bb)*aa(aa)*bb", "--alphabet", "ab"], 0),
     "delay-none": (["sd", "delay", "aa", "--alphabet", "a", "--dmax", "4"], 0),
     "delay-not-a-prefix-code": (["sd", "delay", "a+aa", "--alphabet", "a"], 2),
+    # codes whose dead state leaves k+ (a+b, aa+ab+b) or takes another
+    # number in it (a+baab), and a star over the last one
+    "delay-letters": (["sd", "delay", "a+b", "--alphabet", "ab"], 0),
+    "delay-none-dead-leaves": (["sd", "delay", "aa+ab+b", "--alphabet", "ab"], 0),
+    "delay-none-dead-moves": (["sd", "delay", "a+baab", "--alphabet", "ab"], 0),
     "validate-readme": (["sd", "validate", str(GOLDEN / "readme.sd"), "--alphabet", "ab"], 0),
     "validate-square": (["sd", "validate", str(GOLDEN / "square.sd"), "--alphabet", "a"], 0),
+    "validate-dead-moves": (
+        ["sd", "validate", str(GOLDEN / "dead-moves.sd"), "--alphabet", "ab"], 0),
 }
 
 
