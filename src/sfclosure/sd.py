@@ -8,6 +8,17 @@ postfix program, and the validator runs it over a stack of DFAs,
 compiling every subexpression and checking each structural side
 condition, reporting violations as data with witness words.
 
+The minimal DFA of a nonempty prefix code has one final state, and its
+row leads only to the dead state (Berstel, Perrin & Reutenauer, Codes
+and Automata, 2010).  So a minimal DFA is "sealed" exactly when it
+accepts a prefix code, which settles prefixness without a search, and
+k+ is k with the final row replaced by the initial row, minimal as it
+stands: a shortest word that separates two states of k never passes
+the final state before its last letter, so it still separates them in
+k+.  Renumbered breadth-first, k+ keeps k's order except for the dead
+state, which the final row no longer reaches: it is numbered where the
+walk meets the first other edge into it, or goes when there is none.
+
 The least delay bound of a prefix code k is found by at most |k+| + 1
 breadth-first walks of one factor over (state of k+, factors of k read,
 state of k), whatever the search bound; a witness that a bound d fails
@@ -27,6 +38,7 @@ from .automata import (
     breadth_first,
     compile_pattern,
     concat,
+    explore,
     minimize,
     product,
     shortest_word,
@@ -37,10 +49,27 @@ from .config import DEFAULT
 from .errors import InputError
 
 
+def _sealed(k: Dfa) -> bool:
+    """Whether k's initial state is not final and every final row leads
+    only to non-final states whose rows are all themselves.  Then no word
+    of k extends another, so k accepts a prefix code; the minimal DFA of
+    a prefix code is sealed."""
+    if k.initial in k.finals:
+        return False
+    for f in k.finals:
+        for t in k.delta[f]:
+            if t in k.finals or any(u != t for u in k.delta[t]):
+                return False
+    return True
+
+
 def prefix_code_violation(k: Dfa) -> str | None:
     """A witness that k is not a prefix code: the empty word if present,
-    else a shortest word of k that extends a shorter word of k.  The walk
-    runs over (state of k, a shorter prefix lies in k)."""
+    else a shortest word of k that extends a shorter word of k.  A sealed
+    k has none; otherwise the walk runs over (state of k, a shorter
+    prefix lies in k)."""
+    if _sealed(k):
+        return None
     if k.initial in k.finals:
         return ""
     symbols = k.alphabet.symbols
@@ -68,13 +97,23 @@ def _require_prefix_code(k: Dfa) -> None:
 
 
 def _plus_maps(k: Dfa) -> tuple[Dfa, dict]:
-    """k+ for a prefix code k, and the links of a breadth-first walk from
-    its final states backward along its edges: the live states are the
-    ones the walk reaches, and each link spells, reversed, a shortest word
-    leading from its state into a final state.  No word of k extends
-    another, so k+ is k with each final row replaced by the initial row."""
-    rows = tuple(k.delta[k.initial] if q in k.finals else row for q, row in enumerate(k.delta))
-    plus = minimize(Dfa._trusted(k.alphabet, k.states, k.initial, k.finals, rows))
+    """The minimal k+ for a prefix code k, and the links of a breadth-first
+    walk from its final states backward along its edges: the live states
+    are the ones the walk reaches, and each link spells, reversed, a
+    shortest word leading from its state into a final state.
+
+    No word of k extends another, so k+ is the minimal k with its one
+    final row replaced by the initial row.  That is minimal already: a
+    shortest word that separates two states of k never passes the final
+    state before its last letter, so it still separates them in k+.
+    The breadth-first renumbering keeps k's order except for the dead
+    state, which is numbered where the walk meets the first other edge
+    into it, or goes when no other edge reaches it."""
+    k = minimize(k)
+    rows = [k.delta[k.initial] if q in k.finals else row for q, row in enumerate(k.delta)]
+    order, delta = explore(k.initial, rows.__getitem__)
+    finals = frozenset(i for i, q in enumerate(order) if q in k.finals)
+    plus = Dfa._trusted(k.alphabet, len(order), 0, finals, tuple(delta), minimal=True)
     into: list[list] = [[] for _ in range(plus.states)]
     for q, row in enumerate(plus.delta):
         for symbol, target in zip(k.alphabet.symbols, row):

@@ -266,27 +266,46 @@ def random_code(rng: random.Random) -> Dfa | None:
     return k
 
 
+def random_finite_code(rng: random.Random) -> Dfa:
+    """The minimal DFA of 2-5 drawn words of 1-4 letters, shortest first,
+    each dropped when a kept word is a prefix of it."""
+    words = {"".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.randint(2, 5))}
+    kept: list[str] = []
+    for word in sorted(words, key=lambda w: (len(w), w)):
+        if not any(word.startswith(other) for other in kept):
+            kept.append(word)
+    return code("+".join(kept))
+
+
 def test_random_codes_agree_with_brute_force():
+    # random DFAs of 2-4 states rarely accept a code without delay 1, so
+    # finite codes join them; those fail d = 1 and d = 2 often enough that
+    # the witnesses, and a factor walk that reaches a second factor, are
+    # checked, not only the absence of one
     rng = random.Random(20260814)
-    checked = 0
-    while checked < 20:
+    codes: list[Dfa] = []
+    while len(codes) < 20:
         k = random_code(rng)
         if k is None:
             continue
         brute_prefix = search_prefix_violation(k, maxlen=6)
         if is_prefix_code(k):
             assert brute_prefix is None
+            codes.append(k)
         else:
             assert prefix_code_violation(k) is not None
-            continue
+    codes += [random_finite_code(rng) for _ in range(20)]
+    witnesses = {1: 0, 2: 0}
+    for k in codes:
         for d in (1, 2):
             witness = sync_delay_witness(k, d)
             if witness is None:
                 assert search_delay_violation(k, d, maxlen=7) is None
             else:
                 assert check_delay_witness(k, d, witness)
-        checked += 1
-    assert checked == 20
+                witnesses[d] += 1
+    assert witnesses[1] >= 10 and witnesses[2] >= 5, witnesses
 
 
 @st.composite
@@ -385,6 +404,37 @@ def test_searches_match_their_references(k):
 def test_plus_automaton_passes_the_public_checks(k):
     plus, _ = sd._plus_maps(k)
     assert rebuilt(plus) == plus
+
+
+# the empty language and {ε}: sealed and not, both prefix-free
+_edge_languages = st.sampled_from([code("%"), code("_")])
+
+
+@settings(max_examples=300)
+@given(_codes | _codes.map(complement) | _edge_languages)
+def test_sealed_dfas_accept_prefix_codes(k):
+    # sealed implies a prefix code on every DFA, and on a minimal one the
+    # two agree; the search behind the fast path still spells the witness
+    violation = prefix_code_violation(k)
+    assert violation == naive_prefix_code_violation(k)
+    if sd._sealed(k):
+        assert violation is None
+    assert sd._sealed(minimize(k)) == (violation is None)
+
+
+def test_delay_searches_minimize_only_marked_dfas(monkeypatch):
+    # k+ is read off the minimal code DFA, so minimize only ever receives
+    # a DFA that is marked minimal and returns it at once: no Hopcroft
+    # pass over k+
+    received = []
+    real = sd.minimize
+    monkeypatch.setattr(sd, "minimize", lambda dfa: received.append(dfa._minimal) or real(dfa))
+    patterns = ["a+b", "aa+ab+b", "a+baab", "(aab)*ab", "(bb)*aa(aa)*bb", "ab+baa", "%"]
+    for k in [code(pattern) for pattern in patterns] + [code("aa", A)]:
+        min_sync_delay(k, 4)
+        for d in (1, 2, 3):
+            sync_delay_witness(k, d)
+    assert received and all(received)
 
 
 def test_delay_bound_defaults_to_the_config(monkeypatch):
