@@ -406,7 +406,8 @@ def test_plus_automaton_passes_the_public_checks(k):
     assert rebuilt(plus) == plus
 
 
-# the empty language and {ε}: sealed and not, both prefix-free
+# the empty language, a sealed prefix code, and {ε}, which holds the empty
+# word and so is no code
 _edge_languages = st.sampled_from([code("%"), code("_")])
 
 
