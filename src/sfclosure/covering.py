@@ -251,7 +251,8 @@ class Saturation:
         """One semi-naive round of the product rule, then of the jump when
         `jump` is set; returns True when the set grew.  Products are read
         from the semiring's cached row of x, filled on a miss, and one equal
-        to a current maximum is dropped without an insert."""
+        to a current maximum is dropped without an insert.  A pair with the
+        identity as an operand is skipped: 1*y = y*1 = y is covered."""
         snapshot = self.chain.snapshot()
         seen = self._seen
         flags = [value not in seen for value in snapshot]
@@ -261,10 +262,15 @@ class Saturation:
         product = self.sr.product
         members = self.chain.members
         add = self.chain.insert
+        one = self.sr.one
         grew = False
         for x, new in zip(snapshot, flags):
+            if x == one:
+                continue
             row = rows[x]
             for y in snapshot if new else fresh:
+                if y == one:
+                    continue
                 value = row.get(y)
                 if value is None:
                     value = row[y] = product(x, y)

@@ -23,16 +23,21 @@ elements whose fiber is inseparable from the empty word:
     in T, because (e, e) is a weak pair and e*1*e = e, so T is seeded
     with the submonoid the idempotents generate.  A weak pair with s and
     t both in T already holds, because T is closed under products, so
-    only the pairs that touch image - T are checked, each s by two
-    bitmask inclusions; what a failed check forces is added until
-    nothing is.
+    only the pairs that touch image - T are checked; what a failed check
+    forces is added until nothing is.  Two checks give the same forced
+    set.  Up to |T| = 104 (`_SMALL_KERNEL`) `_ideal_products` multiplies
+    each ideal s*T and T*s by the partners of the s that share it.  Above
+    it `_forced` tests each ideal by one bit-parallel inclusion in a
+    bitmask of the elements whose products with every partner stay in T,
+    instead of forming |ideal| |partners| products; its masks and
+    Tarjan passes cost more than that saves on small kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import and_, eq, getitem, itemgetter
 
 from .automata import explore
@@ -397,6 +402,15 @@ def amt_kernel(
 # conjecture and some related decision procedures", IJAC 1991)
 
 
+# The largest kernel checked by `_ideal_products`; larger ones take
+# `_forced`.  Timed on the same inputs, the check calls of one pass of
+# membership-ladder and cover-saturation at seed 1 plus T_4 and T_5 (2 vCPUs,
+# Python 3.11), _ideal_products / _forced read 0.45 for |T| <= 64, 0.75-0.9
+# for 65-104, 1.1-1.2 for 105-128, 2.0 on T_4 (|T| = 233) and 6.4 on T_5
+# (|T| = 3,006).
+_SMALL_KERNEL = 104
+
+
 def _extend(mul, kernel: set, members: list, gens: list, new: list) -> None:
     """Add the generators `new` to the submonoid `kernel`, listed in
     `members` and closed under right products with `gens`: every member
@@ -442,7 +456,8 @@ def _weak_pairs(mul, image, members, inside: str, idempotent: tuple) -> dict[int
 
 def _forced(mul, members, gens, inside: str, weak) -> set[int]:
     """The s*x*t and t*x*s, for x in the kernel T and t listed under s,
-    that a failed check finds outside T (empty when every check passes).
+    that a failed check finds outside T (empty when every check passes):
+    the check of `gr_kernel` for kernels above `_SMALL_KERNEL`.
 
     s*T*t lies in T for every listed t exactly when s*T lies in the AND of
     the right masks {y : y*t in T}, and t*T*s exactly when T*s lies in the
@@ -452,7 +467,10 @@ def _forced(mul, members, gens, inside: str, weak) -> set[int]:
     Masks and ideals are read by C-level gathers.  Members of T in one
     component of T's right Cayley graph over `gens` share s*T, and those
     in one component of the left graph share T*s, so each component is
-    checked once, against the AND over all its t.
+    checked once, against the AND over all its t.  One inclusion per
+    component replaces |ideal| |partners| products, which pays for the
+    masks and the two Tarjan passes only on large kernels such as T_4's
+    and T_5's.
     """
     width = f"0{len(inside)}b"
     listed = {t for found in weak.values() for t in found}
@@ -488,6 +506,37 @@ def _forced(mul, members, gens, inside: str, weak) -> set[int]:
     return forced
 
 
+def _ideal_products(mul, members, weak) -> set[int]:
+    """The s*x*t and t*x*s, for x in the kernel T and t listed under s:
+    every check passes when all of them lie in T.  The check of
+    `gr_kernel` for kernels up to `_SMALL_KERNEL`; minus T it is the set
+    `_forced` returns minus T.
+
+    The listed s are grouped by their right ideal s*T and, separately, by
+    their left ideal T*s, each group with the union W of its partners t.
+    A group forms ideal*W (or W*ideal) once for all its s, which is exact:
+    the s of a group share s*T, so the union over the group of (s*T)*W_s
+    is (s*T)*W.  Each product set is read by C-level gathers, W off the
+    row of each y of the ideal on the right, the ideal off the row of
+    each t of W on the left.  Nothing is set up beyond the ideals, so on
+    small kernels this beats the masks and Tarjan passes of `_forced`.
+    """
+    at_members = gather(members)
+    columns = list(zip(*map(mul.__getitem__, members)))
+    by_right: dict[frozenset, set[int]] = {}
+    by_left: dict[frozenset, set[int]] = {}
+    for s, found in weak.items():
+        by_right.setdefault(frozenset(at_members(mul[s])), set()).update(found)
+        by_left.setdefault(frozenset(columns[s]), set()).update(found)
+    rows = mul.__getitem__
+    forced = set()
+    for ideal, partners in by_right.items():
+        forced.update(chain.from_iterable(map(gather(partners), map(rows, ideal))))
+    for ideal, partners in by_left.items():
+        forced.update(chain.from_iterable(map(gather(ideal), map(rows, partners))))
+    return forced
+
+
 def gr_kernel(alpha: Morphism) -> frozenset[int]:
     """Least submonoid T with s*T*t and t*T*s inside T whenever s*t*s = s.
 
@@ -499,9 +548,11 @@ def gr_kernel(alpha: Morphism) -> frozenset[int]:
       * a weak pair with s and t both in T needs no check, because T is
         closed under products, so only the pairs that touch image - T are
         listed: 2 |image| |image - T| products;
-      * the listed pairs are checked by bitmask inclusions (`_forced`);
-        what a failed check forces is added, T is closed again, and the
-        check repeats until nothing is forced.
+      * the listed pairs are checked by products of ideals
+        (`_ideal_products`) while |T| is at most `_SMALL_KERNEL`, by
+        bitmask inclusions (`_forced`) above it; what a failed check
+        forces is added, T is closed again, and the check repeats until
+        nothing is forced.
     Every element added lies in the least fixpoint, and the last check
     shows that T is a fixpoint, so T is the least one.
     """
@@ -531,7 +582,10 @@ def gr_kernel(alpha: Morphism) -> frozenset[int]:
                 if found:
                     listed[s] = found
             weak = listed
-        forced = _forced(mul, members, gens, inside, weak) - kernel
+        if len(kernel) <= _SMALL_KERNEL:
+            forced = _ideal_products(mul, members, weak) - kernel
+        else:
+            forced = _forced(mul, members, gens, inside, weak) - kernel
         if not forced:
             break
         _extend(mul, kernel, members, gens, sorted(forced))

@@ -326,6 +326,69 @@ def test_gr_kernel_matches_seminaive_reference_on_larger_monoids(alpha):
     assert gr_kernel(alpha) == seminaive_gr_kernel(alpha)
 
 
+def _kernel_comparing_checks(alpha, small):
+    """gr_kernel with `_SMALL_KERNEL` set to `small`.  Each fixpoint check
+    it makes is repeated with the other check on the same members and weak
+    pairs, and both must force the same elements outside the kernel.
+    Returns the kernel and the kernel sizes the checks saw."""
+    by_products, by_masks = oracles._ideal_products, oracles._forced
+    sizes = []
+
+    def compare(mul, members, gens, inside, weak):
+        kernel = set(members)
+        forced = by_masks(mul, members, gens, inside, weak) - kernel
+        assert by_products(mul, members, weak) - kernel == forced
+        sizes.append(len(members))
+        return forced
+
+    def products_spy(mul, members, weak):
+        kernel = set(members)
+        inside = "".join("1" if x in kernel else "0" for x in range(len(mul)))
+        # the members generate the kernel as well as the closure's generators do
+        return compare(mul, members, members, inside, weak)
+
+    with mock.patch.multiple(
+        oracles, _SMALL_KERNEL=small, _ideal_products=products_spy, _forced=compare
+    ):
+        kernel = gr_kernel(alpha)
+    return kernel, sizes
+
+
+def _assert_checks_agree(alpha) -> list[int]:
+    """Returns the kernel sizes that the checks saw."""
+    reference = seminaive_gr_kernel(alpha)
+    # every check by masks, then every check by products of ideals
+    by_masks, sizes = _kernel_comparing_checks(alpha, -1)
+    by_products, same_sizes = _kernel_comparing_checks(alpha, len(alpha.image))
+    assert by_masks == by_products == reference
+    assert sizes == same_sizes
+    return sizes
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 3).flatmap(
+    lambda k: syntactic_morphisms(cap=256, alphabet=make_alphabet("abc"[:k]))))
+def test_both_fixpoint_checks_force_the_same_elements(alpha):
+    # images of 1 to 256 elements, so kernels on both sides of _SMALL_KERNEL
+    _assert_checks_agree(alpha)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_both_fixpoint_checks_agree_on_full_transformation_monoids(n):
+    # T_4's kernel of 233 elements lies above _SMALL_KERNEL
+    sizes = _assert_checks_agree(syntactic_morphism(transformation_dfa(n)).morphism)
+    assert (max(sizes) > oracles._SMALL_KERNEL) == (n == 4)
+
+
+def test_both_fixpoint_checks_merge_the_partners_of_a_group():
+    # 13 elements, where two listed s share an ideal but not their partners,
+    # so a group that takes one s's partners for all forces too little
+    delta = ((1, 5), (4, 4), (5, 2), (4, 2), (4, 3), (2, 5))
+    alpha = syntactic_morphism(Dfa(AB, 6, 0, frozenset({0, 1, 3, 4}), delta)).morphism
+    assert len(alpha.image) == 13
+    _assert_checks_agree(alpha)
+
+
 @given(st.integers(1, 8).flatmap(
     lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)))
 def test_components_are_the_mutual_reachability_classes(edges):
