@@ -19,10 +19,12 @@ k+.  Renumbered breadth-first, k+ keeps k's order except for the dead
 state, which the final row no longer reaches: it is numbered where the
 walk meets the first other edge into it, or goes when there is none.
 
-The least delay bound of a prefix code k is found by at most |k+| + 1
-breadth-first walks of one factor over (state of k+, factors of k read,
-state of k), whatever the search bound; a witness that a bound d fails
-walks d factors, and only when the least delay exceeds d.
+The least delay bound of a prefix code k is found on the minimal k's own
+states, k+ being k's rows with the final row replaced by the initial row,
+by at most |k+| + 1 depth-first walks over pairs (state of k+, state of
+k) without links, whatever the search bound.  Only a witness that a bound
+d fails builds k+ as a Dfa with its links and walks d factors, and only
+when the least delay exceeds d.
 """
 
 from __future__ import annotations
@@ -100,15 +102,9 @@ def _plus_maps(k: Dfa) -> tuple[Dfa, dict]:
     """The minimal k+ for a prefix code k, and the links of a breadth-first
     walk from its final states backward along its edges: the live states
     are the ones the walk reaches, and each link spells, reversed, a
-    shortest word leading from its state into a final state.
-
-    No word of k extends another, so k+ is the minimal k with its one
-    final row replaced by the initial row.  That is minimal already: a
-    shortest word that separates two states of k never passes the final
-    state before its last letter, so it still separates them in k+.
-    The breadth-first renumbering keeps k's order except for the dead
-    state, which is numbered where the walk meets the first other edge
-    into it, or goes when no other edge reaches it."""
+    shortest word leading from its state into a final state.  k+ is the
+    minimal k with its final row replaced by the initial row, minimal as
+    it stands and renumbered breadth-first (see the module docstring)."""
     k = minimize(k)
     rows = [k.delta[k.initial] if q in k.finals else row for q, row in enumerate(k.delta)]
     order, delta = explore(k.initial, rows.__getitem__)
@@ -129,8 +125,7 @@ def _factor_walk(k: Dfa, plus: Dfa, starts, limit: int, links: dict):
     (p, 0, initial state of k) for each p in `starts`, yielding each node
     and recording its link as `breadth_first` does.  After a final state
     of k the next letter is read from k's initial row, and no factor past
-    the limit-th is started.  The successors are inline: a callback per
-    node slows `min_sync_delay` by a quarter."""
+    the limit-th is started.  Only witnesses walk it: the links spell v."""
     symbols = k.alphabet.symbols
     for p in starts:
         links[p, 0, k.initial] = None
@@ -150,19 +145,52 @@ def _factor_walk(k: Dfa, plus: Dfa, starts, limit: int, links: dict):
                 queue.append(nxt)
 
 
-def _least_delay(k: Dfa, plus: Dfa, live, dmax: int) -> int | None:
-    """Least delay bound of k up to dmax, or None.
+def _factor_ends(plus: list, final: int, dead: int, starts, initial: int) -> set:
+    """The states but `dead` that one word of k leads k+ to from `starts`,
+    by a depth-first walk over pairs (state of k+, state of k) coded as
+    p * n + q.  A pair at the final state of k ends a word and is not
+    expanded, so the second state never reads the final row, the one row
+    where k+ differs from k, and `plus` serves both.  A pair holding the
+    dead state reaches no end."""
+    n = len(plus)
+    seen = {p * n + initial for p in starts}
+    stack = list(seen)
+    ends = set()
+    while stack:
+        p, q = divmod(stack.pop(), n)
+        for p, q in zip(plus[p], plus[q]):
+            if q == final:
+                ends.add(p)
+            elif p != dead != q:
+                node = p * n + q
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+    ends.discard(dead)
+    return ends
 
-    R_0 is the set of live states of k+, and R_d the live states that one
-    factor of k leads to from R_{d-1}; d is a delay bound iff R_d holds
-    only final states.  R_1 is inside R_0 and the step is monotone, so R
-    shrinks, and once it stops shrinking with a non-final state in it no
-    bound exists: at most |k+| + 1 steps, whatever dmax is."""
-    reached = set(live)
+
+def _least_delay(k: Dfa, dmax: int) -> int | None:
+    """Least delay bound up to dmax of the prefix code whose minimal DFA is
+    k, or None.
+
+    R_0 is every state but the dead one, the states of k+ that reach a
+    final state: in a minimal complete DFA only a non-final sink reaches
+    none.  R_d holds the states but the dead one that one word of k leads
+    k+ to from R_{d-1}, and d is a delay bound iff R_d holds only final
+    states.  R_1 lies inside R_0 and the step is monotone, so R shrinks,
+    and once it stops shrinking with a non-final state in it no bound
+    exists: at most |k+| + 1 rounds, whatever dmax is."""
+    if not k.finals:
+        return 1
+    (final,) = k.finals
+    dead = k.delta[final][0]
+    plus = list(k.delta)
+    plus[final] = k.delta[k.initial]
+    reached = set(range(len(plus))) - {dead}
     for d in range(1, dmax + 1):
-        walk = _factor_walk(k, plus, reached, 1, {})
-        ends = {p for p, count, _q in walk if count == 1 and p in live}
-        if ends <= plus.finals:
+        ends = _factor_ends(plus, final, dead, reached, k.initial)
+        if ends <= k.finals:
             return d
         if ends == reached:
             return None
@@ -173,11 +201,12 @@ def _least_delay(k: Dfa, plus: Dfa, live, dmax: int) -> int | None:
 def _delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
     """The first (u, v, w) with v in k^d, uvw in k+ and uv not in k+,
     trying u in breadth-first order and then shortest v.  Bounds are upward
-    closed, so when one up to d holds there is none, and nothing walks d
-    factors."""
-    plus, back = _plus_maps(k)
-    if _least_delay(k, plus, back, d) is not None:
+    closed, so when the least delay is at most d there is none, and only
+    a failing bound builds k+ with its links and walks d factors."""
+    k = minimize(k)
+    if _least_delay(k, d) is not None:
         return None
+    plus, back = _plus_maps(k)
     symbols = k.alphabet.symbols
     ahead: dict = {}
     for p1 in breadth_first((plus.initial,), lambda q: zip(symbols, plus.delta[q]), ahead):
@@ -208,8 +237,7 @@ def min_sync_delay(k: Dfa, dmax: int | None = None) -> int | None:
     if dmax < 1:
         raise InputError("synchronization delay bound must be at least 1")
     _require_prefix_code(k)
-    plus, live = _plus_maps(k)
-    return _least_delay(k, plus, live, dmax)
+    return _least_delay(minimize(k), dmax)
 
 
 def disjointness_witness(k: Dfa, l: Dfa) -> str | None:

@@ -49,6 +49,9 @@ from sfclosure.oracles import (
 from sfclosure.sd import (
     SdViolation,
     _delay_witness,
+    _factor_walk,
+    _plus_maps,
+    _require_prefix_code,
     ambiguity_witness,
     disjointness_witness,
     prefix_code_violation,
@@ -514,6 +517,26 @@ def naive_min_sync_delay(k: Dfa, dmax: int = 8):
     for d in range(1, dmax + 1):
         if naive_sync_delay_witness(k, d) is None:
             return d
+    return None
+
+
+def ladder_min_sync_delay(k: Dfa, dmax: int):
+    """The least delay up to dmax as a ladder of factor walks over the
+    renumbered k+: R_0 is the set of states with a backward link into a
+    final state, and each R_d keeps the live k+ states that a walk of one
+    factor ends at from R_{d-1}, until R_d holds only final states or
+    stops shrinking."""
+    _require_prefix_code(k)
+    plus, live = _plus_maps(k)
+    reached = set(live)
+    for d in range(1, dmax + 1):
+        walk = _factor_walk(k, plus, reached, 1, {})
+        ends = {p for p, count, _q in walk if count == 1 and p in live}
+        if ends <= plus.finals:
+            return d
+        if ends == reached:
+            return None
+        reached = ends
     return None
 
 

@@ -10,6 +10,7 @@ from bruteforce import (
     check_delay_witness,
     has_sync_delay,
     is_unambiguous_concat,
+    ladder_min_sync_delay,
     naive_ambiguity_witness,
     naive_min_sync_delay,
     naive_plus_maps,
@@ -49,6 +50,7 @@ from sfclosure.sd import (
 
 AB = make_alphabet("ab")
 A = make_alphabet("a")
+ABC = make_alphabet("abc")
 
 EVEN = "((a+b)(a+b))*"
 
@@ -309,9 +311,9 @@ def test_random_codes_agree_with_brute_force():
 
 
 @st.composite
-def dfa_codes(draw, seal=True):
-    """A DFA over ab whose initial state 0 is not final.  Sealed, every
-    final state leads only to the dead state, so it accepts a prefix code;
+def dfa_codes(draw, seal=True, alphabet=AB):
+    """A DFA whose initial state 0 is not final.  Sealed, every final
+    state leads only to the dead state, so it accepts a prefix code;
     unsealed, the final states keep random moves."""
     states = draw(st.integers(2, 5))
     dead = states
@@ -320,26 +322,36 @@ def dfa_codes(draw, seal=True):
     delta = []
     for q in range(states):
         if seal and q in finals:
-            delta.append((dead, dead))
+            delta.append((dead,) * len(alphabet))
         else:
-            delta.append((draw(targets), draw(targets)))
-    delta.append((dead, dead))
-    return Dfa(AB, states + 1, 0, finals, tuple(delta))
+            delta.append(tuple(draw(targets) for _ in alphabet))
+    delta.append((dead,) * len(alphabet))
+    return Dfa(alphabet, states + 1, 0, finals, tuple(delta))
 
 
 @st.composite
-def finite_codes(draw):
+def finite_codes(draw, alphabet=AB):
     """The minimal DFA of a finite prefix code: drawn words, shortest
     first, each dropped when a kept word is a prefix of it."""
-    words = draw(st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1))
+    letters = "".join(alphabet.symbols)
+    words = draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=4), min_size=1))
     kept: list[str] = []
     for word in sorted(set(words), key=lambda w: (len(w), w)):
         if not any(word.startswith(other) for other in kept):
             kept.append(word)
-    return code("+".join(kept))
+    return code("+".join(kept), alphabet)
 
 
 _codes = st.one_of(finite_codes(), dfa_codes(), dfa_codes(seal=False))
+# prefix codes over one letter, where each is a single word or empty, and
+# over three letters
+_other_codes = st.one_of(
+    finite_codes(A), dfa_codes(alphabet=A), finite_codes(ABC), dfa_codes(alphabet=ABC)
+)
+
+# the empty language, a sealed prefix code, and {ε}, which holds the empty
+# word and so is no code
+_edge_languages = st.sampled_from([code("%"), code("_")])
 
 
 def outcome(fn, *args):
@@ -359,26 +371,80 @@ def test_delay_ladder_matches_per_d_rebuild(k, dmax):
         assert triple == outcome(naive_sync_delay_witness, k, d)
 
 
+@settings(max_examples=200)
+@given(_codes | _other_codes | _edge_languages)
+def test_least_delay_matches_the_factor_walk_ladder(k):
+    # the rounds on k's own states against the factor walks over the
+    # renumbered k+, from its states with a backward link
+    for dmax in [*range(1, 9), 10**6]:
+        assert outcome(min_sync_delay, k, dmax) == outcome(ladder_min_sync_delay, k, dmax)
+
+
+def dead_states(dfa: Dfa) -> set[int]:
+    return {q for q, row in enumerate(dfa.delta)
+            if q not in dfa.finals and all(t == q for t in row)}
+
+
+@settings(max_examples=200)
+@given((_codes | _other_codes | _edge_languages).filter(is_prefix_code))
+def test_every_state_of_plus_but_the_dead_one_is_live(k):
+    # the least delay starts from every state but the dead one; that set is
+    # exactly the states that reach a final state, whether or not the
+    # renumbering kept the dead state
+    plus, back = sd._plus_maps(k)
+    assert len(dead_states(plus)) <= 1
+    assert set(back) == set(range(plus.states)) - dead_states(plus)
+
+
+@settings(max_examples=200)
+@given((_codes | _other_codes).filter(is_prefix_code))
+def test_one_round_reads_one_factor_from_each_state(k):
+    # from one state, a second factor can lead elsewhere than the first:
+    # each round must stop at the end of a factor; the factor walk over k+
+    # in k's own numbering is the reference
+    k = minimize(k)
+    if not k.finals:
+        return
+    (final,) = k.finals
+    dead = k.delta[final][0]
+    rows = [k.delta[k.initial] if q == final else row for q, row in enumerate(k.delta)]
+    plus = Dfa(k.alphabet, k.states, k.initial, k.finals, tuple(rows))
+    for p in set(range(k.states)) - {dead}:
+        walk = sd._factor_walk(k, plus, (p,), 1, {})
+        ends = {end for end, count, _q in walk if count == 1} - {dead}
+        assert sd._factor_ends(rows, final, dead, {p}, k.initial) == ends
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Record the arguments of each call to the sd function `name`."""
+    real, calls = getattr(sd, name), []
+    monkeypatch.setattr(sd, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def test_unbounded_delay_stops_at_the_fixpoint(monkeypatch):
     # from every live state of (aa)+ one factor leads to {odd, even >= 2},
-    # and so does a second: two walks answer, however large dmax is
-    walk, walks = sd._factor_walk, []
-    monkeypatch.setattr(sd, "_factor_walk", lambda *args: walks.append(args) or walk(*args))
+    # and so does a second: two rounds answer, however large dmax is
+    rounds = spy(monkeypatch, "_factor_ends")
     assert min_sync_delay(code("aa", A), dmax=10**6) is None
-    assert len(walks) == 2
+    assert len(rounds) == 2
 
 
 def test_holding_bound_is_not_walked_to_its_depth(monkeypatch):
     # a over {a} has delay 1, and delays are upward closed: the witness
-    # search answers from one one-factor walk instead of walking 10**6
-    walk = sd._factor_walk
+    # search answers from one round instead of walking 10**6 factors, and
+    # a holding bound builds no k+ and walks no factor
+    def unused(*args):
+        raise AssertionError("k+ built for a holding bound")
 
-    def one_factor(k, plus, starts, limit, links):
-        assert limit == 1
-        return walk(k, plus, starts, limit, links)
-
-    monkeypatch.setattr(sd, "_factor_walk", one_factor)
+    rounds = spy(monkeypatch, "_factor_ends")
+    monkeypatch.setattr(sd, "_plus_maps", unused)
+    monkeypatch.setattr(sd, "_factor_walk", unused)
     assert sync_delay_witness(code("a", A), 10**6) is None
+    assert len(rounds) == 1
+    assert min_sync_delay(code("(aab)*ab"), 8) == 2
+    expr = parse_sd_expression("star(uconcat(a, uconcat(a, b)), d=2)", AB)
+    assert validate_sd_expression(expr, AB)[1] == []
 
 
 @settings(max_examples=200)
@@ -404,11 +470,6 @@ def test_searches_match_their_references(k):
 def test_plus_automaton_passes_the_public_checks(k):
     plus, _ = sd._plus_maps(k)
     assert rebuilt(plus) == plus
-
-
-# the empty language, a sealed prefix code, and {ε}, which holds the empty
-# word and so is no code
-_edge_languages = st.sampled_from([code("%"), code("_")])
 
 
 @settings(max_examples=300)
