@@ -158,11 +158,11 @@ def _factor_ends(plus: list, final: int, dead: int, starts, initial: int) -> set
     ends = set()
     while stack:
         p, q = divmod(stack.pop(), n)
-        for p, q in zip(plus[p], plus[q]):
-            if q == final:
-                ends.add(p)
-            elif p != dead != q:
-                node = p * n + q
+        for s, t in zip(plus[p], plus[q]):
+            if t == final:
+                ends.add(s)
+            elif s != dead != t:
+                node = s * n + t
                 if node not in seen:
                     seen.add(node)
                     stack.append(node)
