@@ -223,9 +223,6 @@ class Saturation:
         # maxima of earlier snapshots, whose products and jumps are in the chain
         self._seen: set = set()
 
-    def contains(self, value) -> bool:
-        return self.chain.covers(value)
-
     def maxima(self) -> list:
         """The maximal values of the rating map's semiring, ascending."""
         return self.chain.snapshot()
@@ -305,9 +302,6 @@ class FiniteSaturation(Saturation):
 
     def unpack(self, value: int) -> tuple[int, int]:
         return (value >> self._shift).bit_length() - 1, value & ((1 << self._shift) - 1)
-
-    def contains(self, n: int, r) -> bool:
-        return self.chain.covers(self.pack(n, r))
 
     def pairs(self) -> list[tuple[int, int]]:
         """The maximal pairs (n, r), ascending."""
@@ -521,18 +515,14 @@ class CoverInstance:
         return True
 
 
-def reduce_cover_instance(
-    l0, others, monoid_cap: int | None = None, powerset_cap: int | None = None
-) -> CoverInstance:
-    """The product rating map of l0 and the others.  The caps default to
-    DEFAULT's monoid_cap and powerset_cap."""
+def reduce_cover_instance(l0, others, config: Config = DEFAULT) -> CoverInstance:
+    """The product rating map of l0 and the others, under config's
+    monoid_cap and powerset_cap."""
     dfas = [l0, *others]
     if not others:
         raise InputError("a covering instance needs at least one avoided language")
-    if monoid_cap is None:
-        monoid_cap = DEFAULT.monoid_cap
-    languages = [syntactic_morphism(d, cap=monoid_cap) for d in dfas]
-    maps = [rho_alpha(lang, cap=powerset_cap) for lang in languages]
+    languages = [syntactic_morphism(d, cap=config.monoid_cap) for d in dfas]
+    maps = [rho_alpha(lang, cap=config.powerset_cap) for lang in languages]
     return CoverInstance(product_rating_map(maps), languages)
 
 
@@ -551,9 +541,7 @@ class CoverReport:
 
 
 def is_coverable(cls, l0, others, config: Config = DEFAULT) -> CoverReport:
-    instance = reduce_cover_instance(
-        l0, others, monoid_cap=config.monoid_cap, powerset_cap=config.powerset_cap
-    )
+    instance = reduce_cover_instance(l0, others, config)
     sat = _optimal(cls, instance.rho, config)
     maxima = sat.maxima()
     answer = not any(instance.is_bad(v) for v in maxima)

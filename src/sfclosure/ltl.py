@@ -394,11 +394,6 @@ def eval_at(formula: list[tuple], word: str, position: int) -> bool:
     return _truth(formula, word) >> position & 1 == 1
 
 
-def eval_word(formula: list[tuple], word: str) -> bool:
-    """Truth value at the artificial minimum position."""
-    return eval_at(formula, word, 0)
-
-
 # ---------------------------------------------------------------------------
 # Compilation to a DFA, and exact comparison
 

@@ -168,9 +168,6 @@ class RecognizedLanguage:
     morphism: Morphism
     accepting: frozenset[int]
 
-    def member(self, word: str) -> bool:
-        return self.morphism.of_word(word) in self.accepting
-
 
 def cayley_closure(alphabet: Alphabet, identity, step, cap: int, cap_message: str) -> Morphism:
     """The monoid generated by the letters of `alphabet` from `identity`.

@@ -283,9 +283,6 @@ class IntegerLattice:
                 v = [a - q * b for a, b in zip(v, row)]
         return tuple(v)
 
-    def contains(self, vector) -> bool:
-        return all(c == 0 for c in self.reduce(vector))
-
 
 def _components(nodes, successors) -> dict[int, int]:
     """The strongly connected components of the graph on `nodes` whose

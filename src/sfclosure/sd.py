@@ -12,19 +12,16 @@ The minimal DFA of a nonempty prefix code has one final state, and its
 row leads only to the dead state (Berstel, Perrin & Reutenauer, Codes
 and Automata, 2010).  So a minimal DFA is "sealed" exactly when it
 accepts a prefix code, which settles prefixness without a search, and
-k+ is k with the final row replaced by the initial row, minimal as it
-stands: a shortest word that separates two states of k never passes
-the final state before its last letter, so it still separates them in
-k+.  Renumbered breadth-first, k+ keeps k's order except for the dead
-state, which the final row no longer reaches: it is numbered where the
-walk meets the first other edge into it, or goes when there is none.
+k+ is k with the final row replaced by the initial row, minimal up to
+the dead state, which k+ may no longer reach: a shortest word that
+separates two states of k never passes the final state before its last
+letter, so it still separates them in k+.
 
-The least delay bound of a prefix code k is found on the minimal k's own
-states, k+ being k's rows with the final row replaced by the initial row,
-by at most |k+| + 1 depth-first walks over pairs (state of k+, state of
-k) without links, whatever the search bound.  Only a witness that a bound
-d fails builds k+ as a Dfa with its links and walks d factors, and only
-when the least delay exceeds d.
+The least delay bound and a witness that a bound fails read the same k+
+rows, in the minimal k's own numbering.  The least delay takes at most
+|k+| + 1 depth-first walks over pairs (state of k+, state of k) without
+links, whatever the search bound.  Only a witness that a bound d fails
+walks d factors with links, and only when the least delay exceeds d.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .automata import (
     breadth_first,
     compile_pattern,
     concat,
-    explore,
     minimize,
     product,
     shortest_word,
@@ -88,61 +84,22 @@ def prefix_code_violation(k: Dfa) -> str | None:
     return None
 
 
-def is_prefix_code(k: Dfa) -> bool:
-    return prefix_code_violation(k) is None
-
-
 def _require_prefix_code(k: Dfa) -> None:
     bad = prefix_code_violation(k)
     if bad is not None:
         raise InputError(f"not a prefix code, witness {bad!r}")
 
 
-def _plus_maps(k: Dfa) -> tuple[Dfa, dict]:
-    """The minimal k+ for a prefix code k, and the links of a breadth-first
-    walk from its final states backward along its edges: the live states
-    are the ones the walk reaches, and each link spells, reversed, a
-    shortest word leading from its state into a final state.  k+ is the
-    minimal k with its final row replaced by the initial row, minimal as
-    it stands and renumbered breadth-first (see the module docstring)."""
-    k = minimize(k)
-    rows = [k.delta[k.initial] if q in k.finals else row for q, row in enumerate(k.delta)]
-    order, delta = explore(k.initial, rows.__getitem__)
-    finals = frozenset(i for i, q in enumerate(order) if q in k.finals)
-    plus = Dfa._trusted(k.alphabet, len(order), 0, finals, tuple(delta), minimal=True)
-    into: list[list] = [[] for _ in range(plus.states)]
-    for q, row in enumerate(plus.delta):
-        for symbol, target in zip(k.alphabet.symbols, row):
-            into[target].append((symbol, q))
-    back: dict = {}
-    for _ in breadth_first(sorted(plus.finals), into.__getitem__, back):
-        pass
-    return plus, back
-
-
-def _factor_walk(k: Dfa, plus: Dfa, starts, limit: int, links: dict):
-    """Breadth-first over (state of k+, factors of k read, state of k) from
-    (p, 0, initial state of k) for each p in `starts`, yielding each node
-    and recording its link as `breadth_first` does.  After a final state
-    of k the next letter is read from k's initial row, and no factor past
-    the limit-th is started.  Only witnesses walk it: the links spell v."""
-    symbols = k.alphabet.symbols
-    for p in starts:
-        links[p, 0, k.initial] = None
-    queue = deque(links)
-    while queue:
-        node = queue.popleft()
-        yield node
-        p, count, q = node
-        if q in k.finals:
-            if count == limit:
-                continue
-            q = k.initial
-        for symbol, nxt_p, t in zip(symbols, plus.delta[p], k.delta[q]):
-            nxt = (nxt_p, count + (t in k.finals), t)
-            if nxt not in links:
-                links[nxt] = (node, symbol)
-                queue.append(nxt)
+def _plus_rows(k: Dfa) -> tuple[list, int, int]:
+    """k+ for the minimal DFA k of a nonempty prefix code, in k's own
+    numbering: k's rows with the final row replaced by the initial row,
+    its final state, and its dead state, the one state that reaches no
+    final state (see the module docstring)."""
+    (final,) = k.finals
+    dead = k.delta[final][0]
+    plus = list(k.delta)
+    plus[final] = k.delta[k.initial]
+    return plus, final, dead
 
 
 def _factor_ends(plus: list, final: int, dead: int, starts, initial: int) -> set:
@@ -183,10 +140,7 @@ def _least_delay(k: Dfa, dmax: int) -> int | None:
     exists: at most |k+| + 1 rounds, whatever dmax is."""
     if not k.finals:
         return 1
-    (final,) = k.finals
-    dead = k.delta[final][0]
-    plus = list(k.delta)
-    plus[final] = k.delta[k.initial]
+    plus, final, dead = _plus_rows(k)
     reached = set(range(len(plus))) - {dead}
     for d in range(1, dmax + 1):
         ends = _factor_ends(plus, final, dead, reached, k.initial)
@@ -199,24 +153,46 @@ def _least_delay(k: Dfa, dmax: int) -> int | None:
 
 
 def _delay_witness(k: Dfa, d: int) -> tuple[str, str, str] | None:
-    """The first (u, v, w) with v in k^d, uvw in k+ and uv not in k+,
-    trying u in breadth-first order and then shortest v.  Bounds are upward
-    closed, so when the least delay is at most d there is none, and only
-    a failing bound builds k+ with its links and walks d factors."""
+    """The first (u, v, w) with v in k^d, uvw in k+ and uv not in k+, or
+    None when the least delay is at most d: bounds are upward closed.
+
+    All three searches read the k+ rows of `_plus_rows`.  u runs through
+    the live states of k+ in breadth-first order; for each, v is a
+    shortest word read breadth-first over (state of k+, factors of k
+    read, state of k), where the k+ row of the final state restarts a
+    factor, up to d factors ending at a live non-final state of k+; w is
+    a shortest word from there into the final state, from one backward
+    breadth-first walk."""
     k = minimize(k)
     if _least_delay(k, d) is not None:
         return None
-    plus, back = _plus_maps(k)
+    plus, final, dead = _plus_rows(k)
     symbols = k.alphabet.symbols
+    into: list[list] = [[] for _ in plus]
+    for q, row in enumerate(plus):
+        for symbol, target in zip(symbols, row):
+            into[target].append((symbol, q))
+    back: dict = {}
+    for _ in breadth_first((final,), into.__getitem__, back):
+        pass
     ahead: dict = {}
-    for p1 in breadth_first((plus.initial,), lambda q: zip(symbols, plus.delta[q]), ahead):
-        if p1 not in back:
+    for p1 in breadth_first((k.initial,), lambda q: zip(symbols, plus[q]), ahead):
+        if p1 == dead:
             continue
-        links: dict = {}
-        for node in _factor_walk(k, plus, (p1,), d, links):
-            p, count, _ = node
-            if count == d and p not in plus.finals and p in back:
-                return spell(ahead, p1), spell(links, node), spell(back, p)[::-1]
+        links: dict = {(p1, 0, k.initial): None}
+        queue = deque(links)
+        while queue:
+            node = queue.popleft()
+            p, count, q = node
+            if count == d:
+                if p != final and p != dead:
+                    return spell(ahead, p1), spell(links, node), spell(back, p)[::-1]
+                continue
+            for symbol, s, t in zip(symbols, plus[p], plus[q]):
+                nxt = (s, count + (t == final), t)
+                if nxt not in links:
+                    links[nxt] = (node, symbol)
+                    queue.append(nxt)
     return None
 
 

@@ -79,9 +79,6 @@ class ProductSemiring:
         """The component bitmasks of a packed value."""
         return tuple((x >> offset) & mask for offset, mask, _, _, _ in self._fields)
 
-    def add(self, x, y):
-        return x | y
-
     def product(self, x, y):
         """x * y field by field, without the whole-value cache."""
         value = 0
@@ -111,9 +108,6 @@ class ProductSemiring:
         if value is None:
             value = products[y] = self.product(x, y)
         return value
-
-    def elements(self):
-        return range(1 << self.width)
 
     def downset_of(self, x):
         # all submasks, including 0, in increasing order

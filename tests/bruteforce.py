@@ -12,7 +12,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from sfclosure.automata import (
     MAX_NESTING,
@@ -46,11 +46,10 @@ from sfclosure.oracles import (
     group_kernel,
     mod_kernel,
 )
+from sfclosure.ltl import eval_at
 from sfclosure.sd import (
     SdViolation,
     _delay_witness,
-    _factor_walk,
-    _plus_maps,
     _require_prefix_code,
     ambiguity_witness,
     disjointness_witness,
@@ -244,15 +243,17 @@ def schutzenberger_check(dfa: Dfa, monoid_cap: int = 4096) -> bool:
     return is_aperiodic(lang.morphism.codomain)
 
 
-def validate_semiring(sr, elements=None) -> str | None:
+def validate_semiring(sr, elements=None, add=or_) -> str | None:
     """Exhaustively check the semiring axioms; return a description of the
-    first violation (axiom name plus witness) or None when all hold."""
-    elems = list(sr.elements() if elements is None else elements)
+    first violation (axiom name plus witness) or None when all hold.  The
+    elements default to every packed value of a ProductSemiring, and the
+    addition to their union."""
+    elems = list(range(1 << sr.width) if elements is None else elements)
     for x in elems:
-        if sr.add(x, x) != x:
+        if add(x, x) != x:
             return f"addition idempotence fails at ({x}, {x})"
     for x in elems:
-        if sr.add(sr.zero, x) != x or sr.add(x, sr.zero) != x:
+        if add(sr.zero, x) != x or add(x, sr.zero) != x:
             return f"zero is not neutral for addition at {x}"
         if sr.mul(sr.one, x) != x or sr.mul(x, sr.one) != x:
             return f"one is not neutral for multiplication at {x}"
@@ -260,18 +261,18 @@ def validate_semiring(sr, elements=None) -> str | None:
             return f"zero is not absorbing at {x}"
     for x in elems:
         for y in elems:
-            if sr.add(x, y) != sr.add(y, x):
+            if add(x, y) != add(y, x):
                 return f"addition commutativity fails at ({x}, {y})"
     for x in elems:
         for y in elems:
             for z in elems:
-                if sr.add(sr.add(x, y), z) != sr.add(x, sr.add(y, z)):
+                if add(add(x, y), z) != add(x, add(y, z)):
                     return f"addition associativity fails at ({x}, {y}, {z})"
                 if sr.mul(sr.mul(x, y), z) != sr.mul(x, sr.mul(y, z)):
                     return f"multiplication associativity fails at ({x}, {y}, {z})"
-                if sr.mul(x, sr.add(y, z)) != sr.add(sr.mul(x, y), sr.mul(x, z)):
+                if sr.mul(x, add(y, z)) != add(sr.mul(x, y), sr.mul(x, z)):
                     return f"left distributivity fails at ({x}, {y}, {z})"
-                if sr.mul(sr.add(x, y), z) != sr.add(sr.mul(x, z), sr.mul(y, z)):
+                if sr.mul(add(x, y), z) != add(sr.mul(x, z), sr.mul(y, z)):
                     return f"right distributivity fails at ({x}, {y}, {z})"
     return None
 
@@ -365,10 +366,10 @@ def naive_prefix_code_violation(k: Dfa) -> str | None:
     return shortest_word(product(k, concat(k, a_plus), "intersection"))
 
 
-def naive_plus_maps(k: Dfa) -> tuple[Dfa, dict[int, str], dict[int, str]]:
-    """k+ by concatenation and star, with, per state, a shortest word
-    reaching it and, per live state, a shortest word leading from it into
-    a final state, found by scanning every edge for each dequeued target."""
+def naive_plus_maps(k: Dfa) -> tuple[Dfa, dict[int, str]]:
+    """k+ by concatenation and star, with, per live state, a shortest word
+    leading from it into a final state, found by scanning every edge for
+    each dequeued target."""
     plus = minimize(concat(k, star(k)))
     symbols = k.alphabet.symbols
     width = len(symbols)
@@ -382,12 +383,7 @@ def naive_plus_maps(k: Dfa) -> tuple[Dfa, dict[int, str], dict[int, str]]:
                 if plus.delta[q][i] == target and q not in suffix:
                     suffix[q] = symbols[i] + suffix[target]
                     queue.append(q)
-    prefix = {plus.initial: ""}
-    for q in range(plus.states):
-        for symbol, nxt in zip(symbols, plus.delta[q]):
-            if nxt not in prefix:
-                prefix[nxt] = prefix[q] + symbol
-    return plus, prefix, suffix
+    return plus, suffix
 
 
 def naive_ambiguity_witness(k: Dfa, l: Dfa) -> str | None:
@@ -520,17 +516,39 @@ def naive_min_sync_delay(k: Dfa, dmax: int = 8):
     return None
 
 
+def factor_walk(k: Dfa, plus: Dfa, starts, limit: int):
+    """Breadth-first over (state of k+, factors of k read, state of k) from
+    (p, 0, initial state of k) for each p in `starts`, yielding each node.
+    After a final state of k the next letter is read from k's initial
+    row, and no factor past the limit-th is started."""
+    seen = {(p, 0, k.initial) for p in starts}
+    queue = deque(seen)
+    while queue:
+        node = queue.popleft()
+        yield node
+        p, count, q = node
+        if q in k.finals:
+            if count == limit:
+                continue
+            q = k.initial
+        for nxt_p, t in zip(plus.delta[p], k.delta[q]):
+            nxt = (nxt_p, count + (t in k.finals), t)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+
 def ladder_min_sync_delay(k: Dfa, dmax: int):
-    """The least delay up to dmax as a ladder of factor walks over the
-    renumbered k+: R_0 is the set of states with a backward link into a
-    final state, and each R_d keeps the live k+ states that a walk of one
-    factor ends at from R_{d-1}, until R_d holds only final states or
-    stops shrinking."""
+    """The least delay up to dmax as a ladder of factor walks over k+ built
+    by concatenation and star: R_0 is the set of states with a shortest
+    word into a final state, and each R_d keeps the live k+ states that a
+    walk of one factor ends at from R_{d-1}, until R_d holds only final
+    states or stops shrinking."""
     _require_prefix_code(k)
-    plus, live = _plus_maps(k)
+    plus, live = naive_plus_maps(k)
     reached = set(live)
     for d in range(1, dmax + 1):
-        walk = _factor_walk(k, plus, reached, 1, {})
+        walk = factor_walk(k, plus, reached, 1)
         ends = {p for p, count, _q in walk if count == 1 and p in live}
         if ends <= plus.finals:
             return d
@@ -982,11 +1000,9 @@ def naive_compare_sampled(
 ) -> list[str]:
     """Words up to the length bound where formula and automaton disagree,
     one word at a time through the per-word evaluator."""
-    from sfclosure.ltl import eval_word
-
     mismatches = []
     for word in _words_by_length(alphabet, max_length):
-        if eval_word(formula, word) != accepts(dfa, word):
+        if eval_at(formula, word, 0) != accepts(dfa, word):
             mismatches.append(word)
     return mismatches
 

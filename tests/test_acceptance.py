@@ -56,9 +56,9 @@ from sfclosure.oracles import (
     st_class,
 )
 from sfclosure.sd import (
-    is_prefix_code,
     min_sync_delay,
     parse_sd_expression,
+    prefix_code_violation,
     sync_delay_witness,
     validate_sd_expression,
 )
@@ -183,7 +183,7 @@ def random_prefix_codes(count: int):
             continue
         seen.add(words)
         k = minimize(compile_pattern("+".join(sorted(words)), AB))
-        if is_prefix_code(k):
+        if prefix_code_violation(k) is None:
             out.append(k)
     return out
 
@@ -193,10 +193,10 @@ def test_criterion_6_sd_suite():
         # the five fixed verdicts
         assert min_sync_delay(minimize(compile_pattern("a+b", AB))) == 1
         assert min_sync_delay(minimize(compile_pattern("a*b", AB))) == 1
-        assert not is_prefix_code(minimize(compile_pattern("a+aa", AB)))
+        assert prefix_code_violation(minimize(compile_pattern("a+aa", AB))) is not None
         assert min_sync_delay(minimize(compile_pattern("(aab)*ab", AB))) == 2
         square = minimize(compile_pattern("aa", A))
-        assert is_prefix_code(square)
+        assert prefix_code_violation(square) is None
         assert min_sync_delay(square, dmax=6) is None
 
         # reachability versus bounded brute-force search on random codes
@@ -266,25 +266,23 @@ def test_criterion_9_posthoc_closure(corpus):
         st2 = st_class(AB)
         sample = corpus[:12]
         for dfa in sample:
-            instance = reduce_cover_instance(dfa, [complement(dfa)],
-                                             powerset_cap=WIDE.powerset_cap)
+            instance = reduce_cover_instance(dfa, [complement(dfa)], config=WIDE)
             sat = saturate_finite(st2, instance.rho)
             assert closure_residual_finite(st2, instance.rho, sat) == []
 
         unary = rho_alpha(syntactic_morphism(compile_pattern("(aa)*", A)))
         for cls in (MOD, GR):
             for rho in [unary] + [
-                reduce_cover_instance(dfa, [complement(dfa)],
-                                      powerset_cap=WIDE.powerset_cap).rho
+                reduce_cover_instance(dfa, [complement(dfa)], config=WIDE).rho
                 for dfa in sample
             ]:
                 sat = saturate_group(cls, rho, config=WIDE)
                 sr = rho.semiring
                 for extra in _group_step(cls, rho, sat.chain, WIDE):
-                    assert sat.contains(extra)
+                    assert sat.chain.covers(extra)
                 snapshot = sat.chain.snapshot()
                 for r1 in snapshot:
                     for r2 in snapshot:
-                        assert sat.contains(sr.mul(r1, r2))
+                        assert sat.chain.covers(sr.mul(r1, r2))
                 for r in snapshot:
-                    assert sat.contains(sf_closure_of(sr, r))
+                    assert sat.chain.covers(sf_closure_of(sr, r))

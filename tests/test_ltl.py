@@ -14,7 +14,6 @@ from sfclosure.ltl import (
     compare_sampled,
     compile_formula,
     eval_at,
-    eval_word,
     parse_formula,
 )
 from sfclosure.membership import sf_membership
@@ -120,8 +119,8 @@ class TestParsing:
     def test_nesting_below_the_bound_evaluates(self):
         depth = MAX_NESTING - 1
         f = parse_formula("X(" * depth + "max" + ")" * depth, AB)
-        assert eval_word(f, "a" * (depth - 1))
-        assert not eval_word(f, "a" * depth)
+        assert eval_at(f, "a" * (depth - 1), 0)
+        assert not eval_at(f, "a" * depth, 0)
 
     @pytest.mark.parametrize("wrap", ["U(top, ", "S(top, ", "X(", "!"])
     def test_deepest_formula_around_deepest_bound_evaluates(self, wrap):
@@ -135,16 +134,16 @@ class TestParsing:
             for p in (pattern, "a*")
         )
         for word in ("", "aa", "ab", "b" * depth):
-            assert eval_word(deep, word) == eval_word(shallow, word)
+            assert eval_at(deep, word, 0) == eval_at(shallow, word, 0)
 
     def test_word_letter_outside_the_bound_alphabet(self):
         with pytest.raises(InputError, match="not in the alphabet"):
-            eval_word(parse_formula("F(a)", AB), "ca")
+            eval_at(parse_formula("F(a)", AB), "ca", 0)
 
     def test_word_letter_outside_the_bound_alphabet_going_forward(self):
         # the since sweep reads the 'c' after the 'a' that starts it
         with pytest.raises(InputError, match="symbol 'c' is not in the alphabet"):
-            eval_word(parse_formula("S(top, a)", AB), "ac")
+            eval_at(parse_formula("S(top, a)", AB), "ac", 0)
 
     @pytest.mark.parametrize(
         "letters, text, expected",
@@ -177,7 +176,7 @@ class TestParsing:
         parsed = parse_formula("U(top, a)", AB)
         assert built == parsed
         for word in ("", "a", "ba", "bb", "aab"):
-            assert eval_word(built, word) == eval_word(parsed, word)
+            assert eval_at(built, word, 0) == eval_at(parsed, word, 0)
 
 
 class TestFrozenFormulas:
@@ -241,10 +240,10 @@ def test_acceptance_formulas_on_long_words(text, pattern, blocks):
     f = parse_formula(text, AB)
     rng = random.Random(1600)
     member = "".join(rng.choice(blocks) for _ in range(800))
-    assert eval_word(f, member)
+    assert eval_at(f, member, 0)
     for i in [0, 1, 799, 800, 1598, 1599] + rng.sample(range(1600), 10):
         mutant = member[:i] + "ba"[member[i] == "b"] + member[i + 1:]
-        assert eval_word(f, mutant) == bool(re.fullmatch(pattern, mutant))
+        assert eval_at(f, mutant, 0) == bool(re.fullmatch(pattern, mutant))
 
 
 @pytest.mark.parametrize(
@@ -287,11 +286,11 @@ def test_single_sweep_matches_naive(op, bound, left, right, word):
 
 
 def test_word_slice_of_formula_language():
-    # cross-check eval_word against the compiled DFA over a full slice
+    # cross-check eval_at against the compiled DFA over a full slice
     f = parse_formula(AB_STAR_FORMULA, AB)
     dfa = compile_pattern("(ab)*", AB)
     for word in words_up_to(AB, 7):
-        assert eval_word(f, word) == accepts(dfa, word)
+        assert eval_at(f, word, 0) == accepts(dfa, word)
 
 
 def regex_text(letters: str):
@@ -446,7 +445,7 @@ def test_compare_matches_word_by_word(formula_letters, dfa_letters, letters, max
         assert compare_sampled(formula, dfa, alphabet, max_length) == expected
         return
     word_by_word = AssertionError("compare_sampled evaluated a single word")
-    with mock.patch.object(ltl, "eval_word", side_effect=word_by_word):
+    with mock.patch.object(ltl, "_truth", side_effect=word_by_word):
         for length in (max_length, 10**20):
             with pytest.raises(InputError, match="does not read the letter"):
                 compare_sampled(formula, dfa, alphabet, length)
@@ -467,11 +466,11 @@ def test_compare_on_one_letter_set(orders, max_length, data):
     alphabet = make_alphabet(letters)
     if len(letters) == 3:
         max_length = min(max_length, 5)
-    # the reference imports eval_word when called, so it runs before the patch
+    # the reference evaluates word by word, so it runs before the patch
     expected = naive_compare_sampled(formula, dfa, alphabet, max_length)
     # a word-by-word evaluation fails the test: only the compiled DFA may answer
     word_by_word = AssertionError("compare_sampled evaluated a single word")
-    with mock.patch.object(ltl, "eval_word", side_effect=word_by_word):
+    with mock.patch.object(ltl, "_truth", side_effect=word_by_word):
         assert compare_sampled(formula, dfa, alphabet, max_length) == expected
 
 
@@ -580,7 +579,7 @@ def test_compiled_formula_accepts_what_the_sweeps_accept(letters, data):
     formula = parse_formula(data.draw(bounded_formula_text(letters)), alphabet)
     dfa = compile_formula(formula, alphabet)
     for word in words_up_to(alphabet, 8 if len(letters) == 2 else 5):
-        assert accepts(dfa, word) == eval_word(formula, word), word
+        assert accepts(dfa, word) == eval_at(formula, word, 0), word
 
 
 def test_compile_needs_every_letter_in_every_bound():

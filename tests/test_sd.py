@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import (
     accepted_slice,
     check_delay_witness,
+    factor_walk,
     has_sync_delay,
     is_unambiguous_concat,
     ladder_min_sync_delay,
@@ -16,7 +17,6 @@ from bruteforce import (
     naive_plus_maps,
     naive_prefix_code_violation,
     naive_sync_delay_witness,
-    rebuilt,
     search_delay_violation,
     schutzenberger_check,
     search_prefix_violation,
@@ -27,12 +27,10 @@ from sfclosure.automata import (
     MAX_NESTING,
     Dfa,
     accepts,
-    breadth_first,
     compile_pattern,
     complement,
     make_alphabet,
     minimize,
-    spell,
 )
 from sfclosure.config import Config
 from sfclosure.errors import InputError
@@ -40,7 +38,6 @@ from sfclosure.membership import sf_membership
 from sfclosure.oracles import MOD, st_class
 from sfclosure.sd import (
     ambiguity_witness,
-    is_prefix_code,
     min_sync_delay,
     parse_sd_expression,
     prefix_code_violation,
@@ -78,13 +75,13 @@ def code(pattern: str, alphabet=AB) -> Dfa:
 class TestVerdicts:
     def test_alphabet_is_delay_one(self):
         k = code("a+b")
-        assert is_prefix_code(k)
+        assert prefix_code_violation(k) is None
         assert min_sync_delay(k) == 1
         assert search_delay_violation(k, 1) is None
 
     def test_marked_suffix_code_is_delay_one(self):
         k = code("a*b")
-        assert is_prefix_code(k)
+        assert prefix_code_violation(k) is None
         assert min_sync_delay(k) == 1
         # delays are upward closed, so the nested-code bound d+1 also holds
         assert sync_delay_witness(k, 2) is None and has_sync_delay(k, 2)
@@ -92,13 +89,12 @@ class TestVerdicts:
 
     def test_prefix_pair_is_rejected(self):
         k = code("a+aa")
-        assert not is_prefix_code(k)
         assert prefix_code_violation(k) == "aa"
         assert search_prefix_violation(k) == "aa"
 
     def test_block_code_has_delay_exactly_two(self):
         k = code("(aab)*ab")
-        assert is_prefix_code(k)
+        assert prefix_code_violation(k) is None
         witness = sync_delay_witness(k, 1)
         assert witness is not None
         assert check_delay_witness(k, 1, witness)
@@ -108,7 +104,7 @@ class TestVerdicts:
 
     def test_square_letter_code_has_no_finite_delay(self):
         k = code("aa", A)
-        assert is_prefix_code(k)
+        assert prefix_code_violation(k) is None
         assert min_sync_delay(k, dmax=6) is None
         for d in (1, 2, 3):
             witness = sync_delay_witness(k, d)
@@ -236,7 +232,7 @@ class TestPairStarConstruction:
 
     def test_inner_code_has_delay_one(self):
         k = code("(bb)*aa(aa)*bb")
-        assert is_prefix_code(k)
+        assert prefix_code_violation(k) is None
         assert min_sync_delay(k) == 1
         assert search_delay_violation(k, 1, maxlen=8) is None
 
@@ -292,7 +288,7 @@ def test_random_codes_agree_with_brute_force():
         if k is None:
             continue
         brute_prefix = search_prefix_violation(k, maxlen=6)
-        if is_prefix_code(k):
+        if prefix_code_violation(k) is None:
             assert brute_prefix is None
             codes.append(k)
         else:
@@ -386,18 +382,18 @@ def dead_states(dfa: Dfa) -> set[int]:
 
 
 @settings(max_examples=200)
-@given((_codes | _other_codes | _edge_languages).filter(is_prefix_code))
+@given((_codes | _other_codes | _edge_languages).filter(lambda k: prefix_code_violation(k) is None))
 def test_every_state_of_plus_but_the_dead_one_is_live(k):
     # the least delay starts from every state but the dead one; that set is
-    # exactly the states that reach a final state, whether or not the
-    # renumbering kept the dead state
-    plus, back = sd._plus_maps(k)
+    # exactly the states of the minimal k+ that reach a final state,
+    # whether or not k+ kept the dead state
+    plus, suffix = naive_plus_maps(k)
     assert len(dead_states(plus)) <= 1
-    assert set(back) == set(range(plus.states)) - dead_states(plus)
+    assert set(suffix) == set(range(plus.states)) - dead_states(plus)
 
 
 @settings(max_examples=200)
-@given((_codes | _other_codes).filter(is_prefix_code))
+@given((_codes | _other_codes).filter(lambda k: prefix_code_violation(k) is None))
 def test_one_round_reads_one_factor_from_each_state(k):
     # from one state, a second factor can lead elsewhere than the first:
     # each round must stop at the end of a factor; the factor walk over k+
@@ -410,7 +406,7 @@ def test_one_round_reads_one_factor_from_each_state(k):
     rows = [k.delta[k.initial] if q == final else row for q, row in enumerate(k.delta)]
     plus = Dfa(k.alphabet, k.states, k.initial, k.finals, tuple(rows))
     for p in set(range(k.states)) - {dead}:
-        walk = sd._factor_walk(k, plus, (p,), 1, {})
+        walk = factor_walk(k, plus, (p,), 1)
         ends = {end for end, count, _q in walk if count == 1} - {dead}
         assert sd._factor_ends(rows, final, dead, {p}, k.initial) == ends
 
@@ -433,14 +429,14 @@ def test_unbounded_delay_stops_at_the_fixpoint(monkeypatch):
 def test_holding_bound_is_not_walked_to_its_depth(monkeypatch):
     # a over {a} has delay 1, and delays are upward closed: the witness
     # search answers from one round instead of walking 10**6 factors, and
-    # a holding bound builds no k+ and walks no factor
+    # a holding bound starts none of the witness's searches
     def unused(*args):
-        raise AssertionError("k+ built for a holding bound")
+        raise AssertionError("witness searched for a holding bound")
 
     rounds = spy(monkeypatch, "_factor_ends")
-    monkeypatch.setattr(sd, "_plus_maps", unused)
-    monkeypatch.setattr(sd, "_factor_walk", unused)
-    assert sync_delay_witness(code("a", A), 10**6) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(sd, "breadth_first", unused)
+        assert sync_delay_witness(code("a", A), 10**6) is None
     assert len(rounds) == 1
     assert min_sync_delay(code("(aab)*ab"), 8) == 2
     expr = parse_sd_expression("star(uconcat(a, uconcat(a, b)), d=2)", AB)
@@ -451,25 +447,18 @@ def test_holding_bound_is_not_walked_to_its_depth(monkeypatch):
 @given(_codes)
 def test_searches_match_their_references(k):
     assert prefix_code_violation(k) == naive_prefix_code_violation(k)
-    if not is_prefix_code(k):
+    if prefix_code_violation(k) is not None:
         return
-    # k+ from k's own rows, the live states and the shortest words into a
-    # final state, and the breadth-first prefixes in state order
-    plus, back = sd._plus_maps(k)
-    naive_plus, prefix, suffix = naive_plus_maps(k)
-    assert plus == naive_plus
-    assert {q: spell(back, q)[::-1] for q in back} == suffix
-    ahead: dict = {}
-    order = list(breadth_first((0,), lambda q: zip("ab", plus.delta[q]), ahead))
-    assert order == list(range(plus.states))
-    assert {q: spell(ahead, q) for q in order} == prefix
-
-
-@settings(max_examples=200)
-@given(_codes.filter(is_prefix_code))
-def test_plus_automaton_passes_the_public_checks(k):
-    plus, _ = sd._plus_maps(k)
-    assert rebuilt(plus) == plus
+    # k+ from the minimal k's own rows is the minimal k+ but perhaps for
+    # the dead state, which k+ may no longer reach
+    k = minimize(k)
+    naive_plus, _suffix = naive_plus_maps(k)
+    assert naive_plus.states in (k.states, k.states - 1)
+    if not k.finals:
+        return
+    plus, final, dead = sd._plus_rows(k)
+    assert dead != final and set(plus[dead]) == {dead}
+    assert minimize(Dfa(k.alphabet, k.states, k.initial, k.finals, tuple(plus))) == naive_plus
 
 
 @settings(max_examples=300)

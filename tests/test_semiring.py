@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -37,7 +38,6 @@ def test_powerset_operations_golden():
     one, g = sr.one, 1 << (1 - m.identity)
     assert one == 1 << m.identity
     assert sr.mul(g, g) == one
-    assert sr.add(one, g) == one | g
     assert sr.downset_of(one | g) == [0, one, g, one | g]
     assert sr.element_to_json(one | g) == [[0, 1]]
 
@@ -63,23 +63,18 @@ def test_omega_and_sf_closure():
     assert sf_closure_of(sr, g) == sr.one | g
 
 
-class XorSemiring:
-    """Two elements with exclusive or as "addition", which is not idempotent."""
+class AndSemiring:
+    """Two elements multiplied by and; with exclusive or as "addition" they
+    form no semiring, as xor is not idempotent."""
 
     zero, one = 0, 1
-
-    def add(self, x, y):
-        return x ^ y
 
     def mul(self, x, y):
         return x & y
 
-    def elements(self):
-        return range(2)
-
 
 def test_table_semiring_law_violation_is_named():
-    message = validate_semiring(XorSemiring())
+    message = validate_semiring(AndSemiring(), range(2), add=operator.xor)
     assert message is not None and "idempotence" in message
 
 
@@ -116,7 +111,6 @@ def test_pack_unpack_round_trip():
     for t in parts:
         assert sr.unpack(sr.pack(t)) == t
     assert sorted(sr.pack(t) for t in parts) == list(range(1 << 11))
-    assert list(sr.elements()) == list(range(1 << 11))
     assert sr.unpack(sr.one) == tuple(1 << m.identity for m in sr.monoids)
     assert sr.pack((0b101, 0b100001, 0b10)) == 0b101_100001_10
     assert sr.element_to_json(0b101_100001_10) == [[0, 2], [0, 5], [1]]
@@ -138,7 +132,7 @@ def test_packed_operations_are_componentwise():
         for y in values:
             a, b = sr.unpack(x), sr.unpack(y)
             assert sr.unpack(sr.mul(x, y)) == reference.mul(a, b)
-            assert sr.unpack(sr.add(x, y)) == reference.add(a, b)
+            assert sr.unpack(x | y) == reference.add(a, b)
             # the order is bit inclusion, on the packed int and per component
             assert (x | y == y) == reference.leq(a, b)
             assert sr.element_to_json(x) == reference.to_json(a)
